@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
+from .prox import project_consistency
+
 __all__ = [
     "ArCoefficients",
     "ObjectiveValue",
     "residual",
-    "build_toeplitz",
     "levinson_durbin",
     "objective",
     "reflection_to_ar",
@@ -97,25 +98,6 @@ def residual(a, x) -> np.ndarray:
     return np.convolve(x, a)
 
 
-def build_toeplitz(filt, n_cols: int) -> np.ndarray:
-    """Dense banded Toeplitz matrix whose product implements ``residual``.
-
-    Column j holds the filter shifted down by j, so the matrix has shape
-    (len(filt) + n_cols - 1, n_cols).  build_toeplitz(a, N) @ x and
-    build_toeplitz(x, p+1) @ a both equal residual(a, x).
-    """
-    filt = np.asarray(filt, dtype=float)
-    if filt.ndim != 1 or filt.size < 1:
-        raise ValueError("filter must be a nonempty 1-D vector")
-    if n_cols < 1:
-        raise ValueError("need at least one column")
-    q = filt.size
-    T = np.zeros((q + n_cols - 1, n_cols))
-    for j in range(n_cols):
-        T[j : j + q, j] = filt
-    return T
-
-
 def autocorrelation(x, max_lag: int) -> np.ndarray:
     """Biased autocorrelation r_0..r_max_lag computed via the FFT."""
     x = np.asarray(x, dtype=float)
@@ -167,8 +149,6 @@ def objective(a, x, lambda_c: float, lambda_s: float, spec) -> ObjectiveValue:
     the signal term is the indicator of the consistency set: zero when x is
     feasible within ``1e-9 * sqrt(N)`` of the set, +inf otherwise.
     """
-    from .prox import project_consistency
-
     a = coef_array(a)
     x = np.asarray(x, dtype=float)
     if lambda_c < 0 or lambda_s < 0:

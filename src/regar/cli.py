@@ -9,7 +9,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,8 @@ import numpy as np
 from .armodel import random_stable_ar, simulate_ar
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .degrade import drop_samples, hard_clip, uniform_quantize
-from .metrics import ReconstructionReport, consistency_distance, sdr
+from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
+                      frame_sdr, sdr)
 from .framing import frame_layout, segment
 from .pipeline import DegradationModel, reconstruct_channel, resolve_workers
 from .solver import SolverConfig, progressive_schedule
@@ -25,7 +26,6 @@ from .solver import SolverConfig, progressive_schedule
 __all__ = ["JobSpec", "run_cli", "main", "write_report"]
 
 _ACCEL_TOKENS = {
-    "fft": "fft",
     "extrapolate": "extrapolate_signal",
     "extrapolate-signal": "extrapolate_signal",
     "extrapolate-coefs": "extrapolate_coefs",
@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--inner", type=int, default=None)
     rec.add_argument("--inner-schedule",
                      help="n1,nI exponents of a logarithmic schedule")
-    rec.add_argument("--accel", default="fft",
-                     help="comma list: fft,extrapolate,extrapolate-coefs,"
+    rec.add_argument("--accel", default="none",
+                     help="comma list: extrapolate,extrapolate-coefs,"
                           "linesearch or none")
     rec.add_argument("--workers", type=int, default=None)
     rec.add_argument("--reference", help="clean file for SDR reporting")
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     dem.add_argument("--hop", type=int, default=256)
     dem.add_argument("--outer", type=int, default=5)
     dem.add_argument("--inner", type=int, default=200)
-    dem.add_argument("--accel", default="fft")
+    dem.add_argument("--accel", default="none")
     dem.add_argument("--workers", type=int, default=None)
     return parser
 
@@ -277,13 +277,8 @@ def _merge_reports(parts: list[ReconstructionReport], reference, degraded,
     records = []
     offset = 0
     for part in parts:
-        for r in part.per_frame:
-            records.append(type(r)(
-                frame_index=r.frame_index + offset,
-                sdr_db=r.sdr_db, delta_sdr_db=r.delta_sdr_db,
-                consistency_sq=r.consistency_sq, outer_iter=r.outer_iter,
-                objective=r.objective, inner_iters=r.inner_iters,
-                wall_ms=r.wall_ms))
+        records.extend(replace(r, frame_index=r.frame_index + offset)
+                       for r in part.per_frame)
         offset += len(part.per_frame)
     global_sdr = None
     global_dsdr = None
@@ -337,17 +332,23 @@ def cmd_degrade(job: JobSpec) -> int:
     return 0
 
 
+def _load_mask(path, shape) -> np.ndarray:
+    """Reliable-sample mask (.npy) with one column per channel of the file."""
+    reliable = np.load(path)
+    if reliable.ndim == 1:
+        reliable = reliable[:, None]
+    if reliable.shape != shape:
+        raise ValueError("mask shape does not match the input file")
+    return reliable
+
+
 def _build_models(a, buf: AudioBuffer) -> list[DegradationModel]:
     """One degradation model per channel, resolving theta/delta/mask."""
     if a.strategy == "dequant":
         delta = 2.0 ** (1 - a.bits)
         return [DegradationModel(kind="quant", delta=delta)] * buf.channels
     if a.strategy == "inpaint" and a.mask is not None:
-        reliable = np.load(a.mask)
-        if reliable.ndim == 1:
-            reliable = reliable[:, None]
-        if reliable.shape != buf.data.shape:
-            raise ValueError("mask shape does not match the input file")
+        reliable = _load_mask(a.mask, buf.data.shape)
         return [DegradationModel(kind="drop", reliable=reliable[:, c])
                 for c in range(buf.channels)]
     theta = a.theta
@@ -432,6 +433,7 @@ def cmd_evaluate(job: JobSpec) -> int:
     consistency = None
     if degraded is not None and (a.theta or a.bits or a.mask):
         consistency = 0.0
+        reliable = _load_mask(a.mask, est.data.shape) if a.mask else None
         for c in range(est.channels):
             y = degraded.channel(c)
             if a.theta:
@@ -439,16 +441,11 @@ def cmd_evaluate(job: JobSpec) -> int:
             elif a.bits:
                 model = DegradationModel(kind="quant", delta=2.0 ** (1 - a.bits))
             else:
-                reliable = np.load(a.mask)
-                if reliable.ndim == 1:
-                    reliable = reliable[:, None]
                 model = DegradationModel(kind="drop", reliable=reliable[:, c])
             consistency += consistency_distance(est.channel(c), model.spec_for(y))
     records = []
     if a.frame:
         hop = a.hop if a.hop is not None else max(1, a.frame // 4)
-        from .metrics import FrameRecord
-
         index = 0
         for c in range(est.channels):
             layout = frame_layout(est.n_samples, a.frame, hop)
@@ -457,13 +454,11 @@ def cmd_evaluate(job: JobSpec) -> int:
             deg_frames = (segment(degraded.channel(c), layout)
                           if degraded is not None else None)
             for k in range(layout.n_frames):
-                energy = float(ref_frames[k] @ ref_frames[k])
-                frame_sdr = sdr(ref_frames[k], est_frames[k]) if energy > 0 else None
-                frame_dsdr = None
-                if frame_sdr is not None and deg_frames is not None:
-                    frame_dsdr = frame_sdr - sdr(ref_frames[k], deg_frames[k])
+                score, gain = frame_sdr(
+                    ref_frames[k], est_frames[k],
+                    deg_frames[k] if deg_frames is not None else None)
                 records.append(FrameRecord(
-                    frame_index=index, sdr_db=frame_sdr, delta_sdr_db=frame_dsdr,
+                    frame_index=index, sdr_db=score, delta_sdr_db=gain,
                     consistency_sq=0.0, outer_iter=0, objective=None,
                     inner_iters=0, wall_ms=0.0))
                 index += 1

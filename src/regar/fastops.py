@@ -4,7 +4,9 @@ A banded Toeplitz convolution matrix embeds into a circulant of size
 L >= n_head + q - 1: applied to vectors supported on the first n_head
 coordinates, the circular convolution has no wrap-around and reproduces the
 Toeplitz product exactly.  The quadratic prox then diagonalizes in the DFT
-basis, turning every inner iteration into a pair of FFTs.  Extending the
+basis, turning every inner iteration into a pair of real FFTs (all signals
+and filters are real, so ``np.fft.rfft``/``irfft`` carry the half spectrum
+and the inverse transform is real by construction).  Extending the
 regularizer by an indicator of zero on the tail coordinates keeps the
 minimizer of the original problem.
 """
@@ -16,7 +18,6 @@ import numpy as np
 __all__ = [
     "CirculantOperator",
     "circulant_embed_filter",
-    "prox_quadratic_circulant",
     "circulant_quadratic_prox",
     "prox_regularizer_extended",
     "extend",
@@ -36,10 +37,11 @@ def next_pow2(n: int) -> int:
 class CirculantOperator:
     """Circulant embedding of a convolution filter.
 
-    ``spectrum`` is the DFT of the zero-padded filter (equivalently of the
-    first column of the circulant matrix).  Products with vectors supported
-    on the first ``n_head`` coordinates agree with the dense Toeplitz matrix
-    of the filter on the first ``n_head + q - 1`` outputs.
+    ``spectrum`` holds the L//2 + 1 real-FFT bins of the zero-padded filter
+    (equivalently of the first column of the circulant matrix).  Products
+    with vectors supported on the first ``n_head`` coordinates agree with the
+    dense Toeplitz matrix of the filter on the first ``n_head + q - 1``
+    outputs.
     """
 
     spectrum: np.ndarray
@@ -48,21 +50,10 @@ class CirculantOperator:
     filter_length: int
 
     def __post_init__(self):
-        if self.spectrum.shape != (self.L,):
-            raise ValueError("spectrum length must equal the embedding size")
+        if self.spectrum.shape != (self.L // 2 + 1,):
+            raise ValueError("spectrum must hold the L//2 + 1 real-FFT bins")
         if self.L < self.n_head + self.filter_length - 1:
             raise ValueError("embedding too small: circular wrap would corrupt the output")
-
-    def apply(self, v_ext) -> np.ndarray:
-        """Multiply the circulant matrix with an L-vector."""
-        v_ext = np.asarray(v_ext, dtype=float)
-        if v_ext.shape != (self.L,):
-            raise ValueError(f"expected a vector of length {self.L}")
-        out = np.fft.ifft(self.spectrum * np.fft.fft(v_ext))
-        return out.real
-
-    def first_column(self) -> np.ndarray:
-        return np.fft.ifft(self.spectrum).real
 
 
 def circulant_embed_filter(filt, n_head: int) -> CirculantOperator:
@@ -77,52 +68,38 @@ def circulant_embed_filter(filt, n_head: int) -> CirculantOperator:
     if n_head < 1:
         raise ValueError("need at least one head coordinate")
     L = next_pow2(n_head + filt.size - 1)
-    spectrum = np.fft.fft(filt, L)
+    spectrum = np.fft.rfft(filt, L)
     return CirculantOperator(spectrum=spectrum, L=L, n_head=n_head,
                              filter_length=filt.size)
 
 
-def prox_quadratic_circulant(v_ext, gamma: float, op: CirculantOperator,
-                             offset_ext=None) -> np.ndarray:
-    """Spectral evaluation of the quadratic prox (I + gamma C'C)^(-1) (v - gamma C' offset).
-
-    All factors are diagonal in the DFT basis: the solve is an elementwise
-    division by 1 + gamma |c_hat|^2.  The inverse transform of the real
-    problem must come out real; the imaginary residue is asserted tiny and
-    discarded.
-    """
-    return circulant_quadratic_prox(op, gamma, offset_ext)(v_ext)
-
-
 def circulant_quadratic_prox(op: CirculantOperator, gamma: float, offset_ext=None):
-    """Factory caching the spectral divisor (and offset shift) for repeated proxes."""
+    """Spectral quadratic prox u = (I + gamma C'C)^(-1) (v - gamma C' offset).
+
+    All factors are diagonal in the DFT basis, so the solve is an
+    elementwise division by 1 + gamma |c_hat|^2.  The divisor (and the offset
+    shift) are computed once; the returned closure maps an L-vector to its
+    prox with one rfft and one irfft.
+    """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     denom = 1.0 + gamma * np.abs(op.spectrum) ** 2
     if offset_ext is None:
         shift_hat = None
-        offset_norm = 0.0
     else:
         offset_ext = np.asarray(offset_ext, dtype=float)
         if offset_ext.shape != (op.L,):
             raise ValueError(f"offset must have length {op.L}")
-        shift_hat = gamma * np.conj(op.spectrum) * np.fft.fft(offset_ext)
-        offset_norm = float(np.linalg.norm(offset_ext))
+        shift_hat = gamma * np.conj(op.spectrum) * np.fft.rfft(offset_ext)
 
     def apply(v_ext):
         v_ext = np.asarray(v_ext, dtype=float)
         if v_ext.shape != (op.L,):
             raise ValueError(f"expected a vector of length {op.L}")
-        rhs_hat = np.fft.fft(v_ext)
+        rhs_hat = np.fft.rfft(v_ext)
         if shift_hat is not None:
             rhs_hat = rhs_hat - shift_hat
-        out = np.fft.ifft(rhs_hat / denom)
-        scale = np.linalg.norm(v_ext) + offset_norm
-        residue = float(np.max(np.abs(out.imag)))
-        if residue > 1e-12 * scale + 1e-14:
-            raise FloatingPointError(
-                f"imaginary residue {residue:g} exceeds tolerance for scale {scale:g}")
-        return out.real
+        return np.fft.irfft(rhs_hat / denom, op.L)
 
     return apply
 

@@ -10,6 +10,7 @@ from .prox import ConsistencySpec, project_consistency
 __all__ = [
     "sdr",
     "delta_sdr",
+    "frame_sdr",
     "consistency_distance",
     "FrameRecord",
     "ReconstructionReport",
@@ -43,6 +44,21 @@ def sdr(reference, estimate, where=None) -> float:
 def delta_sdr(reference, degraded, estimate, where=None) -> float:
     """SDR improvement of the estimate over the degraded input, in dB."""
     return sdr(reference, estimate, where) - sdr(reference, degraded, where)
+
+
+def frame_sdr(reference, estimate, degraded=None):
+    """Report scores of one frame: (SDR, SDR improvement over ``degraded``).
+
+    A silent reference frame has no SDR and scores (None, None); without a
+    degraded frame the improvement is None.
+    """
+    reference = np.asarray(reference, dtype=float)
+    if not float(reference @ reference) > 0:
+        return None, None
+    score = sdr(reference, estimate)
+    if degraded is None:
+        return score, None
+    return score, score - sdr(reference, degraded)
 
 
 def consistency_distance(estimate, spec: ConsistencySpec) -> float:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framing import frame_layout, overlap_add, segment, sine_window
-from .metrics import FrameRecord, ReconstructionReport, consistency_distance, sdr
+from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
+                      frame_sdr, sdr)
 from .prox import ConsistencySpec
 from .solver import SolverConfig, acs_run
 
@@ -158,15 +159,13 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
         ref_frames = segment(reference, layout)
     records = []
     for index, x_frame, spec, outer, inner_total, final_q, wall in solved:
-        frame_sdr = None
-        frame_dsdr = None
-        if ref_frames is not None and float(ref_frames[index] @ ref_frames[index]) > 0:
-            frame_sdr = sdr(ref_frames[index], x_frame)
-            frame_dsdr = frame_sdr - sdr(ref_frames[index], frames[index])
+        score, gain = None, None
+        if ref_frames is not None:
+            score, gain = frame_sdr(ref_frames[index], x_frame, frames[index])
         records.append(FrameRecord(
             frame_index=index,
-            sdr_db=frame_sdr,
-            delta_sdr_db=frame_dsdr,
+            sdr_db=score,
+            delta_sdr_db=gain,
             consistency_sq=consistency_distance(x_frame, spec),
             outer_iter=outer,
             objective=final_q,

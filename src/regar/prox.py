@@ -2,16 +2,15 @@
 
 Hosts the consistency-set description shared by the solver, metrics and CLI
 layers, the projections onto the three observation-consistent sets, the
-penalty prox built from them, the anchored soft threshold used for the
-coefficient regularizer, and the dense quadratic prox that serves as the
-reference implementation for the FFT-accelerated one.
+penalty prox built from them, and the soft threshold used for the
+coefficient regularizer.  The quadratic prox of the AR residual lives in
+``fastops``.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .degrade import ReliabilityMasks, derive_clip_masks
 
@@ -20,9 +19,6 @@ __all__ = [
     "project_consistency",
     "prox_signal_penalty",
     "soft_threshold",
-    "soft_threshold_anchored",
-    "prox_quadratic_dense",
-    "dense_quadratic_prox",
 ]
 
 _VARIANTS = ("declip", "dequant", "inpaint")
@@ -128,56 +124,3 @@ def soft_threshold(v, threshold: float) -> np.ndarray:
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
-
-
-def soft_threshold_anchored(a, threshold: float) -> np.ndarray:
-    """Soft threshold with the first entry pinned to exactly 1.
-
-    Prox of ``threshold * ||.||_1`` plus the indicator of {a_1 = 1}; the two
-    compose exactly because both are coordinate-separable.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise ValueError("coefficients must be a nonempty 1-D vector")
-    out = soft_threshold(a, threshold)
-    out[0] = 1.0
-    return out
-
-
-def prox_quadratic_dense(v, gamma: float, T, offset=None) -> np.ndarray:
-    """Prox of ``gamma/2 * ||T u + offset||^2``: solve (I + gamma T'T) u = v - gamma T' offset.
-
-    The system matrix is symmetric positive definite for any gamma > 0, so a
-    Cholesky solve applies.  With offset = None (zero) this is the plain
-    quadratic prox.
-    """
-    return dense_quadratic_prox(T, gamma, offset)(np.asarray(v, dtype=float))
-
-
-def dense_quadratic_prox(T, gamma: float, offset=None):
-    """Factory caching the Cholesky factor of (I + gamma T'T) for repeated proxes."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    T = np.asarray(T, dtype=float)
-    if T.ndim != 2:
-        raise ValueError("T must be a matrix")
-    n = T.shape[1]
-    system = gamma * (T.T @ T)
-    system[np.diag_indices(n)] += 1.0
-    factor = scipy.linalg.cho_factor(system, lower=False, check_finite=False)
-    if offset is None:
-        shift = None
-    else:
-        offset = np.asarray(offset, dtype=float)
-        if offset.shape != (T.shape[0],):
-            raise ValueError("offset length must match the rows of T")
-        shift = gamma * (T.T @ offset)
-
-    def apply(v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (n,):
-            raise ValueError(f"expected a vector of length {n}")
-        rhs = v if shift is None else v - shift
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
-    return apply

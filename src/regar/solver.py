@@ -2,8 +2,10 @@
 
 The outer loop alternates between the two convex subproblems (coefficients
 with the signal fixed, signal with the coefficients fixed), each solved
-approximately by the Douglas-Rachford algorithm on a prox pair.  The
-quadratic prox runs either densely or through the FFT circulant embedding.
+approximately by the Douglas-Rachford algorithm on a prox pair.  Both
+subproblems share one kernel: the quadratic prox of the circulant-embedded
+AR convolution (one real-FFT pair per inner iteration) against the
+separable regularizer prox on the head coordinates and zero on the tail.
 Janssen's exact missing-sample solve and its rectified GLP variant are the
 two classic baselines, selectable as strategies of the same outer loop.
 Optional accelerations: progressive inner-iteration schedules, extrapolation
@@ -17,12 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .armodel import ArCoefficients, build_toeplitz, coef_array, levinson_durbin, \
-    objective
+from .armodel import ArCoefficients, coef_array, levinson_durbin, objective
 from .fastops import circulant_embed_filter, circulant_quadratic_prox, extend, \
     prox_regularizer_extended
-from .prox import ConsistencySpec, dense_quadratic_prox, prox_signal_penalty, \
-    soft_threshold
+from .prox import ConsistencySpec, prox_signal_penalty, soft_threshold
 from .metrics import sdr
 from .degrade import _as_bool_mask
 
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 STRATEGIES = ("inpaint", "glp", "declip", "dequant")
-ACCELERATIONS = ("fft", "extrapolate_signal", "extrapolate_coefs", "line_search")
+ACCELERATIONS = ("extrapolate_signal", "extrapolate_coefs", "line_search")
 
 COEF_GROWTH_LIMIT = 1e6
 
@@ -57,6 +57,11 @@ class DouglasRachfordDivergence(RuntimeError):
         self.iteration = iteration
         self.trace = None  # attached when raised from inside the outer loop
 
+    def __reduce__(self):
+        # rebuild from the constructor argument, not the formatted message,
+        # so the error crosses a process boundary unchanged
+        return type(self), (self.iteration,), self.__dict__
+
 
 class CoefficientGrowthError(RuntimeError):
     """Coefficient magnitudes blew past the growth guard (raise lambda_c)."""
@@ -65,7 +70,11 @@ class CoefficientGrowthError(RuntimeError):
         super().__init__(
             f"coefficient magnitude {magnitude:.3g} exceeds {COEF_GROWTH_LIMIT:g}; "
             "the model is growing disproportionately, consider lambda_c > 0")
+        self.magnitude = magnitude
         self.trace = trace
+
+    def __reduce__(self):
+        return type(self), (self.magnitude, self.trace)
 
 
 def default_tau_grid() -> np.ndarray:
@@ -79,10 +88,9 @@ class SolverConfig:
 
     ``inner_schedule`` fixes the Douglas-Rachford iteration count per outer
     iteration; when omitted it is the constant ``inner_iters``.  The
-    ``acceleration`` set may contain "fft" (circulant-embedded quadratic
-    proxes), "extrapolate_signal", "extrapolate_coefs" and "line_search";
-    the line search replaces the fixed-step extrapolations and cannot be
-    combined with them.
+    ``acceleration`` set may contain "extrapolate_signal",
+    "extrapolate_coefs" and "line_search"; the line search replaces the
+    fixed-step extrapolations and cannot be combined with them.
     """
 
     order: int
@@ -94,7 +102,7 @@ class SolverConfig:
     outer_iters: int = 10
     inner_iters: int = 1000
     inner_schedule: tuple = None  # type: ignore[assignment]
-    acceleration: frozenset = frozenset({"fft"})
+    acceleration: frozenset = frozenset()
     tau_grid: np.ndarray = field(default_factory=default_tau_grid)
 
     def __post_init__(self):
@@ -185,32 +193,24 @@ def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
     return (u, z) if return_state else u
 
 
-def _coef_quadratic(x: np.ndarray, p: int, gamma: float, use_fft: bool):
-    """Prox of the coefficient-subproblem quadratic on the free part a_2..a_{p+1}.
+def _circulant_dr(filt, n_head: int, head_prox, z0, gamma: float, iters: int,
+                  offset=None):
+    """Douglas-Rachford on min 1/2 ||C u + offset||^2 + r(u_head) + i{u_tail = 0}.
 
-    With a_1 pinned to 1, the residual splits as (column of x) + (shifted
-    Toeplitz) @ free, so the quadratic prox carries the x column as a fixed
-    offset.  Returns (prox, extended_dim) where extended_dim is None on the
-    dense path.
+    C is the circulant embedding of the convolution with ``filt``;
+    ``head_prox`` evaluates the prox of gamma * r on the first ``n_head``
+    coordinates.  ``z0`` is a head vector (zero-padded here) or the DR state
+    carried over from a previous call.  Returns the head of the final
+    iterate and the DR state.
     """
-    n = x.size
-    offset = np.concatenate((x, np.zeros(p)))
-    shifted = np.concatenate(([0.0], x))
-    if use_fft:
-        op = circulant_embed_filter(shifted, n_head=p)
-        apply = circulant_quadratic_prox(op, gamma, extend(offset, op.L))
-        return apply, op.L
-    T = build_toeplitz(shifted, p)
-    return dense_quadratic_prox(T, gamma, offset), None
-
-
-def _signal_quadratic(a: np.ndarray, n: int, gamma: float, use_fft: bool):
-    """Prox of the signal-subproblem quadratic 1/2 ||A x||^2."""
-    if use_fft:
-        op = circulant_embed_filter(a, n_head=n)
-        return circulant_quadratic_prox(op, gamma), op.L
-    T = build_toeplitz(a, n)
-    return dense_quadratic_prox(T, gamma), None
+    op = circulant_embed_filter(filt, n_head)
+    quad = circulant_quadratic_prox(
+        op, gamma, None if offset is None else extend(offset, op.L))
+    u, z = douglas_rachford(
+        lambda v, g: quad(v),
+        lambda v, g: prox_regularizer_extended(v, head_prox, n_head),
+        extend(z0, op.L), gamma, iters, return_state=True)
+    return u[:n_head], z
 
 
 def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int | None = None,
@@ -236,18 +236,13 @@ def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int | None
     energy = float(x @ x)
     gamma = cfg.gamma_c / energy if energy > 0 else cfg.gamma_c
     threshold = gamma * cfg.lambda_c
-    use_fft = "fft" in cfg.acceleration
-    quad, ext_dim = _coef_quadratic(x, p, gamma, use_fft)
-    prox_f = lambda v, g: quad(v)
-    if use_fft:
-        prox_g = lambda v, g: prox_regularizer_extended(
-            v, lambda h: soft_threshold(h, threshold), p)
-        z0 = extend(a_prev[1:], ext_dim) if state is None else state
-    else:
-        prox_g = lambda v, g: soft_threshold(v, threshold)
-        z0 = a_prev[1:].copy() if state is None else state
-    u, z = douglas_rachford(prox_f, prox_g, z0, gamma, inner, return_state=True)
-    coeffs = ArCoefficients.from_free(u[:p])
+    # with a_1 pinned to 1 the residual splits as x + (Toeplitz of [0, x]) @ free,
+    # so the quadratic carries the signal as a fixed offset
+    free, z = _circulant_dr(np.concatenate(([0.0], x)), p,
+                            lambda h: soft_threshold(h, threshold),
+                            a_prev[1:] if state is None else state, gamma, inner,
+                            offset=x)
+    coeffs = ArCoefficients.from_free(free)
     return (coeffs, z) if return_state else coeffs
 
 
@@ -272,18 +267,8 @@ def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
     inner = int(inner_iters) if inner_iters is not None else cfg.inner_schedule[-1]
     gamma = cfg.gamma_s / float(a @ a)
     weight = gamma * cfg.lambda_s
-    penalty = lambda v: prox_signal_penalty(v, weight, spec)
-    use_fft = "fft" in cfg.acceleration
-    quad, ext_dim = _signal_quadratic(a, n, gamma, use_fft)
-    prox_f = lambda v, g: quad(v)
-    if use_fft:
-        prox_g = lambda v, g: prox_regularizer_extended(v, penalty, n)
-        z0 = extend(x_prev, ext_dim) if state is None else state
-    else:
-        prox_g = lambda v, g: penalty(v)
-        z0 = x_prev.copy() if state is None else state
-    u, z = douglas_rachford(prox_f, prox_g, z0, gamma, inner, return_state=True)
-    x = u[:n]
+    x, z = _circulant_dr(a, n, lambda v: prox_signal_penalty(v, weight, spec),
+                         x_prev if state is None else state, gamma, inner)
     return (x, z) if return_state else x
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from regar.armodel import (ArCoefficients, autocorrelation, build_toeplitz,
-                           levinson_durbin, objective, random_stable_ar,
-                           reflection_to_ar, residual, simulate_ar)
+from oracles import build_toeplitz
+from regar.armodel import (ArCoefficients, autocorrelation, levinson_durbin,
+                           objective, random_stable_ar, reflection_to_ar,
+                           residual, simulate_ar)
 from regar.prox import ConsistencySpec
 
 

@@ -111,6 +111,17 @@ def test_evaluate_with_degraded_and_report(tmp_path, ar_signal):
     assert doc["frames"]
 
 
+def test_evaluate_rejects_mask_of_wrong_shape(tmp_path, ar_signal, capsys):
+    clean, x = ar_signal
+    stereo = tmp_path / "stereo.wav"
+    make_wav(stereo, np.stack([x, x], axis=1))
+    mono_mask = tmp_path / "mono.npy"
+    np.save(mono_mask, np.ones(x.size, dtype=bool))
+    assert run_cli(["evaluate", str(stereo), "--reference", str(stereo),
+                    "--degraded", str(stereo), "--mask", str(mono_mask)]) == 1
+    assert "mask shape" in capsys.readouterr().err
+
+
 def test_jobspec_validation_errors(tmp_path, ar_signal, capsys):
     clean, _ = ar_signal
     out = str(tmp_path / "o.wav")
@@ -124,6 +135,11 @@ def test_jobspec_validation_errors(tmp_path, ar_signal, capsys):
     # inpaint without mask or theta
     assert run_cli(["reconstruct", str(clean), "-o", out,
                     "--strategy", "inpaint"]) == 1
+    # the circulant kernel is the only backend; "fft" is no acceleration
+    capsys.readouterr()
+    assert run_cli(["reconstruct", str(clean), "-o", out, "--strategy", "declip",
+                    "--accel", "fft"]) == 1
+    assert "unknown acceleration 'fft'" in capsys.readouterr().err
     # unparseable arguments
     assert run_cli(["reconstruct"]) == 2
     assert run_cli(["no-such-command"]) == 2

@@ -31,7 +31,7 @@ def test_reconstruction_improves_and_reports():
     model = DegradationModel(kind="clip", theta=theta)
     cfg = SolverConfig(order=8, strategy="declip", lambda_c=1e-3,
                        lambda_s=math.inf, outer_iters=3, inner_iters=200,
-                       acceleration=frozenset({"fft"}))
+                       acceleration=frozenset())
     out, report = reconstruct_channel(y, model, cfg, 512, 128, reference=x)
     assert report.sdr_db > sdr(x, y)
     assert report.delta_sdr_db > 0
@@ -52,7 +52,7 @@ def test_clean_frames_skip_the_solver():
     y = np.where(np.abs(x) >= theta, theta * np.sign(x), x)
     model = DegradationModel(kind="clip", theta=theta)
     cfg = SolverConfig(order=4, strategy="inpaint", outer_iters=2,
-                       inner_iters=100, acceleration=frozenset({"fft"}))
+                       inner_iters=100, acceleration=frozenset())
     out, report = reconstruct_channel(y, model, cfg, 128, 128)
     skipped = [r for r in report.per_frame if r.outer_iter == 0]
     solved = [r for r in report.per_frame if r.outer_iter > 0]
@@ -66,7 +66,7 @@ def test_worker_count_does_not_change_result():
     model = DegradationModel(kind="clip", theta=theta)
     cfg = SolverConfig(order=4, strategy="declip", lambda_s=math.inf,
                        outer_iters=2, inner_iters=100,
-                       acceleration=frozenset({"fft"}))
+                       acceleration=frozenset())
     out1, _ = reconstruct_channel(y, model, cfg, 256, 64, workers=1)
     out4, _ = reconstruct_channel(y, model, cfg, 256, 64, workers=4)
     np.testing.assert_array_equal(out1, out4)
@@ -83,7 +83,7 @@ def test_dequant_channel_improves_structured_signal():
     model = DegradationModel(kind="quant", delta=obs.delta)
     cfg = SolverConfig(order=4, strategy="dequant", lambda_s=math.inf,
                        outer_iters=6, inner_iters=400,
-                       acceleration=frozenset({"fft"}))
+                       acceleration=frozenset())
     out, report = reconstruct_channel(obs.y, model, cfg, 1024, 256, reference=x)
     assert report.sdr_db > sdr(x, obs.y) + 1.0
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from regar.prox import (ConsistencySpec, dense_quadratic_prox,
-                        project_consistency, prox_quadratic_dense,
-                        prox_signal_penalty, soft_threshold,
-                        soft_threshold_anchored)
+from oracles import (dense_quadratic_prox, prox_quadratic_dense,
+                     soft_threshold_anchored)
+from regar.prox import (ConsistencySpec, project_consistency,
+                        prox_signal_penalty, soft_threshold)
 
 
 def declip_spec(y, theta):

@@ -1,19 +1,22 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import regar.solver as solver_mod
-from regar.armodel import (ArCoefficients, build_toeplitz, objective,
-                           random_stable_ar, reflection_to_ar, residual,
-                           simulate_ar)
+from oracles import build_toeplitz, dense_update_coefficients, dense_update_signal
+from regar.armodel import (ArCoefficients, objective, random_stable_ar,
+                           reflection_to_ar, residual, simulate_ar)
 from regar.degrade import hard_clip
 from regar.metrics import consistency_distance
+from regar.pipeline import DegradationModel, reconstruct_channel
 from regar.prox import (ConsistencySpec, project_consistency,
                         prox_signal_penalty, soft_threshold)
-from regar.solver import (CoefficientGrowthError, DouglasRachfordDivergence,
-                          SolverConfig, acs_run, douglas_rachford, extrapolate,
-                          glp_rectify, janssen_signal_update, line_search,
+from regar.solver import (AcsTrace, CoefficientGrowthError,
+                          DouglasRachfordDivergence, SolverConfig, acs_run,
+                          douglas_rachford, extrapolate, glp_rectify,
+                          janssen_signal_update, line_search,
                           progressive_schedule, update_coefficients,
                           update_signal)
 
@@ -109,12 +112,14 @@ def constrained_least_squares(x, p):
     return np.concatenate(([1.0], free))
 
 
-@pytest.mark.parametrize("accel", [frozenset(), frozenset({"fft"})])
-def test_update_coefficients_matches_least_squares(accel):
+# accel0 is the dense Toeplitz oracle, accel1 the circulant kernel
+@pytest.mark.parametrize("update", [dense_update_coefficients, update_coefficients],
+                         ids=["accel0", "accel1"])
+def test_update_coefficients_matches_least_squares(update):
     x = np.array([1.0, 1.0, 1.0, 1.0])
-    cfg = make_config(order=1, lambda_c=0.0, inner_iters=3000, acceleration=accel)
+    cfg = make_config(order=1, lambda_c=0.0, inner_iters=3000)
     a0 = ArCoefficients(np.array([1.0, 0.0]))
-    got = update_coefficients(x, a0, cfg)
+    got = update(x, a0, cfg)
     np.testing.assert_allclose(got.a, constrained_least_squares(x, 1), atol=1e-9)
     np.testing.assert_allclose(got.a, [1.0, -0.75], atol=1e-9)
 
@@ -124,7 +129,7 @@ def test_update_coefficients_recovers_ar2():
     a_true = reflection_to_ar([0.6, -0.4])
     x = simulate_ar(a_true, 4096, rng)
     cfg = make_config(order=2, lambda_c=0.0, inner_iters=1000,
-                      acceleration=frozenset({"fft"}))
+                      acceleration=frozenset())
     got = update_coefficients(x, ArCoefficients(np.array([1.0, 0.0, 0.0])), cfg)
     assert np.max(np.abs(got.a - a_true.a)) <= 0.05
 
@@ -157,13 +162,13 @@ def test_update_signal_point_constraint():
     np.testing.assert_array_equal(x, y)
 
 
-@pytest.mark.parametrize("accel", [frozenset(), frozenset({"fft"})])
-def test_update_signal_minimum_norm_feasible(accel):
+@pytest.mark.parametrize("update", [dense_update_signal, update_signal],
+                         ids=["accel0", "accel1"])
+def test_update_signal_minimum_norm_feasible(update):
     y = np.array([0.1, 0.5, -0.5, 0.2])
     spec = ConsistencySpec.declip(y, 0.5)
-    cfg = make_config(order=0, lambda_s=math.inf, inner_iters=500,
-                      acceleration=accel)
-    x = update_signal([1.0], y.copy(), cfg, spec)
+    cfg = make_config(order=0, lambda_s=math.inf, inner_iters=500)
+    x = update([1.0], y.copy(), cfg, spec)
     np.testing.assert_allclose(x, [0.1, 0.5, -0.5, 0.2], atol=1e-12)
 
 
@@ -174,7 +179,7 @@ def test_update_signal_matches_dense_oracle_dra():
     y = np.clip(rng.uniform(-1, 1, size=n), -0.4, 0.4)
     spec = ConsistencySpec.declip(y, 0.4)
     cfg = make_config(order=2, lambda_s=10.0, inner_iters=6000,
-                      acceleration=frozenset({"fft"}))
+                      acceleration=frozenset())
     got = update_signal(a, y.copy(), cfg, spec)
 
     # independent oracle: DRA on the materialized Toeplitz system, same
@@ -353,6 +358,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_config(acceleration=frozenset({"warp"}))
     with pytest.raises(ValueError):
+        make_config(acceleration=frozenset({"fft"}))
+    with pytest.raises(ValueError):
         make_config(acceleration=frozenset({"line_search", "extrapolate_signal"}))
     with pytest.raises(ValueError):
         make_config(outer_iters=2, inner_schedule=(10,))
@@ -390,7 +397,7 @@ def test_acs_consistent_declipping_stays_feasible():
     x_true, obs, spec = clipped_instance(7)
     cfg = SolverConfig(order=4, strategy="declip", lambda_c=1e-3,
                        lambda_s=math.inf, outer_iters=4, inner_iters=300,
-                       acceleration=frozenset({"fft"}))
+                       acceleration=frozenset())
     _, x, trace = acs_run(obs.y, spec, cfg, ground_truth=x_true)
     assert consistency_distance(x, spec) == 0.0
     assert all(e.signal_term == 0.0 for e in trace.entries)
@@ -401,7 +408,7 @@ def test_acs_objective_nonincreasing_small():
     x_true, obs, spec = clipped_instance(8, n=128, p=4)
     cfg = SolverConfig(order=4, strategy="declip", lambda_c=1e-3,
                        lambda_s=math.inf, outer_iters=6, inner_iters=500,
-                       acceleration=frozenset({"fft"}))
+                       acceleration=frozenset())
     _, _, trace = acs_run(obs.y, spec, cfg)
     q = trace.objectives
     assert np.all(np.diff(q) <= 1e-6 * q[0])
@@ -414,7 +421,7 @@ def test_acs_strategies_improve_clipped_signal():
     for strategy in ("inpaint", "glp", "declip"):
         cfg = SolverConfig(order=8, strategy=strategy, lambda_c=1e-3,
                            lambda_s=math.inf, outer_iters=4, inner_iters=300,
-                           acceleration=frozenset({"fft"}))
+                           acceleration=frozenset())
         _, x, _ = acs_run(obs.y, spec, cfg, ground_truth=x_true)
         err_in = np.linalg.norm(x_true - obs.y)
         err_out = np.linalg.norm(x_true - x)
@@ -424,15 +431,14 @@ def test_acs_strategies_improve_clipped_signal():
 def test_acs_glp_output_is_feasible():
     _, obs, spec = clipped_instance(10, n=256, p=4)
     cfg = SolverConfig(order=4, strategy="glp", outer_iters=3, inner_iters=200,
-                       acceleration=frozenset({"fft"}))
+                       acceleration=frozenset())
     _, x, _ = acs_run(obs.y, spec, cfg)
     np.testing.assert_array_equal(project_consistency(x, spec), x)
 
 
 def test_acs_extrapolation_and_line_search_run():
     x_true, obs, spec = clipped_instance(11, n=128, p=4)
-    for accel in ({"fft", "extrapolate_signal"}, {"fft", "extrapolate_coefs"},
-                  {"fft", "line_search"}):
+    for accel in ({"extrapolate_signal"}, {"extrapolate_coefs"}, {"line_search"}):
         cfg = SolverConfig(order=4, strategy="declip", lambda_c=1e-3,
                            lambda_s=10.0, outer_iters=3, inner_iters=200,
                            acceleration=frozenset(accel))
@@ -446,7 +452,7 @@ def test_acs_progressive_schedule_recorded_in_trace():
     schedule = tuple(progressive_schedule(1, 2, 3))
     cfg = SolverConfig(order=2, strategy="declip", lambda_s=math.inf,
                        outer_iters=3, inner_schedule=schedule,
-                       acceleration=frozenset({"fft"}))
+                       acceleration=frozenset())
     _, _, trace = acs_run(obs.y, spec, cfg)
     assert tuple(e.inner_iters for e in trace.entries) == schedule
 
@@ -467,8 +473,43 @@ def test_acs_growth_guard_attaches_trace(monkeypatch):
     monkeypatch.setattr(solver_mod, "COEF_GROWTH_LIMIT", 1e-12)
     cfg = SolverConfig(order=2, strategy="declip", lambda_s=math.inf,
                        outer_iters=3, inner_iters=50,
-                       acceleration=frozenset({"fft"}))
+                       acceleration=frozenset())
     with pytest.raises(CoefficientGrowthError) as err:
         acs_run(obs.y, spec, cfg)
     assert err.value.trace.aborted == "coefficient growth"
     assert len(err.value.trace.entries) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_growth_guard_diagnostic_reaches_caller_for_any_worker_count(monkeypatch,
+                                                                    workers):
+    # pool workers fork after the patch, so they trip the guard as well
+    _, obs, _ = clipped_instance(13, n=64, p=2)
+    monkeypatch.setattr(solver_mod, "COEF_GROWTH_LIMIT", 1e-12)
+    cfg = SolverConfig(order=2, strategy="declip", lambda_s=math.inf,
+                       outer_iters=3, inner_iters=50)
+    model = DegradationModel(kind="clip", theta=obs.theta)
+    with pytest.raises(CoefficientGrowthError, match="coefficient magnitude") as err:
+        reconstruct_channel(obs.y, model, cfg, 32, 8, workers=workers)
+    assert err.value.trace.aborted == "coefficient growth"
+    assert len(err.value.trace.entries) == 1
+
+
+def test_divergence_error_survives_pickling():
+    div = DouglasRachfordDivergence(7)
+    div.trace = AcsTrace(entries=[], aborted="inner divergence at outer iteration 2")
+    back = pickle.loads(pickle.dumps(div))
+    assert type(back) is DouglasRachfordDivergence
+    assert str(back) == str(div) == "non-finite iterate at inner iteration 7"
+    assert back.iteration == 7
+    assert back.trace.aborted == div.trace.aborted
+
+
+def test_growth_error_survives_pickling():
+    trace = AcsTrace(entries=[], aborted="coefficient growth")
+    growth = CoefficientGrowthError(3.5e7, trace)
+    back = pickle.loads(pickle.dumps(growth))
+    assert type(back) is CoefficientGrowthError
+    assert str(back) == str(growth)
+    assert back.magnitude == 3.5e7
+    assert back.trace.aborted == "coefficient growth"
