@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .prox import project_consistency
 
@@ -201,6 +200,8 @@ def random_stable_ar(order: int, rng, k_max: float = 0.8) -> ArCoefficients:
 
 def simulate_ar(a, n: int, rng, burn_in: int = 500, scale: float = 1.0) -> np.ndarray:
     """Realization of the AR process: white noise through the all-pole filter 1/A(z)."""
+    import scipy.signal  # deferred: it dominates the import time of the package
+
     a = coef_array(a)
     e = rng.standard_normal(n + burn_in) * scale
     x = scipy.signal.lfilter([1.0], a, e)

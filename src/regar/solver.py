@@ -276,9 +276,12 @@ def janssen_signal_update(a, y, reliable) -> np.ndarray:
     """Exact minimizer of the residual energy with the reliable samples fixed.
 
     Solves the positive-definite normal equations restricted to the missing
-    coordinates; the Gram matrix of the AR convolution operator depends only
-    on the autocorrelation of the coefficients, which keeps the assembly
-    cheap and exact.
+    coordinates.  Entry (i, j) of their Gram matrix is the coefficient
+    autocorrelation at lag |m_i - m_j| of the missing indices m, which
+    vanishes beyond the order p; in the sorted index the matrix is therefore
+    banded, with bandwidth b <= min(p, m - 1).  The upper band is gathered
+    straight into LAPACK band storage and factored by banded Cholesky, so a
+    solve costs O(m b^2) time and O(m b) memory.
     """
     a = coef_array(a)
     y = np.asarray(y, dtype=float)
@@ -293,11 +296,15 @@ def janssen_signal_update(a, y, reliable) -> np.ndarray:
     kernel = np.concatenate((acorr[::-1], acorr[1:]))
     gram_fixed = np.convolve(x_fixed, kernel)[p : p + n]
     rhs = -gram_fixed[missing]
-    lags = np.abs(np.subtract.outer(missing, missing))
-    gram = np.where(lags <= p, acorr[np.minimum(lags, p)], 0.0)
-    factor = scipy.linalg.cho_factor(gram, lower=False, check_finite=False)
+    # band row k holds diagonal b - k: lag m_j - m_{j-b+k}, and lags past p
+    # (including the left padding) gather the appended zero
+    b = int(np.max(np.searchsorted(missing, missing + p, side="right")
+                   - np.arange(1, missing.size + 1)))
+    padded = np.concatenate((np.full(b, missing[0] - p - 1), missing))
+    lags = missing[:, None] - np.lib.stride_tricks.sliding_window_view(padded, b + 1)
+    band = np.append(acorr, 0.0)[np.minimum(lags, p + 1)].T
     x = x_fixed.copy()
-    x[missing] = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    x[missing] = scipy.linalg.solveh_banded(band, rhs, check_finite=False)
     return x
 
 
@@ -404,7 +411,10 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     extra_coef = "extrapolate_coefs" in cfg.acceleration
 
     x = y.copy()
-    coeffs = levinson_durbin(x, cfg.order)
+    # an all-zero start has no autocorrelation to fit; the unit filter is
+    # consistent with it (the exact missing-sample solution is then zero)
+    coeffs = (levinson_durbin(x, cfg.order) if np.any(x)
+              else ArCoefficients.from_free(np.zeros(cfg.order)))
     z_coef = None
     z_sig = None
     entries = []

@@ -1,14 +1,16 @@
 """Dense reference implementations that the tests compare the package against.
 
 The package solves every quadratic prox through the FFT circulant embedding
-in ``regar.fastops``; these materialize the same operators as plain
-matrices and solve them by Cholesky factorization.
+in ``regar.fastops`` and the Janssen normal equations in band storage; these
+materialize the same operators as plain matrices and solve them by dense
+Cholesky factorization.
 """
 
 import numpy as np
 import scipy.linalg
 
 from regar.armodel import ArCoefficients, coef_array
+from regar.degrade import _as_bool_mask
 from regar.prox import prox_signal_penalty, soft_threshold
 from regar.solver import douglas_rachford
 
@@ -118,3 +120,26 @@ def dense_update_signal(a, x_prev, cfg, spec) -> np.ndarray:
     return douglas_rachford(lambda v, g: quad(v),
                             lambda v, g: prox_signal_penalty(v, weight, spec),
                             x_prev, gamma, cfg.inner_schedule[-1])
+
+
+def dense_janssen_signal_update(a, y, reliable) -> np.ndarray:
+    """``janssen_signal_update`` with the full m x m Gram matrix and dense Cholesky."""
+    a = coef_array(a)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    rel = _as_bool_mask(reliable, n)
+    missing = np.flatnonzero(~rel)
+    if missing.size == 0:
+        return y.copy()
+    p = a.size - 1
+    acorr = np.correlate(a, a, mode="full")[p:]
+    x_fixed = np.where(rel, y, 0.0)
+    kernel = np.concatenate((acorr[::-1], acorr[1:]))
+    gram_fixed = np.convolve(x_fixed, kernel)[p : p + n]
+    rhs = -gram_fixed[missing]
+    lags = np.abs(np.subtract.outer(missing, missing))
+    gram = np.where(lags <= p, acorr[np.minimum(lags, p)], 0.0)
+    factor = scipy.linalg.cho_factor(gram, lower=False, check_finite=False)
+    x = x_fixed.copy()
+    x[missing] = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return x

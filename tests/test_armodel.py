@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import regar
 from oracles import build_toeplitz
 from regar.armodel import (ArCoefficients, autocorrelation, levinson_durbin,
                            objective, random_stable_ar, reflection_to_ar,
@@ -158,3 +163,17 @@ def test_simulate_ar_matches_recursion():
     a = reflection_to_ar([0.5, -0.3])
     x = simulate_ar(a, 64, rng, burn_in=0, scale=0.0)
     np.testing.assert_array_equal(x, np.zeros(64))
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal dominates the import time and serves only simulate_ar
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(regar.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, regar; from regar import simulate_ar, random_stable_ar; "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -88,6 +88,27 @@ def test_dequant_channel_improves_structured_signal():
     assert report.sdr_db > sdr(x, obs.y) + 1.0
 
 
+@pytest.mark.parametrize("gap", [slice(300, 700), slice(924, 1024)],
+                         ids=["interior", "padded-last-frame"])
+def test_all_zero_frame_does_not_abort_channel(gap):
+    # frames inside the gap (or the zero-padded last frame, when the dropout
+    # reaches the end) observe nothing but zeros and have no AR fit
+    rng = np.random.default_rng(0)
+    x = simulate_ar(random_stable_ar(8, rng), 1024, rng)
+    reliable = np.ones(1024, dtype=bool)
+    reliable[gap] = False
+    y = np.where(reliable, x, 0.0)
+    cfg = SolverConfig(order=16, strategy="inpaint", outer_iters=3,
+                       inner_iters=50)
+    model = DegradationModel(kind="drop", reliable=reliable)
+    out, report = reconstruct_channel(y, model, cfg, 256, 64, reference=x)
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out[reliable], y[reliable], atol=1e-12)
+    assert report.consistency_sq <= 1e-20
+    assert any(r.outer_iter == 3 and r.objective == 0.0
+               for r in report.per_frame)
+
+
 def test_drop_model_needs_matching_mask():
     with pytest.raises(ValueError):
         DegradationModel(kind="drop")

@@ -3,9 +3,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regar.solver as solver_mod
-from oracles import build_toeplitz, dense_update_coefficients, dense_update_signal
+from oracles import (build_toeplitz, dense_janssen_signal_update,
+                     dense_update_coefficients, dense_update_signal)
 from regar.armodel import (ArCoefficients, objective, random_stable_ar,
                            reflection_to_ar, residual, simulate_ar)
 from regar.degrade import hard_clip
@@ -244,6 +247,43 @@ def test_janssen_perturbation_increases_residual():
             perturbed[idx] += delta
             ep = residual(a, perturbed)
             assert ep @ ep > base
+
+
+def _janssen_mask(family, n, rng):
+    reliable = np.ones(n, dtype=bool)
+    if family == "scattered":
+        reliable = rng.random(n) >= rng.uniform(0.05, 0.95)
+    elif family == "gaps":
+        for _ in range(rng.integers(1, 4)):
+            start = rng.integers(0, n)
+            reliable[start: start + rng.integers(1, n // 2 + 2)] = False
+    elif family == "one":
+        reliable[rng.integers(0, n)] = False
+    elif family == "all":
+        reliable[:] = False
+    return reliable
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(p=st.integers(0, 40), extra=st.integers(1, 300),
+       tail_l1=st.floats(0.0, 0.9),
+       family=st.sampled_from(["scattered", "gaps", "one", "all", "none"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_janssen_banded_matches_dense_property(p, extra, tail_l1, family, seed):
+    # ||a_tail||_1 <= 0.9 keeps |A(e^iw)| in [0.1, 1.9], so the Gram matrix
+    # has condition number <= 361 and the two factorizations agree to rounding
+    rng = np.random.default_rng(seed)
+    tail = rng.standard_normal(p)
+    if p:
+        tail *= tail_l1 / np.abs(tail).sum()
+    a = np.concatenate(([1.0], tail))
+    n = p + extra
+    reliable = _janssen_mask(family, n, rng)
+    y = np.where(reliable, rng.standard_normal(n), 0.0)
+    fast = janssen_signal_update(a, y, reliable)
+    dense = dense_janssen_signal_update(a, y, reliable)
+    np.testing.assert_array_equal(fast[reliable], y[reliable])
+    assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 # --------------------------------------------------------------------- GLP
