@@ -26,6 +26,6 @@ from .solver import (AcsStep, AcsTrace, CoefficientGrowthError,
                      douglas_rachford, extrapolate, glp_rectify,
                      janssen_signal_update, line_search, progressive_schedule,
                      update_coefficients, update_signal)
-from .cli import JobSpec, run_cli, write_report
+from .cli import run_cli, write_report
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +17,14 @@ import numpy as np
 from .armodel import random_stable_ar, simulate_ar
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .degrade import drop_samples, hard_clip, uniform_quantize
-from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
-                      frame_sdr, sdr)
+from .metrics import (ReconstructionReport, consistency_distance, sdr,
+                      sdr_scores)
 from .framing import frame_layout, segment
-from .pipeline import DegradationModel, reconstruct_channel, resolve_workers
+from .pipeline import (DegradationModel, frame_records, frame_specs,
+                       reconstruct_channel, resolve_workers)
 from .solver import SolverConfig, progressive_schedule
 
-__all__ = ["JobSpec", "run_cli", "main", "write_report"]
+__all__ = ["run_cli", "main", "write_report"]
 
 _ACCEL_TOKENS = {
     "extrapolate": "extrapolate_signal",
@@ -34,49 +35,42 @@ _ACCEL_TOKENS = {
 }
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """Validated description of one CLI invocation."""
-
-    command: str
-    args: argparse.Namespace
-
-    def __post_init__(self):
-        a = self.args
-        if self.command == "degrade":
-            if a.mode == "clip" and a.theta is None:
-                raise ValueError("clip mode needs --theta")
-            if a.mode == "quantize" and a.bits is None:
-                raise ValueError("quantize mode needs --bits")
-            if a.mode == "drop" and a.ratio is None:
-                raise ValueError("drop mode needs --ratio")
-            if a.mode != "clip" and a.theta is not None:
-                raise ValueError("--theta applies to clip mode only")
-            if a.mode != "quantize" and a.bits is not None:
-                raise ValueError("--bits applies to quantize mode only")
-            if a.mode != "drop" and a.ratio is not None:
-                raise ValueError("--ratio applies to drop mode only")
-        elif self.command == "reconstruct":
-            if a.strategy == "dequant":
-                if a.bits is None:
-                    raise ValueError("dequant strategy needs --bits")
-                if a.theta is not None or a.mask is not None:
-                    raise ValueError("dequant strategy takes --bits only")
-            else:
-                if a.bits is not None:
-                    raise ValueError("--bits applies to the dequant strategy only")
-            if a.strategy in ("declip", "glp") and a.mask is not None:
-                raise ValueError(f"{a.strategy} strategy derives masks from --theta")
-            if a.strategy == "inpaint" and a.mask is None and a.theta is None:
-                raise ValueError("inpaint strategy needs --mask or --theta")
-            if a.outer < 0:
-                raise ValueError("outer iteration count must be >= 0")
-            if a.inner_schedule is not None and a.inner is not None:
-                raise ValueError("--inner and --inner-schedule conflict")
-        elif self.command == "evaluate":
-            given = [v is not None for v in (a.theta, a.bits, a.mask)]
-            if sum(given) > 1:
-                raise ValueError("give at most one of --theta, --bits, --mask")
+def _validate(a: argparse.Namespace) -> None:
+    """Reject option combinations that the parser alone lets through."""
+    if a.command == "degrade":
+        if a.mode == "clip" and a.theta is None:
+            raise ValueError("clip mode needs --theta")
+        if a.mode == "quantize" and a.bits is None:
+            raise ValueError("quantize mode needs --bits")
+        if a.mode == "drop" and a.ratio is None:
+            raise ValueError("drop mode needs --ratio")
+        if a.mode != "clip" and a.theta is not None:
+            raise ValueError("--theta applies to clip mode only")
+        if a.mode != "quantize" and a.bits is not None:
+            raise ValueError("--bits applies to quantize mode only")
+        if a.mode != "drop" and a.ratio is not None:
+            raise ValueError("--ratio applies to drop mode only")
+    elif a.command == "reconstruct":
+        if a.strategy == "dequant":
+            if a.bits is None:
+                raise ValueError("dequant strategy needs --bits")
+            if a.theta is not None or a.mask is not None:
+                raise ValueError("dequant strategy takes --bits only")
+        else:
+            if a.bits is not None:
+                raise ValueError("--bits applies to the dequant strategy only")
+        if a.strategy in ("declip", "glp") and a.mask is not None:
+            raise ValueError(f"{a.strategy} strategy derives masks from --theta")
+        if a.strategy == "inpaint" and a.mask is None and a.theta is None:
+            raise ValueError("inpaint strategy needs --mask or --theta")
+        if a.outer < 0:
+            raise ValueError("outer iteration count must be >= 0")
+        if a.inner_schedule is not None and a.inner is not None:
+            raise ValueError("--inner and --inner-schedule conflict")
+    elif a.command == "evaluate":
+        given = [v is not None for v in (a.theta, a.bits, a.mask)]
+        if sum(given) > 1:
+            raise ValueError("give at most one of --theta, --bits, --mask")
 
 
 def _positive_float(text: str) -> float:
@@ -190,18 +184,11 @@ def _parse_accel(text: str) -> frozenset:
     return frozenset(out)
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
-
-
-def _json_number(value):
-    if value is None:
-        return None
+def _report_value(value):
+    """The one number rule of reports: infinities become "inf"/"-inf" so
+    JSON stays standard, other floats are plain floats, ints and None stay."""
+    if value is None or isinstance(value, int):
+        return value
     value = float(value)
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
@@ -223,48 +210,25 @@ def write_report(report: ReconstructionReport, path, fmt: str = "json",
         raise ValueError(f"unknown report format {fmt!r}")
     rows = []
     for r in report.per_frame:
-        rows.append({
-            "frame_index": r.frame_index,
-            "sdr_db": r.sdr_db,
-            "delta_sdr_db": r.delta_sdr_db,
-            "consistency_sq": r.consistency_sq,
-            "outer_iter": r.outer_iter,
-            "objective": r.objective,
-            "inner_iters": r.inner_iters,
-            "wall_ms": 0.0 if deterministic else r.wall_ms,
-        })
+        if deterministic:
+            r = replace(r, wall_ms=0.0)
+        rows.append({key: _report_value(getattr(r, key)) for key in _CSV_COLUMNS})
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh)  # writes None as an empty cell
             writer.writerow(_CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([
-                    row["frame_index"],
-                    _fmt_cell(row["sdr_db"]),
-                    _fmt_cell(row["delta_sdr_db"]),
-                    _fmt_cell(row["consistency_sq"]),
-                    row["outer_iter"],
-                    _fmt_cell(row["objective"]),
-                    row["inner_iters"],
-                    _fmt_cell(row["wall_ms"]),
-                ])
+            writer.writerows(row.values() for row in rows)
         return
     doc = {
         "global": {
-            "sdr_db": _json_number(report.sdr_db),
-            "delta_sdr_db": _json_number(report.delta_sdr_db),
-            "consistency_sq": _json_number(report.consistency_sq),
-            "mean_frame_sdr_db": _json_number(report.mean_frame_sdr_db),
+            "sdr_db": _report_value(report.sdr_db),
+            "delta_sdr_db": _report_value(report.delta_sdr_db),
+            "consistency_sq": _report_value(report.consistency_sq),
+            "mean_frame_sdr_db": _report_value(report.mean_frame_sdr_db),
             "n_frames": len(report.per_frame),
             "timing_s": 0.0 if deterministic else report.timing_s,
         },
-        "frames": [
-            {key: (_json_number(row[key])
-                   if key not in ("frame_index", "outer_iter", "inner_iters")
-                   else row[key])
-             for key in _CSV_COLUMNS}
-            for row in rows
-        ],
+        "frames": rows,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -273,31 +237,28 @@ def write_report(report: ReconstructionReport, path, fmt: str = "json",
 
 def _merge_reports(parts: list[ReconstructionReport], reference, degraded,
                    estimate) -> ReconstructionReport:
-    """Combine per-channel reports into one, with globals over all channels."""
+    """Combine per-channel reports into one, with globals over all channels.
+
+    The global consistency is None unless every channel measured one.
+    """
     records = []
     offset = 0
     for part in parts:
         records.extend(replace(r, frame_index=r.frame_index + offset)
                        for r in part.per_frame)
         offset += len(part.per_frame)
-    global_sdr = None
-    global_dsdr = None
-    if reference is not None:
-        global_sdr = sdr(reference.reshape(-1), estimate.reshape(-1))
-        global_dsdr = global_sdr - sdr(reference.reshape(-1), degraded.reshape(-1))
-    total_consistency = sum(p.consistency_sq for p in parts
-                            if p.consistency_sq is not None)
+    score, gain = sdr_scores(reference, estimate, degraded)
+    consistency = [p.consistency_sq for p in parts]
     return ReconstructionReport(
-        sdr_db=global_sdr,
-        delta_sdr_db=global_dsdr,
-        consistency_sq=total_consistency,
+        sdr_db=score,
+        delta_sdr_db=gain,
+        consistency_sq=None if None in consistency else sum(consistency),
         per_frame=records,
         timing_s=sum(p.timing_s for p in parts),
     )
 
 
-def cmd_degrade(job: JobSpec) -> int:
-    a = job.args
+def cmd_degrade(a) -> int:
     buf = read_wav(a.input)
     out = np.empty_like(buf.data)
     if a.mode == "clip":
@@ -342,22 +303,34 @@ def _load_mask(path, shape) -> np.ndarray:
     return reliable
 
 
-def _build_models(a, buf: AudioBuffer) -> list[DegradationModel]:
-    """One degradation model per channel, resolving theta/delta/mask."""
-    if a.strategy == "dequant":
+def _build_models(a, buf: AudioBuffer,
+                  infer_theta: bool = False) -> list[DegradationModel] | None:
+    """One degradation model per channel, from --bits, --mask or --theta.
+
+    Without any of them the clipping threshold is the peak of the file when
+    ``infer_theta`` is set, else there is no model (None).
+    """
+    if a.bits is not None:
         delta = 2.0 ** (1 - a.bits)
         return [DegradationModel(kind="quant", delta=delta)] * buf.channels
-    if a.strategy == "inpaint" and a.mask is not None:
+    if a.mask is not None:
         reliable = _load_mask(a.mask, buf.data.shape)
         return [DegradationModel(kind="drop", reliable=reliable[:, c])
                 for c in range(buf.channels)]
     theta = a.theta
     if theta is None:
+        if not infer_theta:
+            return None
         theta = float(np.max(np.abs(buf.data)))
         if theta <= 0:
             raise ValueError("cannot infer theta from an all-zero file")
         print(f"using theta = {theta} (peak of the input)")
     return [DegradationModel(kind="clip", theta=theta)] * buf.channels
+
+
+def _hop(a) -> int:
+    """--hop, by default a quarter of the frame."""
+    return a.hop if a.hop is not None else max(1, a.frame // 4)
 
 
 def _build_config(a) -> SolverConfig | None:
@@ -385,21 +358,19 @@ def _build_config(a) -> SolverConfig | None:
     )
 
 
-def cmd_reconstruct(job: JobSpec) -> int:
-    a = job.args
+def cmd_reconstruct(a) -> int:
     buf = read_wav(a.input)
     reference = read_wav(a.reference) if a.reference else None
     if reference is not None and reference.data.shape != buf.data.shape:
         raise ValueError("reference shape does not match the input")
-    models = _build_models(a, buf)
+    models = _build_models(a, buf, infer_theta=True)
     cfg = _build_config(a)
-    hop = a.hop if a.hop is not None else max(1, a.frame // 4)
     workers = resolve_workers(a.workers)
     out = np.empty_like(buf.data)
     parts = []
     for c in range(buf.channels):
         x_hat, part = reconstruct_channel(
-            buf.channel(c), models[c], cfg, a.frame, hop, workers=workers,
+            buf.channel(c), models[c], cfg, a.frame, _hop(a), workers=workers,
             reference=reference.channel(c) if reference is not None else None)
         out[:, c] = x_hat
         parts.append(part)
@@ -410,14 +381,15 @@ def cmd_reconstruct(job: JobSpec) -> int:
         write_report(report, a.report, a.report_format,
                      deterministic=a.deterministic_report)
     if report.sdr_db is not None:
-        print(f"SDR: {_fmt_cell(report.sdr_db)} dB "
-              f"(improvement {_fmt_cell(report.delta_sdr_db)} dB)")
-    print(f"consistency: {_fmt_cell(report.consistency_sq)}")
+        print(f"SDR: {_report_value(report.sdr_db)} dB "
+              f"(improvement {_report_value(report.delta_sdr_db)} dB)")
+    elif reference is not None:
+        print("SDR: undefined (silent reference)")
+    print(f"consistency: {_report_value(report.consistency_sq)}")
     return 0
 
 
-def cmd_evaluate(job: JobSpec) -> int:
-    a = job.args
+def cmd_evaluate(a) -> int:
     est = read_wav(a.estimate)
     ref = read_wav(a.reference)
     if est.data.shape != ref.data.shape:
@@ -425,57 +397,43 @@ def cmd_evaluate(job: JobSpec) -> int:
     degraded = read_wav(a.degraded) if a.degraded else None
     if degraded is not None and degraded.data.shape != est.data.shape:
         raise ValueError("degraded file shape differs")
-    global_sdr = sdr(ref.data.reshape(-1), est.data.reshape(-1))
-    global_dsdr = None
-    if degraded is not None:
-        global_dsdr = global_sdr - sdr(ref.data.reshape(-1),
-                                       degraded.data.reshape(-1))
-    consistency = None
-    if degraded is not None and (a.theta or a.bits or a.mask):
-        consistency = 0.0
-        reliable = _load_mask(a.mask, est.data.shape) if a.mask else None
-        for c in range(est.channels):
-            y = degraded.channel(c)
-            if a.theta:
-                model = DegradationModel(kind="clip", theta=a.theta)
-            elif a.bits:
-                model = DegradationModel(kind="quant", delta=2.0 ** (1 - a.bits))
-            else:
-                model = DegradationModel(kind="drop", reliable=reliable[:, c])
-            consistency += consistency_distance(est.channel(c), model.spec_for(y))
-    records = []
-    if a.frame:
-        hop = a.hop if a.hop is not None else max(1, a.frame // 4)
-        index = 0
-        for c in range(est.channels):
-            layout = frame_layout(est.n_samples, a.frame, hop)
-            est_frames = segment(est.channel(c), layout)
-            ref_frames = segment(ref.channel(c), layout)
-            deg_frames = (segment(degraded.channel(c), layout)
-                          if degraded is not None else None)
-            for k in range(layout.n_frames):
-                score, gain = frame_sdr(
-                    ref_frames[k], est_frames[k],
-                    deg_frames[k] if deg_frames is not None else None)
-                records.append(FrameRecord(
-                    frame_index=index, sdr_db=score, delta_sdr_db=gain,
-                    consistency_sq=0.0, outer_iter=0, objective=None,
-                    inner_iters=0, wall_ms=0.0))
-                index += 1
-    report = ReconstructionReport(sdr_db=global_sdr, delta_sdr_db=global_dsdr,
-                                  consistency_sq=consistency, per_frame=records)
+    # consistency needs both the observation and its degradation model
+    models = _build_models(a, est) if degraded is not None else None
+    layout = frame_layout(est.n_samples, a.frame, _hop(a)) if a.frame else None
+    parts = []
+    for c in range(est.channels):
+        x = est.channel(c)
+        y = degraded.channel(c) if degraded is not None else None
+        model = models[c] if models else None
+        records = []
+        if layout is not None:
+            y_frames = segment(y, layout) if y is not None else None
+            records = frame_records(
+                segment(x, layout), y_frames,
+                frame_specs(model, y_frames, layout) if model is not None else None,
+                segment(ref.channel(c), layout))
+        parts.append(ReconstructionReport(
+            sdr_db=None, delta_sdr_db=None,
+            consistency_sq=(consistency_distance(x, model.spec_for(y))
+                            if model is not None else None),
+            per_frame=records))
+    report = _merge_reports(parts, ref.data,
+                            degraded.data if degraded is not None else None,
+                            est.data)
     if a.report:
         write_report(report, a.report, a.report_format)
-    print(f"SDR: {_fmt_cell(global_sdr)} dB")
-    if global_dsdr is not None:
-        print(f"delta SDR: {_fmt_cell(global_dsdr)} dB")
-    if consistency is not None:
-        print(f"consistency: {_fmt_cell(consistency)}")
+    if report.sdr_db is not None:
+        print(f"SDR: {_report_value(report.sdr_db)} dB")
+    else:
+        print("SDR: undefined (silent reference)")
+    if report.delta_sdr_db is not None:
+        print(f"delta SDR: {_report_value(report.delta_sdr_db)} dB")
+    if report.consistency_sq is not None:
+        print(f"consistency: {_report_value(report.consistency_sq)}")
     return 0
 
 
-def cmd_demo(job: JobSpec) -> int:
-    a = job.args
+def cmd_demo(a) -> int:
     out_dir = Path(a.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(a.seed)
@@ -505,10 +463,9 @@ def cmd_demo(job: JobSpec) -> int:
         order=a.order, strategy=a.strategy, lambda_c=a.lambda_c,
         lambda_s=a.lambda_s, outer_iters=a.outer, inner_iters=a.inner,
         acceleration=_parse_accel(a.accel))
-    hop = a.hop if a.hop is not None else max(1, a.frame // 4)
     workers = resolve_workers(a.workers)
     x_hat, report = reconstruct_channel(
-        deg_buf.channel(0), model, cfg, a.frame, hop, workers=workers,
+        deg_buf.channel(0), model, cfg, a.frame, _hop(a), workers=workers,
         reference=clean_buf.channel(0))
     write_wav(out_dir / "restored.wav", AudioBuffer(x_hat, a.sample_rate),
               fmt="float32")
@@ -516,8 +473,8 @@ def cmd_demo(job: JobSpec) -> int:
     write_report(report, out_dir / "report.json", "json", deterministic=True)
 
     input_sdr = sdr(clean_buf.channel(0), deg_buf.channel(0))
-    print(f"input SDR: {_fmt_cell(input_sdr)} dB, restored SDR: "
-          f"{_fmt_cell(report.sdr_db)} dB")
+    print(f"input SDR: {_report_value(input_sdr)} dB, restored SDR: "
+          f"{_report_value(report.sdr_db)} dB")
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -537,8 +494,8 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        job = JobSpec(command=args.command, args=args)
-        return _COMMANDS[job.command](job)
+        _validate(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

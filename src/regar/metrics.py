@@ -10,7 +10,7 @@ from .prox import ConsistencySpec, project_consistency
 __all__ = [
     "sdr",
     "delta_sdr",
-    "frame_sdr",
+    "sdr_scores",
     "consistency_distance",
     "FrameRecord",
     "ReconstructionReport",
@@ -46,19 +46,22 @@ def delta_sdr(reference, degraded, estimate, where=None) -> float:
     return sdr(reference, estimate, where) - sdr(reference, degraded, where)
 
 
-def frame_sdr(reference, estimate, degraded=None):
-    """Report scores of one frame: (SDR, SDR improvement over ``degraded``).
+def sdr_scores(reference, estimate, degraded=None):
+    """Report scores of a frame or a whole signal: (SDR, SDR improvement).
 
-    A silent reference frame has no SDR and scores (None, None); without a
-    degraded frame the improvement is None.
+    Multichannel arrays score as one flattened signal.  Without a reference,
+    or with a silent one, there is no SDR and the scores are (None, None);
+    without a ``degraded`` signal the improvement is None.
     """
-    reference = np.asarray(reference, dtype=float)
+    if reference is None:
+        return None, None
+    reference = np.asarray(reference, dtype=float).reshape(-1)
     if not float(reference @ reference) > 0:
         return None, None
-    score = sdr(reference, estimate)
+    score = sdr(reference, np.reshape(estimate, -1))
     if degraded is None:
         return score, None
-    return score, score - sdr(reference, degraded)
+    return score, score - sdr(reference, np.reshape(degraded, -1))
 
 
 def consistency_distance(estimate, spec: ConsistencySpec) -> float:
@@ -75,7 +78,7 @@ class FrameRecord:
     frame_index: int
     sdr_db: float | None
     delta_sdr_db: float | None
-    consistency_sq: float
+    consistency_sq: float | None
     outer_iter: int
     objective: float | None
     inner_iters: int

@@ -4,8 +4,10 @@ Splits the observed channel into overlapping frames, derives a frame-local
 consistency spec for each, runs the solver on every degraded frame (in
 parallel when requested) and synthesizes the result by windowed overlap-add.
 Frames whose exact solution is the observation itself (nothing degraded in
-them) are passed through untouched.  All per-frame work is a pure function
-of the frame payload, so the result does not depend on the worker count.
+them) are passed through untouched.  A task carries only its frame's spec
+and the solver config, and all per-frame work is a pure function of them,
+so the result does not depend on the worker count.  The same frame-report
+builder scores reconstructions here and estimates in ``regar evaluate``.
 """
 
 import math
@@ -13,16 +15,18 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .framing import frame_layout, overlap_add, segment, sine_window
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
-                      frame_sdr, sdr)
+                      sdr_scores)
 from .prox import ConsistencySpec
 from .solver import SolverConfig, acs_run
 
-__all__ = ["DegradationModel", "reconstruct_channel", "resolve_workers"]
+__all__ = ["DegradationModel", "frame_records", "frame_specs",
+           "reconstruct_channel", "resolve_workers"]
 
 # slack for observations that passed through a float32 file
 MASK_TOL_FACTOR = 1e-6
@@ -94,29 +98,52 @@ def _untouched_is_exact(spec: ConsistencySpec, cfg: SolverConfig) -> bool:
     return False
 
 
-def _solve_frame(task):
-    index, frame, model, reliable, cfg = task
-    spec = model.spec_for(frame, reliable=reliable)
+def _solve_frame(spec: ConsistencySpec, cfg: SolverConfig | None):
+    """Solver output of one frame and its (outer_iter, objective, inner_iters,
+    wall_ms) statistics; ``cfg = None`` passes every frame through."""
     t0 = time.perf_counter()
-    if _untouched_is_exact(spec, cfg):
-        wall = time.perf_counter() - t0
-        return index, frame, spec, 0, 0, None, wall
-    _, x, trace = acs_run(frame, spec, cfg)
+    if cfg is None or _untouched_is_exact(spec, cfg):
+        return spec.y, (0, None, 0, (time.perf_counter() - t0) * 1000.0)
+    _, x, trace = acs_run(spec.y, spec, cfg)
     wall = time.perf_counter() - t0
     inner_total = int(sum(e.inner_iters for e in trace.entries))
     final_q = trace.entries[-1].objective if trace.entries else None
-    return index, x, spec, len(trace), inner_total, final_q, wall
+    return x, (len(trace), final_q, inner_total, wall * 1000.0)
 
 
-def _segment_mask(mask: np.ndarray, layout) -> list[np.ndarray]:
-    # zero padding counts as reliable: the padded samples are known zeros
-    padded = np.concatenate((
-        np.ones(layout.pad_start, dtype=bool),
-        mask,
-        np.ones(layout.pad_end, dtype=bool),
-    ))
-    return [padded[layout.start(k): layout.start(k) + layout.frame_length]
-            for k in range(layout.n_frames)]
+def frame_specs(model: DegradationModel, frames, layout) -> list[ConsistencySpec]:
+    """Consistency spec of every observed frame of one channel.
+
+    The zero padding of a drop model's mask counts as reliable: the padded
+    samples are known zeros.
+    """
+    if model.kind != "drop":
+        return [model.spec_for(frame) for frame in frames]
+    missing = segment(~model.reliable, layout)
+    return [model.spec_for(frame, reliable=gap == 0.0)
+            for frame, gap in zip(frames, missing)]
+
+
+def frame_records(estimates, observed=None, specs=None, references=None,
+                  stats=None) -> list[FrameRecord]:
+    """Report rows of one channel's frames, in frame order.
+
+    Each estimate frame scores its SDR against its reference frame, its
+    improvement over its observed frame and its consistency with its spec;
+    a score whose inputs are missing (``None``) is None.  ``stats`` holds
+    each frame's (outer_iter, objective, inner_iters, wall_ms); without it
+    every frame reports as untouched.
+    """
+    records = []
+    for k, x in enumerate(estimates):
+        score, gain = sdr_scores(
+            None if references is None else references[k], x,
+            None if observed is None else observed[k])
+        records.append(FrameRecord(
+            k, score, gain,
+            None if specs is None else consistency_distance(x, specs[k]),
+            *((0, None, 0, 0.0) if stats is None else stats[k])))
+    return records
 
 
 def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
@@ -130,53 +157,29 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
     """
     y = np.asarray(y, dtype=float)
     t_begin = time.perf_counter()
-    layout = frame_layout(y.size, frame_length, hop)
-    frames = segment(y, layout)
-    if model.kind == "drop":
-        rel_frames = _segment_mask(model.reliable, layout)
-    else:
-        rel_frames = [None] * layout.n_frames
-    if cfg is None:
-        solved = [(k, frames[k], model.spec_for(frames[k], reliable=rel_frames[k]),
-                   0, 0, None, 0.0) for k in range(layout.n_frames)]
-    else:
-        tasks = [(k, frames[k], model, rel_frames[k], cfg)
-                 for k in range(layout.n_frames)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                solved = list(pool.map(_solve_frame, tasks))
-        else:
-            solved = [_solve_frame(t) for t in tasks]
-    solved.sort(key=lambda item: item[0])
-    out_frames = [item[1] for item in solved]
-    x_hat = overlap_add(out_frames, layout, sine_window(frame_length))
-
-    ref_frames = None
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
         if reference.size != y.size:
             raise ValueError("reference length does not match the observation")
-        ref_frames = segment(reference, layout)
-    records = []
-    for index, x_frame, spec, outer, inner_total, final_q, wall in solved:
-        score, gain = None, None
-        if ref_frames is not None:
-            score, gain = frame_sdr(ref_frames[index], x_frame, frames[index])
-        records.append(FrameRecord(
-            frame_index=index,
-            sdr_db=score,
-            delta_sdr_db=gain,
-            consistency_sq=consistency_distance(x_frame, spec),
-            outer_iter=outer,
-            objective=final_q,
-            inner_iters=inner_total,
-            wall_ms=wall * 1000.0,
-        ))
     global_spec = model.spec_for(y)
+    layout = frame_layout(y.size, frame_length, hop)
+    frames = segment(y, layout)
+    specs = frame_specs(model, frames, layout)
+    if workers > 1 and cfg is not None:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_solve_frame, specs, repeat(cfg)))
+    else:
+        solved = [_solve_frame(spec, cfg) for spec in specs]
+    estimates = [x for x, _ in solved]
+    x_hat = overlap_add(estimates, layout, sine_window(frame_length))
+    records = frame_records(
+        estimates, frames, specs,
+        None if reference is None else segment(reference, layout),
+        [stat for _, stat in solved])
+    score, gain = sdr_scores(reference, x_hat, y)
     report = ReconstructionReport(
-        sdr_db=sdr(reference, x_hat) if reference is not None else None,
-        delta_sdr_db=(sdr(reference, x_hat) - sdr(reference, y))
-        if reference is not None else None,
+        sdr_db=score,
+        delta_sdr_db=gain,
         consistency_sq=consistency_distance(x_hat, global_spec),
         per_frame=records,
         timing_s=time.perf_counter() - t_begin,

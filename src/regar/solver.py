@@ -14,7 +14,7 @@ of either update, and a line search along the extrapolation direction.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,6 +47,8 @@ STRATEGIES = ("inpaint", "glp", "declip", "dequant")
 ACCELERATIONS = ("extrapolate_signal", "extrapolate_coefs", "line_search")
 
 COEF_GROWTH_LIMIT = 1e6
+# extrapolation steps sampled by the line search: 25 log-spaced in [1e-4, 100]
+TAU_GRID = np.logspace(-4.0, 2.0, 25)
 
 
 class DouglasRachfordDivergence(RuntimeError):
@@ -77,11 +79,6 @@ class CoefficientGrowthError(RuntimeError):
         return type(self), (self.magnitude, self.trace)
 
 
-def default_tau_grid() -> np.ndarray:
-    """25 logarithmically spaced extrapolation steps in [1e-4, 100]."""
-    return np.logspace(-4.0, 2.0, 25)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything the outer loop needs to know.
@@ -103,7 +100,6 @@ class SolverConfig:
     inner_iters: int = 1000
     inner_schedule: tuple = None  # type: ignore[assignment]
     acceleration: frozenset = frozenset()
-    tau_grid: np.ndarray = field(default_factory=default_tau_grid)
 
     def __post_init__(self):
         if self.order < 0:
@@ -132,10 +128,6 @@ class SolverConfig:
         if any(n < 1 for n in schedule):
             raise ValueError("inner iteration counts must be >= 1")
         object.__setattr__(self, "inner_schedule", schedule)
-        grid = np.asarray(self.tau_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
-            raise ValueError("tau grid must be a nonempty vector of positive steps")
-        object.__setattr__(self, "tau_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -443,7 +435,7 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
             if use_linesearch:
                 x_half, z_sig = signal_step(a_half, x_prev, z_sig, inner)
                 a_vec, x = line_search(a_half.a, a_prev_vec, x_half, x_prev,
-                                       q_total, cfg.tau_grid)
+                                       q_total, TAU_GRID)
                 coeffs = ArCoefficients(a_vec)
             else:
                 if extra_coef and total_iters > 1:

@@ -111,6 +111,57 @@ def test_evaluate_with_degraded_and_report(tmp_path, ar_signal):
     assert doc["frames"]
 
 
+def test_silent_reference_reports_null_sdr(tmp_path, ar_signal, capsys):
+    clean, x = ar_signal
+    clipped = tmp_path / "clip.wav"
+    make_wav(clipped, np.clip(x, -0.3, 0.3))
+    silent = tmp_path / "silent.wav"
+    make_wav(silent, np.zeros_like(x))
+    restored = tmp_path / "rest.wav"
+    report = tmp_path / "report.json"
+    assert run_cli(["reconstruct", str(clipped), "-o", str(restored),
+                    "--strategy", "declip", "--theta", "0.3", "--order", "8",
+                    "--frame", "512", "--outer", "1", "--inner", "20",
+                    "--workers", "1", "--reference", str(silent),
+                    "--report", str(report)]) == 0
+    assert restored.exists()
+    doc = json.loads(report.read_text())
+    assert doc["global"]["sdr_db"] is None
+    assert doc["global"]["delta_sdr_db"] is None
+    assert all(f["sdr_db"] is None for f in doc["frames"])
+    scored = tmp_path / "eval.json"
+    assert run_cli(["evaluate", str(restored), "--reference", str(silent),
+                    "--degraded", str(clipped), "--report", str(scored)]) == 0
+    doc = json.loads(scored.read_text())
+    assert doc["global"]["sdr_db"] is None
+    assert doc["global"]["delta_sdr_db"] is None
+    assert "SDR: undefined (silent reference)" in capsys.readouterr().out
+
+
+def test_evaluate_frame_consistency_is_measured_or_null(tmp_path, ar_signal):
+    clean, x = ar_signal
+    clipped = tmp_path / "clip.wav"
+    make_wav(clipped, np.clip(x, -0.3, 0.3))
+    silent = tmp_path / "zeros.wav"
+    make_wav(silent, np.zeros_like(x))
+    measured = tmp_path / "measured.json"
+    # an all-zero estimate leaves every clipped sample below theta
+    assert run_cli(["evaluate", str(silent), "--reference", str(clean),
+                    "--degraded", str(clipped), "--theta", "0.3",
+                    "--frame", "512", "--report", str(measured)]) == 0
+    doc = json.loads(measured.read_text())
+    frames = [f["consistency_sq"] for f in doc["frames"]]
+    assert doc["global"]["consistency_sq"] > 0
+    assert all(c > 0 for c in frames)
+    unmeasured = tmp_path / "unmeasured.csv"
+    assert run_cli(["evaluate", str(silent), "--reference", str(clean),
+                    "--degraded", str(clipped), "--frame", "512",
+                    "--report", str(unmeasured), "--report-format", "csv"]) == 0
+    rows = list(csv.DictReader(unmeasured.open()))
+    assert len(rows) == len(frames)
+    assert all(r["consistency_sq"] == "" for r in rows)
+
+
 def test_evaluate_rejects_mask_of_wrong_shape(tmp_path, ar_signal, capsys):
     clean, x = ar_signal
     stereo = tmp_path / "stereo.wav"

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regar.armodel import random_stable_ar, simulate_ar
 from regar.degrade import hard_clip, uniform_quantize
-from regar.metrics import sdr
-from regar.pipeline import (DegradationModel, reconstruct_channel,
-                            resolve_workers)
+from regar.framing import frame_layout, segment
+from regar.metrics import consistency_distance, sdr
+from regar.pipeline import (DegradationModel, frame_records, frame_specs,
+                            reconstruct_channel, resolve_workers)
 from regar.solver import SolverConfig
 
 
@@ -70,6 +74,88 @@ def test_worker_count_does_not_change_result():
     out1, _ = reconstruct_channel(y, model, cfg, 256, 64, workers=1)
     out4, _ = reconstruct_channel(y, model, cfg, 256, 64, workers=4)
     np.testing.assert_array_equal(out1, out4)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["clip", "quant", "drop"]),
+       frame=st.sampled_from([64, 96, 128]), hop_div=st.sampled_from([1, 2, 4]),
+       n=st.integers(100, 400), seed=st.integers(0, 2**16))
+def test_worker_count_never_changes_the_bits(kind, frame, hop_div, n, seed):
+    rng = np.random.default_rng(seed)
+    x = simulate_ar(random_stable_ar(4, rng), n, rng)
+    x = x / np.max(np.abs(x))
+    if kind == "clip":
+        y = hard_clip(x, 0.5).y
+        model = DegradationModel(kind="clip", theta=0.5)
+        strategy = "declip"
+    elif kind == "quant":
+        obs = uniform_quantize(x, 4)
+        y = obs.y
+        model = DegradationModel(kind="quant", delta=obs.delta)
+        strategy = "dequant"
+    else:
+        reliable = rng.random(n) > 0.2
+        y = np.where(reliable, x, 0.0)
+        model = DegradationModel(kind="drop", reliable=reliable)
+        strategy = "inpaint"
+    cfg = SolverConfig(order=4, strategy=strategy, lambda_c=1e-3,
+                       outer_iters=2, inner_iters=30)
+    runs = [reconstruct_channel(y, model, cfg, frame, frame // hop_div,
+                                workers=workers, reference=x)
+            for workers in (1, 2)]
+    (out1, rep1), (out2, rep2) = runs
+    assert out1.tobytes() == out2.tobytes()
+
+    def untimed(report):
+        return [dataclasses.replace(r, wall_ms=0.0) for r in report.per_frame]
+
+    assert untimed(rep1) == untimed(rep2)
+    assert (rep1.sdr_db, rep1.delta_sdr_db, rep1.consistency_sq) == \
+        (rep2.sdr_db, rep2.delta_sdr_db, rep2.consistency_sq)
+
+
+def test_frame_specs_treat_padding_as_reliable():
+    reliable = np.ones(10, dtype=bool)
+    reliable[[1, 8]] = False
+    y = np.where(reliable, 1.0, 0.0)
+    layout = frame_layout(10, 4, 2)
+    model = DegradationModel(kind="drop", reliable=reliable)
+    specs = frame_specs(model, segment(y, layout), layout)
+    masks = [spec.masks.reliable.tolist() for spec in specs]
+    assert masks == [[True, False, True, True], [True, True, True, True],
+                     [True, True, True, True], [True, True, False, True],
+                     [False, True, True, True]]  # samples 10, 11 are padding
+
+
+def test_frame_records_score_what_they_are_given():
+    x = np.array([1.0, -1.0, 0.5, 0.0])
+    model = DegradationModel(kind="clip", theta=0.5)
+    y = np.clip(x, -0.5, 0.5)
+    spec = model.spec_for(y)
+    estimate = np.zeros(4)
+    full = frame_records([estimate], [y], [spec], [x], [(3, 1.5, 30, 2.0)])
+    assert full[0].sdr_db == sdr(x, estimate)
+    assert full[0].delta_sdr_db == sdr(x, estimate) - sdr(x, y)
+    assert full[0].consistency_sq == consistency_distance(estimate, spec) > 0
+    assert (full[0].outer_iter, full[0].objective, full[0].inner_iters,
+            full[0].wall_ms) == (3, 1.5, 30, 2.0)
+    bare = frame_records([estimate, x], references=[np.zeros(4), x])
+    assert [(r.frame_index, r.sdr_db, r.delta_sdr_db, r.consistency_sq,
+             r.outer_iter, r.objective, r.inner_iters, r.wall_ms)
+            for r in bare] == [(0, None, None, None, 0, None, 0, 0.0),
+                               (1, math.inf, None, None, 0, None, 0, 0.0)]
+
+
+def test_silent_reference_scores_none():
+    x, y, theta = clipped_channel(n=600)
+    model = DegradationModel(kind="clip", theta=theta)
+    cfg = SolverConfig(order=4, strategy="declip", outer_iters=1,
+                       inner_iters=20)
+    out, report = reconstruct_channel(y, model, cfg, 256, 64,
+                                      reference=np.zeros_like(x))
+    assert np.all(np.isfinite(out))
+    assert report.sdr_db is None and report.delta_sdr_db is None
+    assert all(r.sdr_db is None for r in report.per_frame)
 
 
 def test_dequant_channel_improves_structured_signal():
