@@ -11,14 +11,13 @@ prediction are available as strategies of the same outer loop.
 from .armodel import (ArCoefficients, ObjectiveValue, levinson_durbin,
                       objective, random_stable_ar, residual, simulate_ar)
 from .audio_io import AudioBuffer, read_wav, write_wav
-from .degrade import (ClipObservation, QuantObservation, ReliabilityMasks,
-                      derive_clip_masks, drop_samples, hard_clip,
-                      uniform_quantize)
+from .degrade import (ClipObservation, QuantObservation, drop_samples,
+                      hard_clip, uniform_quantize)
 from .fastops import (CirculantOperator, circulant_embed_filter,
                       prox_regularizer_extended)
 from .framing import FrameLayout, frame_layout, overlap_add, segment, sine_window
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
-                      delta_sdr, sdr)
+                      sdr)
 from .pipeline import DegradationModel, reconstruct_channel, resolve_workers
 from .prox import ConsistencySpec, project_consistency, prox_signal_penalty
 from .solver import (AcsStep, AcsTrace, CoefficientGrowthError,

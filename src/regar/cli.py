@@ -54,6 +54,8 @@ def _validate(a: argparse.Namespace) -> None:
         if a.strategy == "dequant":
             if a.bits is None:
                 raise ValueError("dequant strategy needs --bits")
+            if a.bits < 1:
+                raise ValueError("word length must be at least 1 bit")
             if a.theta is not None or a.mask is not None:
                 raise ValueError("dequant strategy takes --bits only")
         else:
@@ -71,6 +73,10 @@ def _validate(a: argparse.Namespace) -> None:
         given = [v is not None for v in (a.theta, a.bits, a.mask)]
         if sum(given) > 1:
             raise ValueError("give at most one of --theta, --bits, --mask")
+        if any(given) and a.degraded is None:
+            raise ValueError("--theta, --bits and --mask need --degraded")
+        if a.bits is not None and a.bits < 1:
+            raise ValueError("word length must be at least 1 bit")
 
 
 def _positive_float(text: str) -> float:
@@ -283,9 +289,7 @@ def cmd_degrade(a) -> int:
             drop_idx = rng.choice(n, size=n_drop, replace=False)
             keep = np.ones(n, dtype=bool)
             keep[drop_idx] = False
-            y, masks = drop_samples(buf.channel(c), keep)
-            out[:, c] = y
-            reliable[:, c] = masks.reliable
+            out[:, c], reliable[:, c] = drop_samples(buf.channel(c), keep)
         mask_path = a.output + ".mask.npy"
         np.save(mask_path, reliable)
         print(f"dropped {a.ratio:.1%} of samples; mask saved to {mask_path}")
@@ -397,8 +401,8 @@ def cmd_evaluate(a) -> int:
     degraded = read_wav(a.degraded) if a.degraded else None
     if degraded is not None and degraded.data.shape != est.data.shape:
         raise ValueError("degraded file shape differs")
-    # consistency needs both the observation and its degradation model
-    models = _build_models(a, est) if degraded is not None else None
+    # _validate lets a model option through only with --degraded
+    models = _build_models(a, est)
     layout = frame_layout(est.n_samples, a.frame, _hop(a)) if a.frame else None
     parts = []
     for c in range(est.channels):
@@ -407,10 +411,13 @@ def cmd_evaluate(a) -> int:
         model = models[c] if models else None
         records = []
         if layout is not None:
+            x_frames = segment(x, layout)
             y_frames = segment(y, layout) if y is not None else None
             records = frame_records(
-                segment(x, layout), y_frames,
-                frame_specs(model, y_frames, layout) if model is not None else None,
+                x_frames, y_frames,
+                None if model is None else
+                [consistency_distance(xf, spec) for xf, spec in
+                 zip(x_frames, frame_specs(model, y_frames, layout))],
                 segment(ref.channel(c), layout))
         parts.append(ReconstructionReport(
             sdr_db=None, delta_sdr_db=None,

@@ -1,9 +1,8 @@
 """Forward degradation models: hard clipping, uniform quantization, sample dropping.
 
 These produce the observations that the reconstruction strategies try to
-invert, together with the reliability masks describing which samples are
-trustworthy.  All signals are 1-D float arrays; masks are boolean arrays of
-the same length.
+invert.  All signals are 1-D float arrays; the reliable-sample mask of a
+drop is a boolean array of the same length.
 """
 
 from dataclasses import dataclass
@@ -11,11 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ReliabilityMasks",
     "ClipObservation",
     "QuantObservation",
     "hard_clip",
-    "derive_clip_masks",
     "uniform_quantize",
     "drop_samples",
 ]
@@ -47,59 +44,11 @@ def _as_bool_mask(m, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ReliabilityMasks:
-    """Partition of sample positions into reliable / clipped-high / clipped-low / missing.
-
-    For clipping observations ``missing`` is empty; for inpainting problems
-    ``high`` and ``low`` are empty and the unreliable samples are ``missing``.
-    The four masks are pairwise disjoint and cover every position.
-    """
-
-    reliable: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    missing: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        n = len(self.reliable)
-        rel = _as_bool_mask(self.reliable, n)
-        high = _as_bool_mask(self.high, n)
-        low = _as_bool_mask(self.low, n)
-        if self.missing is None:
-            miss = np.zeros(n, dtype=bool)
-        else:
-            miss = _as_bool_mask(self.missing, n)
-        total = rel.astype(int) + high.astype(int) + low.astype(int) + miss.astype(int)
-        if np.any(total != 1):
-            raise ValueError("masks must partition the sample positions")
-        object.__setattr__(self, "reliable", rel)
-        object.__setattr__(self, "high", high)
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "missing", miss)
-
-    def __len__(self) -> int:
-        return len(self.reliable)
-
-    @classmethod
-    def for_inpainting(cls, reliable, n: int | None = None) -> "ReliabilityMasks":
-        """Masks for an inpainting problem: everything not reliable is missing."""
-        if n is None:
-            reliable = np.asarray(reliable)
-            if reliable.dtype != bool:
-                raise ValueError("pass n when giving reliable as indices")
-            n = len(reliable)
-        rel = _as_bool_mask(reliable, n)
-        zeros = np.zeros(n, dtype=bool)
-        return cls(reliable=rel, high=zeros, low=zeros.copy(), missing=~rel)
-
-
-@dataclass(frozen=True)
 class ClipObservation:
-    """Hard-clipped signal with its threshold and derived masks."""
+    """Hard-clipped signal with its threshold."""
 
     y: np.ndarray
     theta: float
-    masks: ReliabilityMasks
 
     def __post_init__(self):
         y = _as_signal(self.y)
@@ -107,8 +56,6 @@ class ClipObservation:
             raise ValueError("clipping threshold must be positive")
         if np.any(np.abs(y) > self.theta * (1 + 4 * np.finfo(float).eps)):
             raise ValueError("clip observation exceeds the threshold")
-        if len(self.masks) != len(y):
-            raise ValueError("mask length does not match signal length")
         object.__setattr__(self, "y", y)
 
 
@@ -146,31 +93,7 @@ def hard_clip(x, theta: float) -> ClipObservation:
     clipped = np.abs(x) >= theta
     # theta > 0 keeps x == 0 out of the clipped branch, so sign(0) = 0 is inert
     y = np.where(clipped, theta * np.sign(x), x)
-    return ClipObservation(y=y, theta=theta, masks=derive_clip_masks(y, theta))
-
-
-def derive_clip_masks(y, theta: float, tol: float = 0.0) -> ReliabilityMasks:
-    """Classify samples of a clipped signal as reliable / clipped high / clipped low.
-
-    A sample is reliable iff |y_n| < theta - tol; samples at or beyond the
-    (tolerance-reduced) threshold are classified by sign.  ``tol`` defaults to
-    exact comparison and exists for observations that went through a lossy
-    store such as a 32-bit float file.  Samples exceeding theta by more than
-    max(tol, 1 ulp) are rejected.
-    """
-    y = _as_signal(y)
-    if not theta > 0:
-        raise ValueError("clipping threshold must be positive")
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    overshoot = max(tol, np.spacing(theta))
-    if np.any(np.abs(y) > theta + overshoot):
-        raise ValueError("sample magnitude exceeds the clipping threshold")
-    level = theta - tol
-    high = y >= level
-    low = y <= -level
-    reliable = ~(high | low)
-    return ReliabilityMasks(reliable=reliable, high=high, low=low)
+    return ClipObservation(y=y, theta=theta)
 
 
 def uniform_quantize(x, word_length: int) -> QuantObservation:
@@ -189,13 +112,13 @@ def uniform_quantize(x, word_length: int) -> QuantObservation:
     return QuantObservation(y=y, word_length=word_length, delta=delta)
 
 
-def drop_samples(x, reliable) -> tuple[np.ndarray, ReliabilityMasks]:
+def drop_samples(x, reliable) -> tuple[np.ndarray, np.ndarray]:
     """Keep the reliable samples of x and zero out the rest.
 
-    Returns the observed signal (missing entries stored as 0, never NaN) and
-    inpainting masks flagging the dropped positions.
+    ``reliable`` is a boolean mask or an array of reliable indices.  Returns
+    the observed signal (missing entries stored as 0, never NaN) and the
+    boolean reliable mask.
     """
     x = _as_signal(x)
-    masks = ReliabilityMasks.for_inpainting(reliable, n=len(x))
-    y = np.where(masks.reliable, x, 0.0)
-    return y, masks
+    reliable = _as_bool_mask(reliable, len(x))
+    return np.where(reliable, x, 0.0), reliable

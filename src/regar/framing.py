@@ -24,7 +24,6 @@ class FrameLayout:
     hop: int
     n_frames: int
     n_samples: int
-    pad_start: int = 0
     pad_end: int = 0
 
     def __post_init__(self):
@@ -33,11 +32,11 @@ class FrameLayout:
         if self.n_frames < 1:
             raise ValueError("need at least one frame")
         covered = (self.n_frames - 1) * self.hop + self.frame_length
-        if covered < self.pad_start + self.n_samples:
+        if covered < self.n_samples:
             raise ValueError("layout does not cover the signal")
 
     def start(self, k: int) -> int:
-        """Start of frame k in padded-signal coordinates."""
+        """First sample of frame k."""
         return k * self.hop
 
 
@@ -64,7 +63,7 @@ def segment(x, layout: FrameLayout) -> list[np.ndarray]:
         raise ValueError("empty input")
     if x.size != layout.n_samples:
         raise ValueError("signal length does not match the layout")
-    padded = np.concatenate((np.zeros(layout.pad_start), x, np.zeros(layout.pad_end)))
+    padded = np.concatenate((x, np.zeros(layout.pad_end)))
     return [padded[layout.start(k): layout.start(k) + layout.frame_length].copy()
             for k in range(layout.n_frames)]
 
@@ -99,10 +98,8 @@ def overlap_add(frames, layout: FrameLayout, window) -> np.ndarray:
         s = layout.start(k)
         acc[s: s + layout.frame_length] += window * frame
         norm[s: s + layout.frame_length] += window
-    begin = layout.pad_start
-    end = begin + layout.n_samples
-    norm_used = norm[begin:end]
+    norm_used = norm[: layout.n_samples]
     if np.any(norm_used == 0.0):
         bad = int(np.flatnonzero(norm_used == 0.0)[0])
         raise ValueError(f"window sum vanishes at sample {bad}")
-    return acc[begin:end] / norm_used
+    return acc[: layout.n_samples] / norm_used

@@ -9,7 +9,6 @@ from .prox import ConsistencySpec, project_consistency
 
 __all__ = [
     "sdr",
-    "delta_sdr",
     "sdr_scores",
     "consistency_distance",
     "FrameRecord",
@@ -17,20 +16,15 @@ __all__ = [
 ]
 
 
-def sdr(reference, estimate, where=None) -> float:
+def sdr(reference, estimate) -> float:
     """Signal-to-distortion ratio 10 log10(||y||^2 / ||y - x||^2) in dB.
 
-    ``where`` optionally restricts the computation to a boolean mask (e.g.
-    the clipped samples only).  A zero-error estimate returns +inf.
+    A zero-error estimate returns +inf.
     """
     reference = np.asarray(reference, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     if reference.shape != estimate.shape:
         raise ValueError("lengths differ")
-    if where is not None:
-        where = np.asarray(where, dtype=bool)
-        reference = reference[where]
-        estimate = estimate[where]
     energy = float(reference @ reference)
     if energy == 0.0:
         raise ValueError("reference is all-zero")
@@ -39,11 +33,6 @@ def sdr(reference, estimate, where=None) -> float:
     if err_energy == 0.0:
         return math.inf
     return 10.0 * math.log10(energy / err_energy)
-
-
-def delta_sdr(reference, degraded, estimate, where=None) -> float:
-    """SDR improvement of the estimate over the degraded input, in dB."""
-    return sdr(reference, estimate, where) - sdr(reference, degraded, where)
 
 
 def sdr_scores(reference, estimate, degraded=None):

@@ -13,9 +13,10 @@ builder scores reconstructions here and estimates in ``regar evaluate``.
 import math
 import os
 import time
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -30,6 +31,9 @@ __all__ = ["DegradationModel", "frame_records", "frame_specs",
 
 # slack for observations that passed through a float32 file
 MASK_TOL_FACTOR = 1e-6
+# tasks in flight per pool worker: enough to cover runs of passthrough
+# frames, few enough that only a handful of frame specs are alive at once
+TASKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -87,52 +91,51 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def _untouched_is_exact(spec: ConsistencySpec, cfg: SolverConfig) -> bool:
-    """True when the observation is already the exact solution for this frame."""
-    masks = spec.masks
-    if masks is None:
-        return False
-    if cfg.strategy in ("inpaint", "glp"):
-        return bool(masks.reliable.all())
-    if cfg.strategy == "declip" and math.isinf(cfg.lambda_s):
-        return bool(masks.reliable.all())
-    return False
+    """True when the observation is already the exact solution for this frame:
+    every sample is pinned, and the strategy fixes the pinned samples."""
+    return ((cfg.strategy in ("inpaint", "glp") or math.isinf(cfg.lambda_s))
+            and bool(spec.pinned.all()))
 
 
 def _solve_frame(spec: ConsistencySpec, cfg: SolverConfig | None):
-    """Solver output of one frame and its (outer_iter, objective, inner_iters,
-    wall_ms) statistics; ``cfg = None`` passes every frame through."""
+    """Solver output of one frame, its (outer_iter, objective, inner_iters,
+    wall_ms) statistics and its consistency distance; ``cfg = None`` passes
+    every frame through."""
     t0 = time.perf_counter()
     if cfg is None or _untouched_is_exact(spec, cfg):
-        return spec.y, (0, None, 0, (time.perf_counter() - t0) * 1000.0)
-    _, x, trace = acs_run(spec.y, spec, cfg)
-    wall = time.perf_counter() - t0
-    inner_total = int(sum(e.inner_iters for e in trace.entries))
-    final_q = trace.entries[-1].objective if trace.entries else None
-    return x, (len(trace), final_q, inner_total, wall * 1000.0)
+        x, stats = spec.y, (0, None, 0)
+    else:
+        _, x, trace = acs_run(spec.y, spec, cfg)
+        stats = (len(trace), trace.entries[-1].objective if trace.entries else None,
+                 int(sum(e.inner_iters for e in trace.entries)))
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    return x, (*stats, wall_ms), consistency_distance(x, spec)
 
 
-def frame_specs(model: DegradationModel, frames, layout) -> list[ConsistencySpec]:
-    """Consistency spec of every observed frame of one channel.
+def frame_specs(model: DegradationModel, frames,
+                layout) -> Iterator[ConsistencySpec]:
+    """Consistency spec of every observed frame of one channel, one at a time.
 
     The zero padding of a drop model's mask counts as reliable: the padded
     samples are known zeros.
     """
     if model.kind != "drop":
-        return [model.spec_for(frame) for frame in frames]
+        return (model.spec_for(frame) for frame in frames)
     missing = segment(~model.reliable, layout)
-    return [model.spec_for(frame, reliable=gap == 0.0)
-            for frame, gap in zip(frames, missing)]
+    return (model.spec_for(frame, reliable=gap == 0.0)
+            for frame, gap in zip(frames, missing))
 
 
-def frame_records(estimates, observed=None, specs=None, references=None,
+def frame_records(estimates, observed=None, consistency=None, references=None,
                   stats=None) -> list[FrameRecord]:
     """Report rows of one channel's frames, in frame order.
 
-    Each estimate frame scores its SDR against its reference frame, its
-    improvement over its observed frame and its consistency with its spec;
-    a score whose inputs are missing (``None``) is None.  ``stats`` holds
-    each frame's (outer_iter, objective, inner_iters, wall_ms); without it
-    every frame reports as untouched.
+    Each estimate frame scores its SDR against its reference frame and its
+    improvement over its observed frame; ``consistency`` holds each frame's
+    distance from its consistency set.  A score whose inputs are missing
+    (``None``) is None.  ``stats`` holds each frame's (outer_iter,
+    objective, inner_iters, wall_ms); without it every frame reports as
+    untouched.
     """
     records = []
     for k, x in enumerate(estimates):
@@ -140,8 +143,7 @@ def frame_records(estimates, observed=None, specs=None, references=None,
             None if references is None else references[k], x,
             None if observed is None else observed[k])
         records.append(FrameRecord(
-            k, score, gain,
-            None if specs is None else consistency_distance(x, specs[k]),
+            k, score, gain, None if consistency is None else consistency[k],
             *((0, None, 0, 0.0) if stats is None else stats[k])))
     return records
 
@@ -166,16 +168,20 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
     frames = segment(y, layout)
     specs = frame_specs(model, frames, layout)
     if workers > 1 and cfg is not None:
+        solved, running = [], deque()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_frame, specs, repeat(cfg)))
+            for spec in specs:
+                running.append(pool.submit(_solve_frame, spec, cfg))
+                if len(running) >= TASKS_PER_WORKER * workers:
+                    solved.append(running.popleft().result())
+            solved.extend(task.result() for task in running)
     else:
         solved = [_solve_frame(spec, cfg) for spec in specs]
-    estimates = [x for x, _ in solved]
+    estimates, stats, consistency = zip(*solved)
     x_hat = overlap_add(estimates, layout, sine_window(frame_length))
     records = frame_records(
-        estimates, frames, specs,
-        None if reference is None else segment(reference, layout),
-        [stat for _, stat in solved])
+        estimates, frames, consistency,
+        None if reference is None else segment(reference, layout), stats)
     score, gain = sdr_scores(reference, x_hat, y)
     report = ReconstructionReport(
         sdr_db=score,

@@ -1,10 +1,9 @@
 """Proximal operators and consistency-set projections.
 
 Hosts the consistency-set description shared by the solver, metrics and CLI
-layers, the projections onto the three observation-consistent sets, the
-penalty prox built from them, and the soft threshold used for the
-coefficient regularizer.  The quadratic prox of the AR residual lives in
-``fastops``.
+layers, the projection onto it, the penalty prox built from that projection,
+and the soft threshold used for the coefficient regularizer.  The quadratic
+prox of the AR residual lives in ``fastops``.
 """
 
 import math
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrade import ReliabilityMasks, derive_clip_masks
+from .degrade import _as_bool_mask, _as_signal
 
 __all__ = [
     "ConsistencySpec",
@@ -26,21 +25,23 @@ _VARIANTS = ("declip", "dequant", "inpaint")
 
 @dataclass(frozen=True)
 class ConsistencySpec:
-    """Description of the set of signals consistent with an observation.
+    """The set of signals consistent with an observation: one interval per sample.
 
-    variant "declip":  reliable samples equal y, samples clipped high are
-        >= theta, samples clipped low are <= -theta.
-    variant "dequant": every sample lies within delta/2 of y (the closed box;
-        the open set has no projection, and its closure shares all feasible
-        limit points).
-    variant "inpaint": reliable samples equal y, the rest are free.
+    Sample n of a consistent signal lies in [lower[n], upper[n]].  A pinned
+    sample (lower = upper = y) is known exactly; an infinite bound leaves
+    that side free.  The constructors build the box of each variant:
+
+    "declip":  reliable samples pinned, samples clipped high bounded below by
+        theta, samples clipped low bounded above by -theta.
+    "dequant": every sample within delta/2 of y (the closed box; the open set
+        has no projection, and its closure shares all feasible limit points).
+    "inpaint": reliable samples pinned, the rest free.
     """
 
     variant: str
     y: np.ndarray
-    theta: float | None = None
-    delta: float | None = None
-    masks: ReliabilityMasks | None = None
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -48,40 +49,62 @@ class ConsistencySpec:
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1:
             raise ValueError("observation must be a 1-D signal")
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        if lower.shape != y.shape or upper.shape != y.shape:
+            raise ValueError("bounds must match the observation")
+        if np.any(lower > upper):
+            raise ValueError("consistency set is empty")
         object.__setattr__(self, "y", y)
-        if self.variant == "declip":
-            if self.theta is None or not self.theta > 0:
-                raise ValueError("declip spec needs a positive theta")
-            if self.masks is None or len(self.masks) != y.size:
-                raise ValueError("declip spec needs masks matching the observation")
-        elif self.variant == "dequant":
-            if self.delta is None or not self.delta > 0:
-                raise ValueError("dequant spec needs a positive delta")
-        else:
-            if self.masks is None or len(self.masks) != y.size:
-                raise ValueError("inpaint spec needs masks matching the observation")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @property
     def n(self) -> int:
         return self.y.size
 
+    @property
+    def pinned(self) -> np.ndarray:
+        """Samples the observation fixes exactly."""
+        return self.lower == self.upper
+
     @classmethod
-    def declip(cls, y, theta: float, masks: ReliabilityMasks | None = None,
-               tol: float = 0.0) -> "ConsistencySpec":
-        y = np.asarray(y, dtype=float)
-        if masks is None:
-            masks = derive_clip_masks(y, theta, tol=tol)
-        return cls(variant="declip", y=y, theta=theta, masks=masks)
+    def declip(cls, y, theta: float, tol: float = 0.0) -> "ConsistencySpec":
+        """Box of a clipped observation.
+
+        A sample is reliable iff |y_n| < theta - tol; samples at or beyond the
+        (tolerance-reduced) threshold are clipped high or low by sign.
+        ``tol`` defaults to exact comparison and exists for observations that
+        went through a lossy store such as a 32-bit float file.  Samples
+        exceeding theta by more than max(tol, 1 ulp) are rejected.
+        """
+        y = _as_signal(y)
+        if not theta > 0:
+            raise ValueError("clipping threshold must be positive")
+        if tol < 0:
+            raise ValueError("tolerance must be nonnegative")
+        if np.any(np.abs(y) > theta + max(tol, np.spacing(theta))):
+            raise ValueError("sample magnitude exceeds the clipping threshold")
+        level = theta - tol
+        high = y >= level
+        low = y <= -level
+        return cls("declip", y, np.where(high, theta, np.where(low, -np.inf, y)),
+                   np.where(low, -theta, np.where(high, np.inf, y)))
 
     @classmethod
     def dequant(cls, y, delta: float) -> "ConsistencySpec":
-        return cls(variant="dequant", y=np.asarray(y, dtype=float), delta=delta)
+        if not delta > 0:
+            raise ValueError("dequant spec needs a positive delta")
+        y = np.asarray(y, dtype=float)
+        half = delta / 2.0
+        return cls("dequant", y, y - half, y + half)
 
     @classmethod
     def inpaint(cls, y, reliable) -> "ConsistencySpec":
         y = np.asarray(y, dtype=float)
-        masks = ReliabilityMasks.for_inpainting(reliable, n=y.size)
-        return cls(variant="inpaint", y=y, masks=masks)
+        free = ~_as_bool_mask(reliable, y.size)
+        return cls("inpaint", y, np.where(free, -np.inf, y),
+                   np.where(free, np.inf, y))
 
 
 def project_consistency(x, spec: ConsistencySpec) -> np.ndarray:
@@ -89,16 +112,7 @@ def project_consistency(x, spec: ConsistencySpec) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != spec.y.shape:
         raise ValueError("signal and observation lengths differ")
-    if spec.variant == "dequant":
-        half = spec.delta / 2.0
-        return np.clip(x, spec.y - half, spec.y + half)
-    out = x.copy()
-    masks = spec.masks
-    out[masks.reliable] = spec.y[masks.reliable]
-    if spec.variant == "declip":
-        out[masks.high] = np.maximum(x[masks.high], spec.theta)
-        out[masks.low] = np.minimum(x[masks.low], -spec.theta)
-    return out
+    return np.clip(x, spec.lower, spec.upper)
 
 
 def prox_signal_penalty(x, lambda_s: float, spec: ConsistencySpec) -> np.ndarray:

@@ -22,7 +22,8 @@ import scipy.linalg
 from .armodel import ArCoefficients, coef_array, levinson_durbin, objective
 from .fastops import circulant_embed_filter, circulant_quadratic_prox, extend, \
     prox_regularizer_extended
-from .prox import ConsistencySpec, prox_signal_penalty, soft_threshold
+from .prox import (ConsistencySpec, project_consistency, prox_signal_penalty,
+                   soft_threshold)
 from .metrics import sdr
 from .degrade import _as_bool_mask
 
@@ -303,24 +304,20 @@ def janssen_signal_update(a, y, reliable) -> np.ndarray:
 def glp_rectify(x, spec: ConsistencySpec) -> np.ndarray:
     """Rectification step of generalized linear prediction.
 
-    Restores the reliable samples, then flips every sample that violates its
-    clipping constraint around the respective +-theta level.  The result is
-    always clipping-consistent.
+    Mirrors every sample that violates a bound of its consistency interval
+    across that bound, then projects onto the set: reliable samples are
+    restored, and clipped samples below theta (above -theta) flip around
+    the +-theta level.  The result is always clipping-consistent.
     """
     if spec.variant != "declip":
         raise ValueError("rectification is defined for declip specs only")
     x = np.asarray(x, dtype=float)
     if x.shape != spec.y.shape:
         raise ValueError("signal and observation lengths differ")
-    masks = spec.masks
-    theta = spec.theta
-    out = x.copy()
-    out[masks.reliable] = spec.y[masks.reliable]
-    flip_hi = masks.high & (x < theta)
-    flip_lo = masks.low & (x > -theta)
-    out[flip_hi] = 2.0 * theta - x[flip_hi]
-    out[flip_lo] = -2.0 * theta - x[flip_lo]
-    return out
+    lower, upper = spec.lower, spec.upper
+    mirrored = np.where(x < lower, 2.0 * lower - x,
+                        np.where(x > upper, 2.0 * upper - x, x))
+    return project_consistency(mirrored, spec)
 
 
 def progressive_schedule(n1: float, n_last: float, outer_iters: int) -> np.ndarray:
@@ -372,9 +369,9 @@ def line_search(a_half, a_prev, x_half, x_prev, objective_fn, tau_grid):
 
 
 def _reliable_mask(spec: ConsistencySpec) -> np.ndarray:
-    if spec.masks is None:
-        raise ValueError(f"strategy needs reliability masks, got a {spec.variant} spec")
-    return spec.masks.reliable
+    if spec.variant == "dequant":
+        raise ValueError(f"strategy needs reliable samples, got a {spec.variant} spec")
+    return spec.pinned
 
 
 def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,

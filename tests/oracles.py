@@ -1,9 +1,11 @@
-"""Dense reference implementations that the tests compare the package against.
+"""Reference implementations that the tests compare the package against.
 
 The package solves every quadratic prox through the FFT circulant embedding
 in ``regar.fastops`` and the Janssen normal equations in band storage; these
 materialize the same operators as plain matrices and solve them by dense
-Cholesky factorization.
+Cholesky factorization.  The package describes a consistency set by one
+(lower, upper) interval per sample; the mask references below classify the
+samples and treat each class separately instead.
 """
 
 import numpy as np
@@ -143,3 +145,50 @@ def dense_janssen_signal_update(a, y, reliable) -> np.ndarray:
     x = x_fixed.copy()
     x[missing] = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     return x
+
+
+def clip_masks(y, theta: float, tol: float = 0.0):
+    """(reliable, high, low) masks of a clipped observation.
+
+    A sample is reliable iff |y_n| < theta - tol; the others are clipped
+    high or low by sign.
+    """
+    y = np.asarray(y, dtype=float)
+    level = theta - tol
+    high = y >= level
+    low = y <= -level
+    return ~(high | low), high, low
+
+
+def mask_project_consistency(x, variant: str, y, *, theta=None, tol=0.0,
+                             delta=None, reliable=None) -> np.ndarray:
+    """``project_consistency`` class by class: pin the reliable samples,
+    bound the clipped ones from their side, clip into the quantization cell."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if variant == "dequant":
+        half = delta / 2.0
+        return np.clip(x, y - half, y + half)
+    out = x.copy()
+    if variant == "declip":
+        reliable, high, low = clip_masks(y, theta, tol)
+    out[reliable] = y[reliable]
+    if variant == "declip":
+        out[high] = np.maximum(x[high], theta)
+        out[low] = np.minimum(x[low], -theta)
+    return out
+
+
+def mask_glp_rectify(x, y, theta: float, tol: float = 0.0) -> np.ndarray:
+    """``glp_rectify`` class by class: restore the reliable samples and flip
+    the violating clipped ones around the +-theta level."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    reliable, high, low = clip_masks(y, theta, tol)
+    out = x.copy()
+    out[reliable] = y[reliable]
+    flip_hi = high & (x < theta)
+    flip_lo = low & (x > -theta)
+    out[flip_hi] = 2.0 * theta - x[flip_hi]
+    out[flip_lo] = -2.0 * theta - x[flip_lo]
+    return out

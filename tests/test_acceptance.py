@@ -74,7 +74,7 @@ def test_criterion_03_extended_problem_shares_minimum():
         x = simulate_ar(a_true, n, rng)
         x = x / np.max(np.abs(x))
         obs = hard_clip(x, 0.4)
-        spec = ConsistencySpec.declip(obs.y, obs.theta, obs.masks)
+        spec = ConsistencySpec.declip(obs.y, obs.theta)
         for lam_s in (10.0, math.inf):
             base = dict(order=p, strategy="declip", lambda_s=lam_s,
                         outer_iters=1, inner_iters=4000)
@@ -142,7 +142,7 @@ def consistent_declip_run():
     x = simulate_ar(a_true, 256, rng)
     x = x / np.max(np.abs(x))
     obs = hard_clip(x, 0.3)
-    spec = ConsistencySpec.declip(obs.y, obs.theta, obs.masks)
+    spec = ConsistencySpec.declip(obs.y, obs.theta)
     cfg = SolverConfig(order=8, strategy="declip", lambda_c=1e-3,
                        lambda_s=math.inf, outer_iters=10, inner_iters=1000,
                        acceleration=frozenset())
@@ -175,7 +175,7 @@ def test_criterion_08_single_frame_declipping_quality():
     x = x / np.max(np.abs(x))
     obs = hard_clip(x, 0.2)
     input_sdr = sdr(x, obs.y)
-    spec = ConsistencySpec.declip(obs.y, obs.theta, obs.masks)
+    spec = ConsistencySpec.declip(obs.y, obs.theta)
     cfg = SolverConfig(order=32, strategy="declip", lambda_c=0.1,
                        lambda_s=math.inf, outer_iters=20, inner_iters=1000,
                        acceleration=frozenset())
@@ -219,7 +219,7 @@ def test_criterion_11_line_search_never_worse():
         x_true = simulate_ar(random_stable_ar(p, rng), n, rng)
         x_true = x_true / np.max(np.abs(x_true))
         obs = hard_clip(x_true, float(rng.uniform(0.2, 0.5)))
-        spec = ConsistencySpec.declip(obs.y, obs.theta, obs.masks)
+        spec = ConsistencySpec.declip(obs.y, obs.theta)
         cfg = SolverConfig(order=p, strategy="declip", lambda_c=1e-3,
                            lambda_s=10.0, outer_iters=1, inner_iters=200,
                            acceleration=frozenset())

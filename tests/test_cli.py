@@ -173,6 +173,34 @@ def test_evaluate_rejects_mask_of_wrong_shape(tmp_path, ar_signal, capsys):
     assert "mask shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bits", ["0", "-3"])
+def test_word_length_below_one_bit_is_rejected(tmp_path, ar_signal, capsys,
+                                               bits):
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out),
+                    "--strategy", "dequant", "--bits", bits, "--order", "8",
+                    "--frame", "512", "--outer", "1", "--inner", "10",
+                    "--workers", "1"]) == 1
+    assert "word length must be at least 1 bit" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["evaluate", str(clean), "--reference", str(clean),
+                    "--degraded", str(clean), "--bits", bits]) == 1
+    assert "word length must be at least 1 bit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--theta", "0.3"], ["--bits", "4"],
+                                    ["--mask", "m.npy"]])
+def test_evaluate_model_options_need_degraded(tmp_path, ar_signal, capsys,
+                                              option):
+    clean, _ = ar_signal
+    assert run_cli(["evaluate", str(clean), "--reference", str(clean),
+                    *option]) == 1
+    captured = capsys.readouterr()
+    assert "--degraded" in captured.err
+    assert "SDR" not in captured.out
+
+
 def test_jobspec_validation_errors(tmp_path, ar_signal, capsys):
     clean, _ = ar_signal
     out = str(tmp_path / "o.wav")

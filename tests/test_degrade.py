@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from regar.degrade import (ReliabilityMasks, derive_clip_masks, drop_samples,
-                           hard_clip, uniform_quantize)
+from regar.degrade import drop_samples, hard_clip, uniform_quantize
+from regar.prox import ConsistencySpec
 
 
 def test_hard_clip_examples():
@@ -35,26 +35,40 @@ def test_hard_clip_idempotent():
 
 
 def test_derive_clip_masks_examples():
-    masks = derive_clip_masks([0.2, 0.5, -0.5], 0.5)
-    np.testing.assert_array_equal(masks.reliable, [True, False, False])
-    np.testing.assert_array_equal(masks.high, [False, True, False])
-    np.testing.assert_array_equal(masks.low, [False, False, True])
+    spec = ConsistencySpec.declip([0.2, 0.5, -0.5], 0.5)
+    np.testing.assert_array_equal(spec.lower, [0.2, 0.5, -np.inf])
+    np.testing.assert_array_equal(spec.upper, [0.2, np.inf, -0.5])
+    np.testing.assert_array_equal(spec.pinned, [True, False, False])
 
-    inside = derive_clip_masks([0.1, -0.2, 0.0], 0.5)
-    assert inside.reliable.all()
-    assert not inside.high.any() and not inside.low.any()
+    inside = ConsistencySpec.declip([0.1, -0.2, 0.0], 0.5)
+    assert inside.pinned.all()
+    np.testing.assert_array_equal(inside.lower, inside.y)
 
-    at_level = derive_clip_masks([0.5, 0.5, 0.5], 0.5)
-    assert not at_level.reliable.any()
-    assert at_level.high.all()
+    at_level = ConsistencySpec.declip([0.5, 0.5, 0.5], 0.5)
+    assert not at_level.pinned.any()
+    np.testing.assert_array_equal(at_level.lower, [0.5, 0.5, 0.5])
+    assert np.all(at_level.upper == np.inf)
 
 
 def test_derive_clip_masks_rejects_overshoot():
-    with pytest.raises(ValueError):
-        derive_clip_masks([0.6], 0.5)
+    with pytest.raises(ValueError, match="exceeds the clipping threshold"):
+        ConsistencySpec.declip([0.6], 0.5)
     # within the explicit tolerance it classifies instead of raising
-    masks = derive_clip_masks([0.5 + 1e-8], 0.5, tol=1e-6)
-    assert masks.high[0]
+    spec = ConsistencySpec.declip([0.5 + 1e-8], 0.5, tol=1e-6)
+    assert (spec.lower[0], spec.upper[0]) == (0.5, np.inf)
+    # a sample within tol of the level is clipped, so its box is not pinned
+    spec = ConsistencySpec.declip([0.5 - 1e-8, -0.5 + 1e-8], 0.5, tol=1e-6)
+    np.testing.assert_array_equal(spec.lower, [0.5, -np.inf])
+    np.testing.assert_array_equal(spec.upper, [np.inf, -0.5])
+
+
+def test_declip_rejects_bad_threshold_and_tolerance():
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        ConsistencySpec.declip([0.1], 0.0)
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        ConsistencySpec.declip([0.1], 0.5, tol=-1e-3)
+    with pytest.raises(ValueError, match="non-finite"):
+        ConsistencySpec.declip([np.nan], 0.5)
 
 
 def test_masks_from_clip_match_original_signal():
@@ -62,18 +76,8 @@ def test_masks_from_clip_match_original_signal():
     x = rng.uniform(-2, 2, size=256)
     theta = 0.8
     obs = hard_clip(x, theta)
-    np.testing.assert_array_equal(obs.masks.reliable, np.abs(x) < theta)
-
-
-def test_masks_partition_enforced():
-    ones = np.ones(3, dtype=bool)
-    zeros = np.zeros(3, dtype=bool)
-    with pytest.raises(ValueError):
-        ReliabilityMasks(reliable=ones, high=ones, low=zeros)
-    with pytest.raises(ValueError):
-        ReliabilityMasks(reliable=zeros, high=zeros, low=zeros)
-    masks = ReliabilityMasks(reliable=ones, high=zeros, low=zeros)
-    assert len(masks) == 3
+    spec = ConsistencySpec.declip(obs.y, obs.theta)
+    np.testing.assert_array_equal(spec.pinned, np.abs(x) < theta)
 
 
 def test_quantize_step_anchor():
@@ -112,17 +116,17 @@ def test_quantize_errors():
 
 def test_drop_samples():
     x = np.array([1.0, 2.0, 3.0])
-    y, masks = drop_samples(x, np.array([True, True, True]))
+    y, reliable = drop_samples(x, np.array([True, True, True]))
     np.testing.assert_array_equal(y, x)
-    assert not masks.missing.any()
+    assert reliable.all()
 
-    y, masks = drop_samples(x, np.zeros(3, dtype=bool))
+    y, reliable = drop_samples(x, np.zeros(3, dtype=bool))
     np.testing.assert_array_equal(y, np.zeros(3))
-    assert masks.missing.all()
+    assert not reliable.any()
 
-    y, masks = drop_samples(x, np.array([0, 2]))
+    y, reliable = drop_samples(x, np.array([0, 2]))
     np.testing.assert_array_equal(y, [1.0, 0.0, 3.0])
-    np.testing.assert_array_equal(masks.missing, [False, True, False])
+    np.testing.assert_array_equal(reliable, [True, False, True])
 
 
 def test_drop_samples_index_out_of_range():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regar import pipeline
 from regar.armodel import random_stable_ar, simulate_ar
 from regar.degrade import hard_clip, uniform_quantize
 from regar.framing import frame_layout, segment
@@ -76,6 +77,48 @@ def test_worker_count_does_not_change_result():
     np.testing.assert_array_equal(out1, out4)
 
 
+def test_pool_keeps_few_tasks_in_flight(monkeypatch):
+    class InlinePool:
+        """Runs each task on submit; counts tasks whose result is not taken."""
+        in_flight = peak = 0
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            InlinePool.in_flight += 1
+            InlinePool.peak = max(InlinePool.peak, InlinePool.in_flight)
+            value = fn(*args)
+
+            class Task:
+                def result(self):
+                    InlinePool.in_flight -= 1
+                    return value
+
+            return Task()
+
+    x, y, theta = clipped_channel(seed=3, n=4000)
+    model = DegradationModel(kind="clip", theta=theta)
+    cfg = SolverConfig(order=4, strategy="declip", outer_iters=1,
+                       inner_iters=10)
+    serial = reconstruct_channel(y, model, cfg, 128, 32, reference=x)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    pooled = reconstruct_channel(y, model, cfg, 128, 32, workers=2,
+                                 reference=x)
+    assert len(pooled[1].per_frame) == 125
+    assert InlinePool.peak == pipeline.TASKS_PER_WORKER * 2
+    assert InlinePool.in_flight == 0
+    assert pooled[0].tobytes() == serial[0].tobytes()
+    assert ([dataclasses.replace(r, wall_ms=0.0) for r in pooled[1].per_frame]
+            == [dataclasses.replace(r, wall_ms=0.0) for r in serial[1].per_frame])
+
+
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["clip", "quant", "drop"]),
        frame=st.sampled_from([64, 96, 128]), hop_div=st.sampled_from([1, 2, 4]),
@@ -121,8 +164,8 @@ def test_frame_specs_treat_padding_as_reliable():
     layout = frame_layout(10, 4, 2)
     model = DegradationModel(kind="drop", reliable=reliable)
     specs = frame_specs(model, segment(y, layout), layout)
-    masks = [spec.masks.reliable.tolist() for spec in specs]
-    assert masks == [[True, False, True, True], [True, True, True, True],
+    pinned = [spec.pinned.tolist() for spec in specs]
+    assert pinned == [[True, False, True, True], [True, True, True, True],
                      [True, True, True, True], [True, True, False, True],
                      [False, True, True, True]]  # samples 10, 11 are padding
 
@@ -133,10 +176,11 @@ def test_frame_records_score_what_they_are_given():
     y = np.clip(x, -0.5, 0.5)
     spec = model.spec_for(y)
     estimate = np.zeros(4)
-    full = frame_records([estimate], [y], [spec], [x], [(3, 1.5, 30, 2.0)])
+    distance = consistency_distance(estimate, spec)
+    full = frame_records([estimate], [y], [distance], [x], [(3, 1.5, 30, 2.0)])
     assert full[0].sdr_db == sdr(x, estimate)
     assert full[0].delta_sdr_db == sdr(x, estimate) - sdr(x, y)
-    assert full[0].consistency_sq == consistency_distance(estimate, spec) > 0
+    assert full[0].consistency_sq == distance > 0
     assert (full[0].outer_iter, full[0].objective, full[0].inner_iters,
             full[0].wall_ms) == (3, 1.5, 30, 2.0)
     bare = frame_records([estimate, x], references=[np.zeros(4), x])

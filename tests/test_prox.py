@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (dense_quadratic_prox, prox_quadratic_dense,
+from oracles import (dense_quadratic_prox, mask_glp_rectify,
+                     mask_project_consistency, prox_quadratic_dense,
                      soft_threshold_anchored)
 from regar.prox import (ConsistencySpec, project_consistency,
                         prox_signal_penalty, soft_threshold)
+from regar.solver import glp_rectify
 
 
 def declip_spec(y, theta):
@@ -14,14 +18,34 @@ def declip_spec(y, theta):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ConsistencySpec(variant="declip", y=np.zeros(4))
-    with pytest.raises(ValueError):
-        ConsistencySpec(variant="dequant", y=np.zeros(4))
-    with pytest.raises(ValueError):
-        ConsistencySpec(variant="nope", y=np.zeros(4))
-    with pytest.raises(ValueError):
-        ConsistencySpec(variant="inpaint", y=np.zeros(4))
+    y = np.zeros(4)
+    with pytest.raises(ValueError, match="unknown variant"):
+        ConsistencySpec(variant="nope", y=y, lower=y, upper=y)
+    with pytest.raises(ValueError, match="1-D"):
+        ConsistencySpec(variant="inpaint", y=np.zeros((2, 2)),
+                        lower=np.zeros((2, 2)), upper=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="bounds must match"):
+        ConsistencySpec(variant="inpaint", y=y, lower=y, upper=np.zeros(3))
+    with pytest.raises(ValueError, match="empty"):
+        ConsistencySpec(variant="dequant", y=y, lower=y + 1.0, upper=y)
+    with pytest.raises(ValueError, match="positive delta"):
+        ConsistencySpec.dequant(y, 0.0)
+    with pytest.raises(ValueError, match="length 4"):
+        ConsistencySpec.inpaint(y, np.ones(3, dtype=bool))
+
+
+def test_spec_bounds_of_each_variant():
+    spec = ConsistencySpec.dequant([0.375, -0.125], 0.25)
+    np.testing.assert_array_equal(spec.lower, [0.25, -0.25])
+    np.testing.assert_array_equal(spec.upper, [0.5, 0.0])
+    assert not spec.pinned.any()
+    spec = ConsistencySpec.inpaint([1.0, 0.0, 3.0], np.array([0, 2]))
+    np.testing.assert_array_equal(spec.lower, [1.0, -np.inf, 3.0])
+    np.testing.assert_array_equal(spec.upper, [1.0, np.inf, 3.0])
+    np.testing.assert_array_equal(spec.pinned, [True, False, True])
+    # a sample classified both high and low (tol >= theta) has an empty box
+    with pytest.raises(ValueError, match="empty"):
+        ConsistencySpec.declip([0.0], 0.5, tol=0.5)
 
 
 def test_project_fixes_feasible_points():
@@ -89,6 +113,72 @@ def test_prox_signal_penalty_limits():
                                [1.5, 0.0])
     with pytest.raises(ValueError):
         prox_signal_penalty(x, -0.5, spec)
+
+
+_FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _consistency_case(draw):
+    """(spec, mask-oracle keyword arguments, x, z) for a random observation.
+
+    Declip observations mix interior samples, samples exactly at +-theta and
+    samples within tol of it (above it too); x and z mix arbitrary values
+    with signed zeros, the observation and the clipping levels, so ties and
+    zero signs are exercised.
+    """
+    variant = draw(st.sampled_from(("declip", "dequant", "inpaint")))
+    n = draw(st.integers(1, 24))
+    if variant == "declip":
+        theta = draw(st.floats(0.05, 2.0))
+        tol = draw(st.sampled_from((0.0, 1e-6 * theta))
+                   | st.floats(0.0, 0.9 * theta))
+        levels = (theta, -theta, theta - tol / 2, tol / 2 - theta,
+                  theta + tol / 2, -theta - tol / 2, 0.0, -0.0)
+        y = draw(st.lists(st.floats(-1.0, 1.0).map(lambda u: u * theta)
+                          | st.sampled_from(levels), min_size=n, max_size=n))
+        spec = ConsistencySpec.declip(y, theta, tol=tol)
+        oracle = dict(theta=theta, tol=tol)
+        special = (0.0, -0.0, theta, -theta)
+    else:
+        y = draw(st.lists(_FINITE | st.sampled_from((0.0, -0.0)),
+                          min_size=n, max_size=n))
+        if variant == "dequant":
+            delta = draw(st.floats(1e-3, 2.0))
+            spec = ConsistencySpec.dequant(y, delta)
+            oracle = dict(delta=delta)
+        else:
+            reliable = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                              max_size=n)))
+            spec = ConsistencySpec.inpaint(y, reliable)
+            oracle = dict(reliable=reliable)
+        special = (0.0, -0.0)
+    points = st.lists(_FINITE | st.sampled_from(special + tuple(y)),
+                      min_size=n, max_size=n)
+    return spec, oracle, np.array(draw(points)), np.array(draw(points))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_consistency_case())
+def test_projection_matches_mask_oracle(case):
+    spec, oracle, x, _ = case
+    got = project_consistency(x, spec)
+    want = mask_project_consistency(x, spec.variant, spec.y, **oracle)
+    assert got.tobytes() == want.tobytes()
+    if spec.variant == "declip":
+        got = glp_rectify(x, spec)
+        want = mask_glp_rectify(x, spec.y, **oracle)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_consistency_case())
+def test_projection_idempotent_and_nonexpansive(case):
+    spec, _, x, z = case
+    px, pz = project_consistency(x, spec), project_consistency(z, spec)
+    assert project_consistency(px, spec).tobytes() == px.tobytes()
+    assert np.all(np.abs(px - pz) <= np.abs(x - z))
+    assert (px - pz) @ (px - pz) <= (x - z) @ (x - z)
 
 
 def _golden_section(f, lo, hi, iters=200):

@@ -420,7 +420,7 @@ def clipped_instance(seed, n=128, p=4, theta=0.3):
     x = simulate_ar(random_stable_ar(p, rng), n, rng)
     x = x / np.max(np.abs(x))
     obs = hard_clip(x, theta)
-    spec = ConsistencySpec.declip(obs.y, obs.theta, obs.masks)
+    spec = ConsistencySpec.declip(obs.y, obs.theta)
     return x, obs, spec
 
 
