@@ -6,25 +6,18 @@ regularizers on the coefficients (l1 sparsity) and on the time-domain signal
 with Douglas-Rachford inner solvers fits both, covering audio declipping,
 dequantization and inpainting; Janssen's method and generalized linear
 prediction are available as strategies of the same outer loop.
+
+The package root holds what a script needs to degrade, restore and score a
+signal; every other name is imported from its own module.
 """
 
-from .armodel import (ArCoefficients, ObjectiveValue, levinson_durbin,
-                      objective, random_stable_ar, residual, simulate_ar)
+from .armodel import random_stable_ar, simulate_ar
 from .audio_io import AudioBuffer, read_wav, write_wav
-from .degrade import (ClipObservation, QuantObservation, drop_samples,
-                      hard_clip, uniform_quantize)
-from .fastops import (CirculantOperator, circulant_embed_filter,
-                      prox_regularizer_extended)
-from .framing import FrameLayout, frame_layout, overlap_add, segment, sine_window
-from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
-                      sdr)
-from .pipeline import DegradationModel, reconstruct_channel, resolve_workers
-from .prox import ConsistencySpec, project_consistency, prox_signal_penalty
-from .solver import (AcsStep, AcsTrace, CoefficientGrowthError,
-                     DouglasRachfordDivergence, SolverConfig, acs_run,
-                     douglas_rachford, extrapolate, glp_rectify,
-                     janssen_signal_update, line_search, progressive_schedule,
-                     update_coefficients, update_signal)
-from .cli import run_cli, write_report
+from .degrade import hard_clip, uniform_quantize
+from .metrics import sdr
+from .pipeline import DegradationModel, reconstruct_channel
+from .prox import ConsistencySpec
+from .solver import SolverConfig, acs_run
+from .cli import run_cli
 
 __version__ = "0.1.0"

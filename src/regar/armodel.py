@@ -50,16 +50,6 @@ class ArCoefficients:
             raise ValueError("coefficients contain non-finite values")
         object.__setattr__(self, "a", a)
 
-    @property
-    def order(self) -> int:
-        return self.a.size - 1
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.a, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.a.size
-
     @classmethod
     def from_free(cls, free) -> "ArCoefficients":
         """Build coefficients from the free part (a_2, ..., a_{p+1})."""
@@ -80,10 +70,6 @@ class ObjectiveValue:
     residual_term: float
     coef_term: float
     signal_term: float
-
-    @property
-    def infeasible(self) -> bool:
-        return math.isinf(self.total)
 
 
 def residual(a, x) -> np.ndarray:
@@ -150,9 +136,9 @@ def objective(a, x, lambda_c: float, lambda_s: float, spec) -> ObjectiveValue:
     """
     a = coef_array(a)
     x = np.asarray(x, dtype=float)
-    if lambda_c < 0 or lambda_s < 0:
+    if not (lambda_c >= 0 and lambda_s >= 0):  # rejects NaN too
         raise ValueError("regularization weights must be nonnegative")
-    e = np.convolve(x, a)
+    e = residual(a, x)
     residual_term = 0.5 * float(e @ e)
     coef_term = lambda_c * float(np.abs(a).sum())
     if spec is None:

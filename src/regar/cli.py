@@ -35,6 +35,14 @@ _ACCEL_TOKENS = {
 }
 
 
+def _model_options(a: argparse.Namespace) -> int:
+    """How many of --theta, --bits and --mask are given; more than one fails."""
+    given = sum(v is not None for v in (a.theta, a.bits, a.mask))
+    if given > 1:
+        raise ValueError("give at most one of --theta, --bits, --mask")
+    return given
+
+
 def _validate(a: argparse.Namespace) -> None:
     """Reject option combinations that the parser alone lets through."""
     if a.command == "degrade":
@@ -65,18 +73,18 @@ def _validate(a: argparse.Namespace) -> None:
             raise ValueError(f"{a.strategy} strategy derives masks from --theta")
         if a.strategy == "inpaint" and a.mask is None and a.theta is None:
             raise ValueError("inpaint strategy needs --mask or --theta")
+        _model_options(a)
         if a.outer < 0:
             raise ValueError("outer iteration count must be >= 0")
         if a.inner_schedule is not None and a.inner is not None:
             raise ValueError("--inner and --inner-schedule conflict")
     elif a.command == "evaluate":
-        given = [v is not None for v in (a.theta, a.bits, a.mask)]
-        if sum(given) > 1:
-            raise ValueError("give at most one of --theta, --bits, --mask")
-        if any(given) and a.degraded is None:
+        if _model_options(a) and a.degraded is None:
             raise ValueError("--theta, --bits and --mask need --degraded")
         if a.bits is not None and a.bits < 1:
             raise ValueError("word length must be at least 1 bit")
+        if a.hop is not None and a.frame is None:
+            raise ValueError("--hop needs --frame")
 
 
 def _positive_float(text: str) -> float:
@@ -88,7 +96,7 @@ def _positive_float(text: str) -> float:
 
 def _lambda_value(text: str) -> float:
     value = float(text)  # accepts the literal token "inf"
-    if value < 0:
+    if not value >= 0:  # rejects "nan" too
         raise argparse.ArgumentTypeError("must be nonnegative or inf")
     return value
 

@@ -107,7 +107,7 @@ class SolverConfig:
             raise ValueError("model order must be nonnegative")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.lambda_c < 0 or self.lambda_s < 0:
+        if not (self.lambda_c >= 0 and self.lambda_s >= 0):  # rejects NaN too
             raise ValueError("regularization weights must be nonnegative")
         if not (self.gamma_c > 0 and self.gamma_s > 0):
             raise ValueError("step sizes must be positive")
@@ -153,10 +153,6 @@ class AcsTrace:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def objectives(self) -> np.ndarray:
-        return np.array([e.objective for e in self.entries])
 
 
 def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
@@ -206,16 +202,16 @@ def _circulant_dr(filt, n_head: int, head_prox, z0, gamma: float, iters: int,
     return u[:n_head], z
 
 
-def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int | None = None,
-                        state=None, return_state: bool = False):
+def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int, state=None):
     """One coefficient update: approximately minimize the residual plus l1 penalty.
 
-    Runs Douglas-Rachford on the free coefficients with the quadratic prox on
-    one side and the soft threshold on the other, warm-started at ``a_prev``
-    (or at the carried DRA state from the previous outer iteration).  The
-    configured step size is normalized by the signal energy, which keeps the
-    inner convergence speed independent of the frame length and scale (the
-    minimizer does not depend on the step size).
+    Runs ``inner_iters`` Douglas-Rachford iterations on the free coefficients
+    with the quadratic prox on one side and the soft threshold on the other,
+    warm-started at ``a_prev`` or at the DR ``state`` of the previous call.
+    The configured step size is normalized by the signal energy, which keeps
+    the inner convergence speed independent of the frame length and scale
+    (the minimizer does not depend on the step size).  Returns the
+    coefficients and the final DR state (None at order 0).
     """
     x = np.asarray(x, dtype=float)
     a_prev = coef_array(a_prev)
@@ -223,9 +219,7 @@ def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int | None
     if a_prev.size != p + 1:
         raise ValueError("warm-start coefficients have the wrong order")
     if p == 0:
-        result = ArCoefficients(np.ones(1))
-        return (result, None) if return_state else result
-    inner = int(inner_iters) if inner_iters is not None else cfg.inner_schedule[-1]
+        return ArCoefficients(np.ones(1)), None
     energy = float(x @ x)
     gamma = cfg.gamma_c / energy if energy > 0 else cfg.gamma_c
     threshold = gamma * cfg.lambda_c
@@ -233,22 +227,21 @@ def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int | None
     # so the quadratic carries the signal as a fixed offset
     free, z = _circulant_dr(np.concatenate(([0.0], x)), p,
                             lambda h: soft_threshold(h, threshold),
-                            a_prev[1:] if state is None else state, gamma, inner,
-                            offset=x)
-    coeffs = ArCoefficients.from_free(free)
-    return (coeffs, z) if return_state else coeffs
+                            a_prev[1:] if state is None else state, gamma,
+                            int(inner_iters), offset=x)
+    return ArCoefficients.from_free(free), z
 
 
 def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
-                  inner_iters: int | None = None, state=None,
-                  return_state: bool = False):
+                  inner_iters: int, state=None):
     """One signal update: approximately minimize the residual plus consistency penalty.
 
-    Douglas-Rachford on the signal with the quadratic prox and the penalty
-    prox (projection when lambda_s is inf).  The returned signal is the
-    penalty-side iterate, hence exactly feasible in the hard-constrained
-    case.  As in the coefficient update, the configured step size is
-    normalized by the filter energy.
+    ``inner_iters`` Douglas-Rachford iterations on the signal with the
+    quadratic prox and the penalty prox (projection when lambda_s is inf),
+    warm-started at ``x_prev`` or at the DR ``state`` of the previous call;
+    the step size is normalized by the filter energy.  Returns the
+    penalty-side iterate, exactly feasible in the hard-constrained case,
+    and the final DR state.
     """
     a = coef_array(a)
     if a[0] != 1.0:
@@ -257,12 +250,11 @@ def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
     n = x_prev.size
     if spec.n != n:
         raise ValueError("consistency spec length does not match the signal")
-    inner = int(inner_iters) if inner_iters is not None else cfg.inner_schedule[-1]
     gamma = cfg.gamma_s / float(a @ a)
     weight = gamma * cfg.lambda_s
-    x, z = _circulant_dr(a, n, lambda v: prox_signal_penalty(v, weight, spec),
-                         x_prev if state is None else state, gamma, inner)
-    return (x, z) if return_state else x
+    return _circulant_dr(a, n, lambda v: prox_signal_penalty(v, weight, spec),
+                         x_prev if state is None else state, gamma,
+                         int(inner_iters))
 
 
 def janssen_signal_update(a, y, reliable) -> np.ndarray:
@@ -414,7 +406,7 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     def signal_step(a_obj, x_cur, z_cur, inner):
         if cfg.strategy in ("declip", "dequant"):
             return update_signal(a_obj, x_cur, cfg, spec, inner_iters=inner,
-                                 state=z_cur, return_state=True)
+                                 state=z_cur)
         x_new = janssen_signal_update(a_obj, y, reliable)
         if cfg.strategy == "glp":
             x_new = glp_rectify(x_new, spec)
@@ -427,8 +419,7 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
         x_prev = x
         try:
             a_half, z_coef = update_coefficients(x_prev, coeffs, cfg,
-                                                 inner_iters=inner,
-                                                 state=z_coef, return_state=True)
+                                                 inner_iters=inner, state=z_coef)
             if use_linesearch:
                 x_half, z_sig = signal_step(a_half, x_prev, z_sig, inner)
                 a_vec, x = line_search(a_half.a, a_prev_vec, x_half, x_prev,

@@ -227,6 +227,40 @@ def test_jobspec_validation_errors(tmp_path, ar_signal, capsys):
                     "--reference", str(clean)]) == 1
 
 
+
+@pytest.mark.parametrize("option", ["--lambda-c", "--lambda-s"])
+def test_nan_regularization_weight_is_rejected(tmp_path, ar_signal, capsys, option):
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out),
+                    "--strategy", "dequant", "--bits", "4", option, "nan",
+                    "--order", "8", "--frame", "512", "--outer", "1",
+                    "--inner", "10", "--workers", "1"]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_mask_with_theta(tmp_path, ar_signal, capsys):
+    clean, x = ar_signal
+    mask = tmp_path / "m.npy"
+    np.save(mask, np.ones(x.size, dtype=bool))
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out),
+                    "--strategy", "inpaint", "--mask", str(mask), "--theta", "0.3",
+                    "--order", "8", "--frame", "512", "--outer", "1",
+                    "--inner", "10", "--workers", "1"]) == 1
+    assert "at most one of --theta, --bits, --mask" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_rejects_hop_without_frame(tmp_path, ar_signal, capsys):
+    clean, _ = ar_signal
+    report = tmp_path / "r.json"
+    assert run_cli(["evaluate", str(clean), "--reference", str(clean),
+                    "--hop", "7", "--report", str(report)]) == 1
+    assert "--hop needs --frame" in capsys.readouterr().err
+    assert not report.exists()
+
 def _report_fixture():
     return ReconstructionReport(
         sdr_db=12.5, delta_sdr_db=4.0, consistency_sq=0.0,

@@ -30,6 +30,12 @@ def make_config(**kwargs):
     return SolverConfig(**base)
 
 
+def one_shot(update):
+    """An update in the dense oracles' call shape: ``cfg.inner_schedule[-1]``
+    iterations from the given start, result only (cfg is argument 3 of both)."""
+    return lambda *args: update(*args, inner_iters=args[2].inner_schedule[-1])[0]
+
+
 # ---------------------------------------------------------------- DRA core
 
 def test_dra_projection_onto_point():
@@ -116,7 +122,8 @@ def constrained_least_squares(x, p):
 
 
 # accel0 is the dense Toeplitz oracle, accel1 the circulant kernel
-@pytest.mark.parametrize("update", [dense_update_coefficients, update_coefficients],
+@pytest.mark.parametrize("update", [dense_update_coefficients,
+                                    one_shot(update_coefficients)],
                          ids=["accel0", "accel1"])
 def test_update_coefficients_matches_least_squares(update):
     x = np.array([1.0, 1.0, 1.0, 1.0])
@@ -133,7 +140,8 @@ def test_update_coefficients_recovers_ar2():
     x = simulate_ar(a_true, 4096, rng)
     cfg = make_config(order=2, lambda_c=0.0, inner_iters=1000,
                       acceleration=frozenset())
-    got = update_coefficients(x, ArCoefficients(np.array([1.0, 0.0, 0.0])), cfg)
+    got = one_shot(update_coefficients)(x, ArCoefficients(np.array([1.0, 0.0, 0.0])),
+                                        cfg)
     assert np.max(np.abs(got.a - a_true.a)) <= 0.05
 
 
@@ -141,17 +149,19 @@ def test_update_coefficients_large_penalty_zeroes_free_part():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(64)
     cfg = make_config(order=3, lambda_c=1e9, inner_iters=200)
-    got = update_coefficients(x, ArCoefficients.from_free(np.zeros(3)), cfg)
+    got = one_shot(update_coefficients)(x, ArCoefficients.from_free(np.zeros(3)), cfg)
     np.testing.assert_array_equal(got.a, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_update_coefficients_order_zero_and_validation():
     cfg = make_config(order=0)
-    got = update_coefficients(np.ones(8), ArCoefficients(np.ones(1)), cfg)
+    got, state = update_coefficients(np.ones(8), ArCoefficients(np.ones(1)), cfg,
+                                     inner_iters=200)
     np.testing.assert_array_equal(got.a, [1.0])
+    assert state is None
     with pytest.raises(ValueError):
-        update_coefficients(np.ones(8), ArCoefficients(np.ones(1)),
-                            make_config(order=2))
+        one_shot(update_coefficients)(np.ones(8), ArCoefficients(np.ones(1)),
+                                      make_config(order=2))
 
 
 # ------------------------------------------------------------ signal update
@@ -161,11 +171,11 @@ def test_update_signal_point_constraint():
     spec = ConsistencySpec.inpaint(y, np.ones(3, dtype=bool))
     cfg = make_config(order=0, strategy="inpaint", lambda_s=math.inf,
                       inner_iters=50)
-    x = update_signal([1.0], np.zeros(3), cfg, spec)
+    x = one_shot(update_signal)([1.0], np.zeros(3), cfg, spec)
     np.testing.assert_array_equal(x, y)
 
 
-@pytest.mark.parametrize("update", [dense_update_signal, update_signal],
+@pytest.mark.parametrize("update", [dense_update_signal, one_shot(update_signal)],
                          ids=["accel0", "accel1"])
 def test_update_signal_minimum_norm_feasible(update):
     y = np.array([0.1, 0.5, -0.5, 0.2])
@@ -183,7 +193,7 @@ def test_update_signal_matches_dense_oracle_dra():
     spec = ConsistencySpec.declip(y, 0.4)
     cfg = make_config(order=2, lambda_s=10.0, inner_iters=6000,
                       acceleration=frozenset())
-    got = update_signal(a, y.copy(), cfg, spec)
+    got = one_shot(update_signal)(a, y.copy(), cfg, spec)
 
     # independent oracle: DRA on the materialized Toeplitz system, same
     # effective step as the implementation (the minimizer is step-independent)
@@ -199,9 +209,46 @@ def test_update_signal_matches_dense_oracle_dra():
 def test_update_signal_validation():
     spec = ConsistencySpec.dequant(np.zeros(4), 0.5)
     with pytest.raises(ValueError):
-        update_signal([2.0], np.zeros(4), make_config(order=0), spec)
+        one_shot(update_signal)([2.0], np.zeros(4), make_config(order=0), spec)
     with pytest.raises(ValueError):
-        update_signal([1.0], np.zeros(3), make_config(order=0), spec)
+        one_shot(update_signal)([1.0], np.zeros(3), make_config(order=0), spec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.integers(1, 6), extra=st.integers(2, 40), k=st.integers(1, 15),
+       m=st.integers(1, 15), lambda_c=st.sampled_from([0.0, 0.05]),
+       lambda_s=st.sampled_from([10.0, math.inf]),
+       variant=st.sampled_from(["declip", "dequant", "inpaint"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_warm_start_continues_exactly_property(p, extra, k, m, lambda_c, lambda_s,
+                                               variant, seed):
+    # k iterations, then m more from the returned DR state, are the same
+    # iterations as k + m in one call, so every byte agrees
+    rng = np.random.default_rng(seed)
+    n = p + extra
+    a = random_stable_ar(p, rng)
+    x = rng.uniform(-1.0, 1.0, size=n)
+    if variant == "declip":
+        spec = ConsistencySpec.declip(np.clip(x, -0.5, 0.5), 0.5)
+    elif variant == "dequant":
+        spec = ConsistencySpec.dequant(np.round(4.0 * x) / 4.0, 0.25)
+    else:
+        reliable = rng.random(n) < 0.7
+        spec = ConsistencySpec.inpaint(np.where(reliable, x, 0.0), reliable)
+    cfg = make_config(order=p, lambda_c=lambda_c, lambda_s=lambda_s)
+    a0 = ArCoefficients.from_free(np.zeros(p))
+
+    head, z = update_coefficients(x, a0, cfg, inner_iters=k)
+    split = update_coefficients(x, head, cfg, inner_iters=m, state=z)
+    whole = update_coefficients(x, a0, cfg, inner_iters=k + m)
+    np.testing.assert_array_equal(split[0].a, whole[0].a)
+    np.testing.assert_array_equal(split[1], whole[1])
+
+    head, z = update_signal(a, spec.y, cfg, spec, inner_iters=k)
+    split = update_signal(a, head, cfg, spec, inner_iters=m, state=z)
+    whole = update_signal(a, spec.y, cfg, spec, inner_iters=k + m)
+    np.testing.assert_array_equal(split[0], whole[0])
+    np.testing.assert_array_equal(split[1], whole[1])
 
 
 # ----------------------------------------------------------------- Janssen
@@ -413,6 +460,12 @@ def test_config_validation():
     assert cfg.inner_schedule == (7, 7, 7)
 
 
+@pytest.mark.parametrize("weight", ["lambda_c", "lambda_s"])
+def test_config_rejects_nan_weight(weight):
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_config(**{weight: math.nan})
+
+
 # ----------------------------------------------------------------- acs_run
 
 def clipped_instance(seed, n=128, p=4, theta=0.3):
@@ -450,7 +503,7 @@ def test_acs_objective_nonincreasing_small():
                        lambda_s=math.inf, outer_iters=6, inner_iters=500,
                        acceleration=frozenset())
     _, _, trace = acs_run(obs.y, spec, cfg)
-    q = trace.objectives
+    q = np.array([e.objective for e in trace.entries])
     assert np.all(np.diff(q) <= 1e-6 * q[0])
 
 
