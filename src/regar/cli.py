@@ -10,6 +10,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .degrade import drop_samples, hard_clip, uniform_quantize
 from .metrics import (ReconstructionReport, consistency_distance, sdr,
                       sdr_scores)
 from .framing import frame_layout, segment
-from .pipeline import (DegradationModel, frame_records, frame_specs,
+from .pipeline import (DegradationModel, frame_record, frame_specs,
                        reconstruct_channel, resolve_workers)
 from .solver import SolverConfig, progressive_schedule
 
@@ -89,8 +90,8 @@ def _validate(a: argparse.Namespace) -> None:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < value < math.inf:  # rejects "nan" too
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -416,21 +417,18 @@ def cmd_evaluate(a) -> int:
     for c in range(est.channels):
         x = est.channel(c)
         y = degraded.channel(c) if degraded is not None else None
-        model = models[c] if models else None
-        records = []
-        if layout is not None:
-            x_frames = segment(x, layout)
-            y_frames = segment(y, layout) if y is not None else None
-            records = frame_records(
-                x_frames, y_frames,
-                None if model is None else
-                [consistency_distance(xf, spec) for xf, spec in
-                 zip(x_frames, frame_specs(model, y_frames, layout))],
-                segment(ref.channel(c), layout))
+        box = (models[c].spec_for(y, layout.pad_end if layout else 0)
+               if models else None)
+        records = [] if layout is None else [
+            frame_record(k, *row) for k, row in enumerate(zip(
+                segment(x, layout),
+                repeat(None) if y is None else segment(y, layout),
+                repeat(None) if box is None else frame_specs(box, layout),
+                segment(ref.channel(c), layout)))]
         parts.append(ReconstructionReport(
             sdr_db=None, delta_sdr_db=None,
-            consistency_sq=(consistency_distance(x, model.spec_for(y))
-                            if model is not None else None),
+            consistency_sq=(None if box is None
+                            else consistency_distance(x, box.head(x.size))),
             per_frame=records))
     report = _merge_reports(parts, ref.data,
                             degraded.data if degraded is not None else None,
@@ -518,3 +516,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,13 +1,14 @@
 """Frame segmentation and windowed overlap-add synthesis.
 
-Analysis uses plain rectangular slices; synthesis applies a window and
-normalizes by the summed window, which reconstructs unmodified frames
-exactly for any hop and any window that stays positive where it counts.
+Analysis views rectangular frames without copying; synthesis applies a
+window and normalizes by the summed window, which reconstructs unmodified
+frames exactly for any hop and any window that stays positive where it counts.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["FrameLayout", "frame_layout", "segment", "sine_window", "overlap_add"]
 
@@ -35,10 +36,6 @@ class FrameLayout:
         if covered < self.n_samples:
             raise ValueError("layout does not cover the signal")
 
-    def start(self, k: int) -> int:
-        """First sample of frame k."""
-        return k * self.hop
-
 
 def frame_layout(n_samples: int, frame_length: int, hop: int) -> FrameLayout:
     """Layout placing a frame at every hop that still contains signal.
@@ -56,16 +53,16 @@ def frame_layout(n_samples: int, frame_length: int, hop: int) -> FrameLayout:
                        n_samples=n_samples, pad_end=pad_end)
 
 
-def segment(x, layout: FrameLayout) -> list[np.ndarray]:
-    """Cut the signal into rectangular frames according to the layout."""
+def segment(x, layout: FrameLayout) -> np.ndarray:
+    """Frames as read-only rows (row k is frame k) over one contiguous buffer
+    of the layout's padded length: x itself if it is one, else a copy."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("empty input")
-    if x.size != layout.n_samples:
+    if x.shape == (layout.n_samples,) and layout.pad_end:
+        x = np.concatenate((x, np.zeros(layout.pad_end)))
+    if x.shape != (layout.n_samples + layout.pad_end,):
         raise ValueError("signal length does not match the layout")
-    padded = np.concatenate((x, np.zeros(layout.pad_end)))
-    return [padded[layout.start(k): layout.start(k) + layout.frame_length].copy()
-            for k in range(layout.n_frames)]
+    return sliding_window_view(np.ascontiguousarray(x),
+                               layout.frame_length)[::layout.hop]
 
 
 def sine_window(frame_length: int) -> np.ndarray:
@@ -79,27 +76,28 @@ def sine_window(frame_length: int) -> np.ndarray:
 def overlap_add(frames, layout: FrameLayout, window) -> np.ndarray:
     """Windowed overlap-add synthesis normalized by the summed window.
 
-    Accumulation runs in ascending frame order so the result is bitwise
-    deterministic.  Positions where the summed window vanishes are an error
-    (the layout/window combination does not cover them).
+    ``frames`` may be any iterable; each frame is added as it arrives, in
+    frame order, so the result is bitwise deterministic.  Positions where the
+    summed window vanishes are an error (the layout does not cover them).
     """
     window = np.asarray(window, dtype=float)
     if window.shape != (layout.frame_length,):
         raise ValueError("window length must equal the frame length")
-    if len(frames) != layout.n_frames:
-        raise ValueError("frame count does not match the layout")
     total = (layout.n_frames - 1) * layout.hop + layout.frame_length
     acc = np.zeros(total)
     norm = np.zeros(total)
+    k = -1
     for k, frame in enumerate(frames):
         frame = np.asarray(frame, dtype=float)
-        if frame.shape != (layout.frame_length,):
-            raise ValueError(f"frame {k} has the wrong length")
-        s = layout.start(k)
+        if k >= layout.n_frames or frame.shape != (layout.frame_length,):
+            raise ValueError(f"frame {k} does not fit the layout")
+        s = k * layout.hop
         acc[s: s + layout.frame_length] += window * frame
         norm[s: s + layout.frame_length] += window
+    if k + 1 != layout.n_frames:
+        raise ValueError("frame count does not match the layout")
     norm_used = norm[: layout.n_samples]
     if np.any(norm_used == 0.0):
         bad = int(np.flatnonzero(norm_used == 0.0)[0])
         raise ValueError(f"window sum vanishes at sample {bad}")
-    return acc[: layout.n_samples] / norm_used
+    return np.divide(acc[: layout.n_samples], norm_used, out=acc[: layout.n_samples])

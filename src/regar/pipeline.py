@@ -1,13 +1,13 @@
 """Frame-parallel reconstruction of a whole channel.
 
-Splits the observed channel into overlapping frames, derives a frame-local
-consistency spec for each, runs the solver on every degraded frame (in
-parallel when requested) and synthesizes the result by windowed overlap-add.
-Frames whose exact solution is the observation itself (nothing degraded in
-them) are passed through untouched.  A task carries only its frame's spec
-and the solver config, and all per-frame work is a pure function of them,
-so the result does not depend on the worker count.  The same frame-report
-builder scores reconstructions here and estimates in ``regar evaluate``.
+Views each frame's consistency spec in one box over the zero-padded channel,
+solves every degraded frame (in parallel when requested) and adds each
+estimate into the windowed overlap-add as it lands.  Frames whose exact
+solution is the observation (nothing degraded in them) pass through and
+never reach the pool.  A task carries only its frame's spec and the solver
+config, and all per-frame work is a pure function of them, so the result
+does not depend on the worker count.  The same frame-report builder scores
+reconstructions here and estimates in ``regar evaluate``.
 """
 
 import math
@@ -17,6 +17,7 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -26,14 +27,16 @@ from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
 from .prox import ConsistencySpec
 from .solver import SolverConfig, acs_run
 
-__all__ = ["DegradationModel", "frame_records", "frame_specs",
+__all__ = ["DegradationModel", "frame_record", "frame_specs",
            "reconstruct_channel", "resolve_workers"]
 
 # slack for observations that passed through a float32 file
 MASK_TOL_FACTOR = 1e-6
-# tasks in flight per pool worker: enough to cover runs of passthrough
-# frames, few enough that only a handful of frame specs are alive at once
+# frames in flight per pool worker: enough to keep every worker busy, few
+# enough that only a handful of frame specs are alive at once
 TASKS_PER_WORKER = 8
+# (outer_iter, objective, inner_iters, wall_ms) of a frame the solver never saw
+UNTOUCHED = (0, None, 0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -62,17 +65,17 @@ class DegradationModel:
             object.__setattr__(self, "reliable",
                                np.asarray(self.reliable, dtype=bool))
 
-    def spec_for(self, y: np.ndarray, reliable=None) -> ConsistencySpec:
-        """Consistency spec for an observed segment (or the whole channel)."""
+    def spec_for(self, y: np.ndarray, pad_end: int = 0) -> ConsistencySpec:
+        """Consistency spec of a channel followed by ``pad_end`` zeros, which
+        a drop model counts as reliable: they are known."""
+        padded = np.concatenate((y, np.zeros(pad_end)))
         if self.kind == "clip":
-            return ConsistencySpec.declip(y, self.theta,
+            return ConsistencySpec.declip(padded, self.theta,
                                           tol=MASK_TOL_FACTOR * self.theta)
         if self.kind == "quant":
-            return ConsistencySpec.dequant(y, self.delta)
-        rel = self.reliable if reliable is None else reliable
-        if len(rel) != len(y):
-            raise ValueError("reliable mask length does not match the segment")
-        return ConsistencySpec.inpaint(y, rel)
+            return ConsistencySpec.dequant(padded, self.delta)
+        return ConsistencySpec.inpaint(padded, np.concatenate(
+            (self.reliable, np.ones(pad_end, dtype=bool))))
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -90,62 +93,64 @@ def resolve_workers(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _untouched_is_exact(spec: ConsistencySpec, cfg: SolverConfig) -> bool:
-    """True when the observation is already the exact solution for this frame:
-    every sample is pinned, and the strategy fixes the pinned samples."""
-    return ((cfg.strategy in ("inpaint", "glp") or math.isinf(cfg.lambda_s))
-            and bool(spec.pinned.all()))
-
-
-def _solve_frame(spec: ConsistencySpec, cfg: SolverConfig | None):
-    """Solver output of one frame, its (outer_iter, objective, inner_iters,
-    wall_ms) statistics and its consistency distance; ``cfg = None`` passes
-    every frame through."""
+def _solve_frame(spec: ConsistencySpec, cfg: SolverConfig):
+    """Solver output of one frame and its (outer_iter, objective,
+    inner_iters, wall_ms) statistics."""
     t0 = time.perf_counter()
-    if cfg is None or _untouched_is_exact(spec, cfg):
-        x, stats = spec.y, (0, None, 0)
-    else:
-        _, x, trace = acs_run(spec.y, spec, cfg)
-        stats = (len(trace), trace.entries[-1].objective if trace.entries else None,
-                 int(sum(e.inner_iters for e in trace.entries)))
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return x, (*stats, wall_ms), consistency_distance(x, spec)
+    _, x, trace = acs_run(spec.y, spec, cfg)
+    stats = (len(trace), trace.entries[-1].objective if trace.entries else None,
+             int(sum(e.inner_iters for e in trace.entries)))
+    return x, (*stats, (time.perf_counter() - t0) * 1000.0)
 
 
-def frame_specs(model: DegradationModel, frames,
-                layout) -> Iterator[ConsistencySpec]:
-    """Consistency spec of every observed frame of one channel, one at a time.
+def _frame_estimates(specs, cfg: SolverConfig | None,
+                     workers: int) -> Iterator[tuple]:
+    """(spec, estimate, stats) of every frame, in frame order.
 
-    The zero padding of a drop model's mask counts as reliable: the padded
-    samples are known zeros.
+    A frame whose observation is its exact solution (all samples pinned, and
+    the strategy keeps pinned samples), or any frame when ``cfg`` is None, is
+    its own estimate; only the others go to the pool, if one is asked for.
     """
-    if model.kind != "drop":
-        return (model.spec_for(frame) for frame in frames)
-    missing = segment(~model.reliable, layout)
-    return (model.spec_for(frame, reliable=gap == 0.0)
-            for frame, gap in zip(frames, missing))
+    def untouched(spec):
+        return cfg is None or ((cfg.strategy in ("inpaint", "glp")
+                                or math.isinf(cfg.lambda_s))
+                               and bool(spec.pinned.all()))
+
+    if workers == 1 or cfg is None:
+        for spec in specs:
+            yield spec, *((spec.y, UNTOUCHED) if untouched(spec)
+                          else _solve_frame(spec, cfg))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()  # (spec, task or None), in frame order
+        for spec in chain(specs, [None]):
+            if spec is not None:
+                pending.append((spec, None if untouched(spec)
+                                else pool.submit(_solve_frame, spec, cfg)))
+            while pending and (spec is None or pending[0][1] is None
+                               or len(pending) >= TASKS_PER_WORKER * workers):
+                head, task = pending.popleft()
+                yield head, *((head.y, UNTOUCHED) if task is None
+                              else task.result())
 
 
-def frame_records(estimates, observed=None, consistency=None, references=None,
-                  stats=None) -> list[FrameRecord]:
-    """Report rows of one channel's frames, in frame order.
+def frame_specs(box: ConsistencySpec, layout) -> Iterator[ConsistencySpec]:
+    """Consistency spec of every frame, one at a time, viewing the rows of
+    ``box``: the spec of the padded channel, ``model.spec_for(y, pad_end)``."""
+    return (ConsistencySpec(box.variant, *rows) for rows in zip(
+        *(segment(a, layout) for a in (box.y, box.lower, box.upper))))
 
-    Each estimate frame scores its SDR against its reference frame and its
-    improvement over its observed frame; ``consistency`` holds each frame's
-    distance from its consistency set.  A score whose inputs are missing
-    (``None``) is None.  ``stats`` holds each frame's (outer_iter,
-    objective, inner_iters, wall_ms); without it every frame reports as
-    untouched.
-    """
-    records = []
-    for k, x in enumerate(estimates):
-        score, gain = sdr_scores(
-            None if references is None else references[k], x,
-            None if observed is None else observed[k])
-        records.append(FrameRecord(
-            k, score, gain, None if consistency is None else consistency[k],
-            *((0, None, 0, 0.0) if stats is None else stats[k])))
-    return records
+
+def frame_record(k: int, estimate, observed=None, spec=None, reference=None,
+                 stats=UNTOUCHED) -> FrameRecord:
+    """Report row of frame k: the estimate's SDR against the reference, its
+    gain over the observed frame and its distance from the consistency set
+    ``spec``, each None when its inputs are; ``stats`` holds (outer_iter,
+    objective, inner_iters, wall_ms)."""
+    score, gain = sdr_scores(reference, estimate, observed)
+    return FrameRecord(
+        k, score, gain,
+        None if spec is None else consistency_distance(estimate, spec), *stats)
 
 
 def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
@@ -163,30 +168,24 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
         reference = np.asarray(reference, dtype=float)
         if reference.size != y.size:
             raise ValueError("reference length does not match the observation")
-    global_spec = model.spec_for(y)
     layout = frame_layout(y.size, frame_length, hop)
-    frames = segment(y, layout)
-    specs = frame_specs(model, frames, layout)
-    if workers > 1 and cfg is not None:
-        solved, running = [], deque()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for spec in specs:
-                running.append(pool.submit(_solve_frame, spec, cfg))
-                if len(running) >= TASKS_PER_WORKER * workers:
-                    solved.append(running.popleft().result())
-            solved.extend(task.result() for task in running)
-    else:
-        solved = [_solve_frame(spec, cfg) for spec in specs]
-    estimates, stats, consistency = zip(*solved)
-    x_hat = overlap_add(estimates, layout, sine_window(frame_length))
-    records = frame_records(
-        estimates, frames, consistency,
-        None if reference is None else segment(reference, layout), stats)
+    box = model.spec_for(y, layout.pad_end)
+    records = []
+
+    def scored(outputs, references):
+        for k, ((spec, x, stats), ref) in enumerate(zip(outputs, references)):
+            records.append(frame_record(k, x, spec.y, spec, ref, stats))
+            yield x
+
+    x_hat = overlap_add(
+        scored(_frame_estimates(frame_specs(box, layout), cfg, workers),
+               repeat(None) if reference is None else segment(reference, layout)),
+        layout, sine_window(frame_length))
     score, gain = sdr_scores(reference, x_hat, y)
     report = ReconstructionReport(
         sdr_db=score,
         delta_sdr_db=gain,
-        consistency_sq=consistency_distance(x_hat, global_spec),
+        consistency_sq=consistency_distance(x_hat, box.head(y.size)),
         per_frame=records,
         timing_s=time.perf_counter() - t_begin,
     )

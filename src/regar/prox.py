@@ -68,6 +68,10 @@ class ConsistencySpec:
         """Samples the observation fixes exactly."""
         return self.lower == self.upper
 
+    def head(self, n: int) -> "ConsistencySpec":
+        """The set of the first n samples, viewing this set's arrays."""
+        return ConsistencySpec(self.variant, self.y[:n], self.lower[:n], self.upper[:n])
+
     @classmethod
     def declip(cls, y, theta: float, tol: float = 0.0) -> "ConsistencySpec":
         """Box of a clipped observation.

@@ -109,8 +109,8 @@ class SolverConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not (self.lambda_c >= 0 and self.lambda_s >= 0):  # rejects NaN too
             raise ValueError("regularization weights must be nonnegative")
-        if not (self.gamma_c > 0 and self.gamma_s > 0):
-            raise ValueError("step sizes must be positive")
+        if not (0 < self.gamma_c < math.inf and 0 < self.gamma_s < math.inf):
+            raise ValueError("step sizes must be positive and finite")
         if self.outer_iters < 1:
             raise ValueError("need at least one outer iteration")
         accel = frozenset(self.acceleration)

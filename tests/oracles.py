@@ -5,7 +5,10 @@ in ``regar.fastops`` and the Janssen normal equations in band storage; these
 materialize the same operators as plain matrices and solve them by dense
 Cholesky factorization.  The package describes a consistency set by one
 (lower, upper) interval per sample; the mask references below classify the
-samples and treat each class separately instead.
+samples and treat each class separately instead.  The package views its
+frames and their consistency boxes in one zero-padded buffer and streams
+them through overlap-add; the copy references below cut every frame, and
+build every frame's box, as a separate array.
 """
 
 import numpy as np
@@ -13,7 +16,8 @@ import scipy.linalg
 
 from regar.armodel import ArCoefficients, coef_array
 from regar.degrade import _as_bool_mask
-from regar.prox import prox_signal_penalty, soft_threshold
+from regar.pipeline import MASK_TOL_FACTOR
+from regar.prox import ConsistencySpec, prox_signal_penalty, soft_threshold
 from regar.solver import douglas_rachford
 
 
@@ -192,3 +196,48 @@ def mask_glp_rectify(x, y, theta: float, tol: float = 0.0) -> np.ndarray:
     out[flip_hi] = 2.0 * theta - x[flip_hi]
     out[flip_lo] = -2.0 * theta - x[flip_lo]
     return out
+
+
+def copy_segment(x, layout) -> list[np.ndarray]:
+    """``segment`` with every frame cut as its own copy of the padded signal."""
+    padded = np.concatenate((np.asarray(x, dtype=float), np.zeros(layout.pad_end)))
+    return [padded[k * layout.hop: k * layout.hop + layout.frame_length].copy()
+            for k in range(layout.n_frames)]
+
+
+def copy_overlap_add(frames: list, layout, window) -> np.ndarray:
+    """``overlap_add`` over a list of frames, accumulated in frame order."""
+    window = np.asarray(window, dtype=float)
+    if len(frames) != layout.n_frames:
+        raise ValueError("frame count does not match the layout")
+    total = (layout.n_frames - 1) * layout.hop + layout.frame_length
+    acc = np.zeros(total)
+    norm = np.zeros(total)
+    for k, frame in enumerate(frames):
+        s = k * layout.hop
+        acc[s: s + layout.frame_length] += window * np.asarray(frame, dtype=float)
+        norm[s: s + layout.frame_length] += window
+    return acc[: layout.n_samples] / norm[: layout.n_samples]
+
+
+def copy_spec(model, y, reliable=None) -> ConsistencySpec:
+    """Consistency spec of an observed frame (or channel) built on its own
+    arrays; ``reliable`` is the drop model's mask over the same samples."""
+    if model.kind == "clip":
+        return ConsistencySpec.declip(y, model.theta,
+                                      tol=MASK_TOL_FACTOR * model.theta)
+    if model.kind == "quant":
+        return ConsistencySpec.dequant(y, model.delta)
+    return ConsistencySpec.inpaint(y, model.reliable if reliable is None
+                                   else reliable)
+
+
+def copy_frame_specs(model, y, layout) -> list[ConsistencySpec]:
+    """Every frame's spec built from copied frames; the zero padding of a
+    drop model's mask counts as reliable."""
+    frames = copy_segment(y, layout)
+    if model.kind != "drop":
+        return [copy_spec(model, frame) for frame in frames]
+    missing = copy_segment(~model.reliable, layout)
+    return [copy_spec(model, frame, gap == 0.0)
+            for frame, gap in zip(frames, missing)]

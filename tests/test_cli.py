@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,34 @@ def test_nan_regularization_weight_is_rejected(tmp_path, ar_signal, capsys, opti
                     "--inner", "10", "--workers", "1"]) == 2
     assert "must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--gamma-c", "--gamma-s"])
+def test_infinite_step_size_is_rejected(tmp_path, ar_signal, capsys, option):
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out),
+                    "--strategy", "declip", "--theta", "0.3", option, "inf",
+                    "--order", "8", "--frame", "512", "--outer", "1",
+                    "--inner", "10", "--workers", "1"]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module", ["regar", "regar.cli"])
+def test_python_m_runs_the_cli(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and "usage: regar" in shown.stdout
+    missing = run("reconstruct")
+    assert missing.returncode == 2 and "usage: regar" in missing.stderr
 
 
 def test_reconstruct_rejects_mask_with_theta(tmp_path, ar_signal, capsys):

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.array_utils import byte_bounds
 
+from oracles import copy_overlap_add, copy_segment
 from regar.framing import (FrameLayout, frame_layout, overlap_add, segment,
                            sine_window)
+
+layouts = st.integers(1, 300).flatmap(lambda n: st.integers(1, 64).flatmap(
+    lambda w: st.integers(1, w).map(lambda h: frame_layout(n, w, h))))
 
 
 def test_single_frame_layout():
@@ -104,4 +111,39 @@ def test_overlap_add_validation():
     with pytest.raises(ValueError):
         overlap_add(frames[:-1], layout, sine_window(4))
     with pytest.raises(ValueError):
+        overlap_add(iter([*frames, frames[0]]), layout, sine_window(4))
+    with pytest.raises(ValueError):
         overlap_add(frames, layout, sine_window(3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layout=layouts)
+def test_segment_rows_are_read_only_views_of_one_padded_buffer(layout):
+    x = np.arange(1.0, layout.n_samples + 1)
+    rows = segment(x, layout)
+    assert [row.tobytes() for row in rows] == \
+        [frame.tobytes() for frame in copy_segment(x, layout)]
+    lo, hi = byte_bounds(rows)
+    assert hi - lo == (layout.n_samples + layout.pad_end) * x.itemsize
+    assert [byte_bounds(row)[0] - lo for row in rows] == \
+        [k * layout.hop * x.itemsize for k in range(layout.n_frames)]
+    assert np.shares_memory(rows, x) == (layout.pad_end == 0)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[-1][0] = 0.0
+    strided = np.stack((x, x), axis=1)[:, 0]  # a stereo file's channel
+    assert all(row.flags.c_contiguous for row in segment(strided, layout))
+    padded = np.concatenate((x, np.zeros(layout.pad_end)))
+    assert segment(padded, layout).tobytes() == rows.tobytes()
+    assert np.shares_memory(segment(padded, layout), padded)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layout=layouts, seed=st.integers(0, 2**16))
+def test_overlap_add_streams_what_it_is_given(layout, seed):
+    frames = list(np.random.default_rng(seed).standard_normal(
+        (layout.n_frames, layout.frame_length)))
+    window = sine_window(layout.frame_length)
+    from_list = overlap_add(frames, layout, window)
+    from_stream = overlap_add((frame for frame in frames), layout, window)
+    assert from_stream.tobytes() == from_list.tobytes() == \
+        copy_overlap_add(frames, layout, window).tobytes()

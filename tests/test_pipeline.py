@@ -1,17 +1,19 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import copy_frame_specs, copy_spec
 from regar import pipeline
 from regar.armodel import random_stable_ar, simulate_ar
 from regar.degrade import hard_clip, uniform_quantize
-from regar.framing import frame_layout, segment
+from regar.framing import frame_layout
 from regar.metrics import consistency_distance, sdr
-from regar.pipeline import (DegradationModel, frame_records, frame_specs,
+from regar.pipeline import (DegradationModel, frame_record, frame_specs,
                             reconstruct_channel, resolve_workers)
 from regar.solver import SolverConfig
 
@@ -77,43 +79,74 @@ def test_worker_count_does_not_change_result():
     np.testing.assert_array_equal(out1, out4)
 
 
-def test_pool_keeps_few_tasks_in_flight(monkeypatch):
-    class InlinePool:
-        """Runs each task on submit; counts tasks whose result is not taken."""
-        in_flight = peak = 0
+class InlinePool:
+    """Process-pool stand-in: runs each task on submit and counts the tasks
+    submitted and those whose result is not taken yet."""
 
-        def __init__(self, max_workers):
-            pass
+    submitted = in_flight = peak = 0
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers):
+        pass
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def submit(self, fn, *args):
-            InlinePool.in_flight += 1
-            InlinePool.peak = max(InlinePool.peak, InlinePool.in_flight)
-            value = fn(*args)
+    def __exit__(self, *exc):
+        return False
 
-            class Task:
-                def result(self):
-                    InlinePool.in_flight -= 1
-                    return value
+    def submit(self, fn, *args):
+        InlinePool.submitted += 1
+        InlinePool.in_flight += 1
+        InlinePool.peak = max(InlinePool.peak, InlinePool.in_flight)
+        value = fn(*args)
 
-            return Task()
+        class Task:
+            def result(self):
+                InlinePool.in_flight -= 1
+                return value
 
+        return Task()
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    for counter in ("submitted", "in_flight", "peak"):
+        monkeypatch.setattr(InlinePool, counter, 0)
+    return InlinePool
+
+
+def test_pool_keeps_few_tasks_in_flight(inline_pool):
     x, y, theta = clipped_channel(seed=3, n=4000)
     model = DegradationModel(kind="clip", theta=theta)
     cfg = SolverConfig(order=4, strategy="declip", outer_iters=1,
                        inner_iters=10)
     serial = reconstruct_channel(y, model, cfg, 128, 32, reference=x)
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
     pooled = reconstruct_channel(y, model, cfg, 128, 32, workers=2,
                                  reference=x)
     assert len(pooled[1].per_frame) == 125
-    assert InlinePool.peak == pipeline.TASKS_PER_WORKER * 2
-    assert InlinePool.in_flight == 0
+    assert inline_pool.peak == pipeline.TASKS_PER_WORKER * 2
+    assert inline_pool.in_flight == 0
+    assert pooled[0].tobytes() == serial[0].tobytes()
+    assert ([dataclasses.replace(r, wall_ms=0.0) for r in pooled[1].per_frame]
+            == [dataclasses.replace(r, wall_ms=0.0) for r in serial[1].per_frame])
+
+
+def test_only_solved_frames_reach_the_pool(inline_pool):
+    rng = np.random.default_rng(4)
+    x = simulate_ar(random_stable_ar(4, rng), 4000, rng)
+    reliable = np.ones(4000, dtype=bool)
+    reliable[[700, 701, 2500, 3990]] = False
+    y = np.where(reliable, x, 0.0)
+    model = DegradationModel(kind="drop", reliable=reliable)
+    cfg = SolverConfig(order=4, strategy="inpaint", outer_iters=2,
+                       inner_iters=10)
+    serial = reconstruct_channel(y, model, cfg, 128, 32)
+    pooled = reconstruct_channel(y, model, cfg, 128, 32, workers=2)
+    solved = sum(r.outer_iter > 0 for r in pooled[1].per_frame)
+    assert 0 < solved < len(pooled[1].per_frame) // 4
+    assert inline_pool.submitted == solved
+    assert inline_pool.in_flight == 0
     assert pooled[0].tobytes() == serial[0].tobytes()
     assert ([dataclasses.replace(r, wall_ms=0.0) for r in pooled[1].per_frame]
             == [dataclasses.replace(r, wall_ms=0.0) for r in serial[1].per_frame])
@@ -163,11 +196,59 @@ def test_frame_specs_treat_padding_as_reliable():
     y = np.where(reliable, 1.0, 0.0)
     layout = frame_layout(10, 4, 2)
     model = DegradationModel(kind="drop", reliable=reliable)
-    specs = frame_specs(model, segment(y, layout), layout)
+    specs = frame_specs(model.spec_for(y, layout.pad_end), layout)
     pinned = [spec.pinned.tolist() for spec in specs]
     assert pinned == [[True, False, True, True], [True, True, True, True],
                      [True, True, True, True], [True, True, False, True],
                      [False, True, True, True]]  # samples 10, 11 are padding
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["clip", "quant", "drop"]), n=st.integers(1, 300),
+       frame=st.integers(1, 64), hop_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_frame_specs_equal_per_frame_copies(kind, n, frame, hop_share, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    reliable = rng.random(n) > 0.3
+    model, y = {
+        "clip": (DegradationModel(kind="clip", theta=0.5), hard_clip(x, 0.5).y),
+        "quant": (DegradationModel(kind="quant", delta=0.25),
+                  uniform_quantize(x, 3).y),
+        "drop": (DegradationModel(kind="drop", reliable=reliable),
+                 np.where(reliable, x, 0.0)),
+    }[kind]
+    layout = frame_layout(n, frame, max(1, round(hop_share * frame)))
+    box = model.spec_for(y, layout.pad_end)
+
+    def arrays(spec):
+        return spec.variant, spec.y.tobytes(), spec.lower.tobytes(), \
+            spec.upper.tobytes()
+
+    assert arrays(box.head(n)) == arrays(copy_spec(model, y))
+    assert [arrays(spec) for spec in frame_specs(box, layout)] == \
+        [arrays(spec) for spec in copy_frame_specs(model, y, layout)]
+
+
+def test_channel_memory_grows_with_the_frame_not_the_file():
+    # a long channel with three one-sample gaps: nearly every frame passes
+    # through, so a per-frame copy of the channel would dominate the peak
+    n = 2**19
+    rng = np.random.default_rng(5)
+    x = simulate_ar(random_stable_ar(8, rng), n, rng)
+    reliable = np.ones(n, dtype=bool)
+    reliable[[1000, 200_000, 400_000]] = False
+    y = np.where(reliable, x, 0.0)
+    model = DegradationModel(kind="drop", reliable=reliable)
+    cfg = SolverConfig(order=8, strategy="inpaint", outer_iters=2,
+                       inner_iters=10)
+    tracemalloc.start()
+    try:
+        reconstruct_channel(y, model, cfg, 256, 64, reference=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * y.nbytes
 
 
 def test_frame_records_score_what_they_are_given():
@@ -177,13 +258,14 @@ def test_frame_records_score_what_they_are_given():
     spec = model.spec_for(y)
     estimate = np.zeros(4)
     distance = consistency_distance(estimate, spec)
-    full = frame_records([estimate], [y], [distance], [x], [(3, 1.5, 30, 2.0)])
-    assert full[0].sdr_db == sdr(x, estimate)
-    assert full[0].delta_sdr_db == sdr(x, estimate) - sdr(x, y)
-    assert full[0].consistency_sq == distance > 0
-    assert (full[0].outer_iter, full[0].objective, full[0].inner_iters,
-            full[0].wall_ms) == (3, 1.5, 30, 2.0)
-    bare = frame_records([estimate, x], references=[np.zeros(4), x])
+    full = frame_record(0, estimate, y, spec, x, (3, 1.5, 30, 2.0))
+    assert full.sdr_db == sdr(x, estimate)
+    assert full.delta_sdr_db == sdr(x, estimate) - sdr(x, y)
+    assert full.consistency_sq == distance > 0
+    assert (full.outer_iter, full.objective, full.inner_iters,
+            full.wall_ms) == (3, 1.5, 30, 2.0)
+    bare = [frame_record(0, estimate, reference=np.zeros(4)),
+            frame_record(1, x, reference=x)]
     assert [(r.frame_index, r.sdr_db, r.delta_sdr_db, r.consistency_sq,
              r.outer_iter, r.objective, r.inner_iters, r.wall_ms)
             for r in bare] == [(0, None, None, None, 0, None, 0, 0.0),

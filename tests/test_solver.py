@@ -466,6 +466,12 @@ def test_config_rejects_nan_weight(weight):
         make_config(**{weight: math.nan})
 
 
+@pytest.mark.parametrize("step", ["gamma_c", "gamma_s"])
+def test_config_rejects_infinite_step(step):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_config(**{step: math.inf})
+
+
 # ----------------------------------------------------------------- acs_run
 
 def clipped_instance(seed, n=128, p=4, theta=0.3):
