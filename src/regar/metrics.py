@@ -40,7 +40,8 @@ def sdr_scores(reference, estimate, degraded=None):
 
     Multichannel arrays score as one flattened signal.  Without a reference,
     or with a silent one, there is no SDR and the scores are (None, None);
-    without a ``degraded`` signal the improvement is None.
+    without a ``degraded`` signal, or when the estimate and the degraded
+    signal both equal the reference (inf - inf), the improvement is None.
     """
     if reference is None:
         return None, None
@@ -50,7 +51,8 @@ def sdr_scores(reference, estimate, degraded=None):
     score = sdr(reference, np.reshape(estimate, -1))
     if degraded is None:
         return score, None
-    return score, score - sdr(reference, np.reshape(degraded, -1))
+    gain = score - sdr(reference, np.reshape(degraded, -1))
+    return score, None if math.isnan(gain) else gain
 
 
 def consistency_distance(estimate, spec: ConsistencySpec) -> float:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .framing import frame_layout, overlap_add, segment, sine_window
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
@@ -141,6 +142,17 @@ def frame_specs(box: ConsistencySpec, layout) -> Iterator[ConsistencySpec]:
         *(segment(a, layout) for a in (box.y, box.lower, box.upper))))
 
 
+def _frame_views(x, layout) -> Iterator[np.ndarray]:
+    """Frames of a contiguous channel: views of x, except the last frames,
+    which reach into the end padding and come from one short padded copy."""
+    w, h = layout.frame_length, layout.hop
+    inside = max(0, (layout.n_samples - w) // h + 1)
+    yield from sliding_window_view(x, w)[::h][:inside] if inside else ()
+    if inside < layout.n_frames:
+        tail = x[inside * h:]
+        yield from segment(tail, frame_layout(tail.size, w, h))
+
+
 def frame_record(k: int, estimate, observed=None, spec=None, reference=None,
                  stats=UNTOUCHED) -> FrameRecord:
     """Report row of frame k: the estimate's SDR against the reference, its
@@ -179,7 +191,8 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
 
     x_hat = overlap_add(
         scored(_frame_estimates(frame_specs(box, layout), cfg, workers),
-               repeat(None) if reference is None else segment(reference, layout)),
+               repeat(None) if reference is None
+               else _frame_views(np.ascontiguousarray(reference), layout)),
         layout, sine_window(frame_length))
     score, gain = sdr_scores(reference, x_hat, y)
     report = ReconstructionReport(

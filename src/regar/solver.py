@@ -167,17 +167,28 @@ def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
     and the returned point is the final prox_g-side iterate, so an indicator
     g yields an exactly feasible result.  With ``return_state`` the final
     z is returned as well, enabling warm starts.
+
+    prox_f must return a new float array of z's shape (or its argument,
+    which is a new array each iteration): the next z is written into it.
+    prox_g may return its argument; its output is never written to.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     if iters < 1:
         raise ValueError("need at least one iteration")
     z = np.array(z0, dtype=float)
+    finite = np.empty(z.shape, dtype=bool)
     u = None
     for k in range(iters):
         u = prox_g(z, gamma)
-        z = z + prox_f(2.0 * u - z, gamma) - u
-        if not np.all(np.isfinite(z)):
+        reflected = 2.0 * u
+        reflected -= z
+        p = prox_f(reflected, gamma)
+        # (p + z) - u rounds exactly like (z + p) - u
+        p += z
+        p -= u
+        z = p
+        if not np.isfinite(z, out=finite).all():
             raise DouglasRachfordDivergence(k + 1)
     return (u, z) if return_state else u
 

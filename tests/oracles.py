@@ -8,7 +8,9 @@ Cholesky factorization.  The package describes a consistency set by one
 samples and treat each class separately instead.  The package views its
 frames and their consistency boxes in one zero-padded buffer and streams
 them through overlap-add; the copy references below cut every frame, and
-build every frame's box, as a separate array.
+build every frame's box, as a separate array.  The package's
+Douglas-Rachford loop reuses its buffers; the copy reference allocates every
+intermediate afresh.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from regar.armodel import ArCoefficients, coef_array
 from regar.degrade import _as_bool_mask
 from regar.pipeline import MASK_TOL_FACTOR
 from regar.prox import ConsistencySpec, prox_signal_penalty, soft_threshold
-from regar.solver import douglas_rachford
+from regar.solver import DouglasRachfordDivergence, douglas_rachford
 
 
 def build_toeplitz(filt, n_cols: int) -> np.ndarray:
@@ -241,3 +243,21 @@ def copy_frame_specs(model, y, layout) -> list[ConsistencySpec]:
     missing = copy_segment(~model.reliable, layout)
     return [copy_spec(model, frame, gap == 0.0)
             for frame, gap in zip(frames, missing)]
+
+
+def copy_douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
+                          return_state: bool = False):
+    """``douglas_rachford`` with a new array for every intermediate:
+    z <- z + prox_f(2 u - z) - u after u = prox_g(z)."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if iters < 1:
+        raise ValueError("need at least one iteration")
+    z = np.array(z0, dtype=float)
+    u = None
+    for k in range(iters):
+        u = prox_g(z, gamma)
+        z = z + prox_f(2.0 * u - z, gamma) - u
+        if not np.all(np.isfinite(z)):
+            raise DouglasRachfordDivergence(k + 1)
+    return (u, z) if return_state else u

@@ -101,6 +101,31 @@ def test_evaluate_identical_reports_inf(tmp_path, ar_signal, capsys):
     assert "SDR: inf dB" in capsys.readouterr().out
 
 
+def test_report_is_standard_json_when_a_frame_is_exact(tmp_path):
+    # frames of the quiet first half are never clipped: their estimate and
+    # observation both equal the reference, so the gain is undefined
+    t = np.arange(2048)
+    x = np.sin(2 * np.pi * t / 64) * np.where(t < 1024, 0.4, 0.9)
+    x = x.astype(np.float32).astype(float)
+    clean, clipped = tmp_path / "c.wav", tmp_path / "d.wav"
+    make_wav(clean, x)
+    make_wav(clipped, np.clip(x, -0.5, 0.5))
+    report = tmp_path / "r.json"
+    assert run_cli(["reconstruct", str(clipped), "-o", str(tmp_path / "e.wav"),
+                    "--strategy", "declip", "--theta", "0.5", "--order", "8",
+                    "--frame", "256", "--outer", "1", "--inner", "20",
+                    "--workers", "1", "--reference", str(clean),
+                    "--report", str(report)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"report holds the non-standard constant {constant}")
+
+    doc = json.loads(report.read_text(), parse_constant=reject)
+    exact = [f for f in doc["frames"] if f["outer_iter"] == 0]
+    assert exact
+    assert all(f["sdr_db"] == "inf" and f["delta_sdr_db"] is None for f in exact)
+
+
 def test_evaluate_with_degraded_and_report(tmp_path, ar_signal):
     clean, x = ar_signal
     clipped = tmp_path / "clip.wav"

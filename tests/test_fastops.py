@@ -5,19 +5,25 @@ from hypothesis import strategies as st
 
 from oracles import build_toeplitz, circulant_matrix, prox_quadratic_dense
 from regar.fastops import (CirculantOperator, circulant_embed_filter,
-                           circulant_quadratic_prox, extend, next_pow2,
+                           circulant_quadratic_prox, extend, fast_len,
                            prox_regularizer_extended)
 from regar.prox import soft_threshold
 from regar.solver import douglas_rachford
 
 
-def test_next_pow2():
-    assert next_pow2(1) == 1
-    assert next_pow2(2) == 2
-    assert next_pow2(3) == 4
-    assert next_pow2(1025) == 2048
+def test_fast_len_is_least_5_smooth_length():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    expected = [m for m in range(1, 5401) if smooth(m)]
+    for n in range(1, 5001):
+        assert fast_len(n) == next(m for m in expected if m >= n)
+    assert fast_len(2048 + 512) == 2560  # the paper's frame and order
     with pytest.raises(ValueError):
-        next_pow2(0)
+        fast_len(0)
 
 
 def test_identity_filter_embedding():
@@ -44,7 +50,7 @@ def test_embedding_agrees_with_toeplitz_on_random_pairs():
         filt = rng.standard_normal(q)
         v = rng.standard_normal(n_head)
         op = circulant_embed_filter(filt, n_head)
-        assert op.L >= n_head + q - 1 and op.L & (op.L - 1) == 0
+        assert op.L == fast_len(n_head + q - 1)
         full = circulant_matrix(op) @ extend(v, op.L)
         T = build_toeplitz(filt, n_head)
         scale = max(np.linalg.norm(T @ v), 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from regar.degrade import hard_clip
 from regar.metrics import (FrameRecord, ReconstructionReport,
-                           consistency_distance, sdr)
+                           consistency_distance, sdr, sdr_scores)
 from regar.prox import ConsistencySpec, project_consistency
 from regar.solver import glp_rectify
 
@@ -31,6 +31,14 @@ def test_sdr_errors():
         sdr(np.zeros(4), np.ones(4))
     with pytest.raises(ValueError):
         sdr(np.ones(4), np.ones(5))
+
+
+def test_sdr_scores_gain_undefined_when_both_are_exact():
+    y = np.array([1.0, -2.0, 0.5])
+    assert sdr_scores(y, y, y) == (math.inf, None)
+    assert sdr_scores(y, y, 0.9 * y) == (math.inf, math.inf)
+    assert sdr_scores(y, 0.9 * y, y) == (pytest.approx(20.0), -math.inf)
+    assert sdr_scores(y, y) == (math.inf, None)
 
 
 def test_consistency_distance():

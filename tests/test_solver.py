@@ -3,15 +3,18 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regar.solver as solver_mod
-from oracles import (build_toeplitz, dense_janssen_signal_update,
-                     dense_update_coefficients, dense_update_signal)
+from oracles import (build_toeplitz, copy_douglas_rachford,
+                     dense_janssen_signal_update, dense_update_coefficients,
+                     dense_update_signal)
 from regar.armodel import (ArCoefficients, objective, random_stable_ar,
                            reflection_to_ar, residual, simulate_ar)
 from regar.degrade import hard_clip
+from regar.fastops import (circulant_embed_filter, circulant_quadratic_prox,
+                           prox_regularizer_extended)
 from regar.metrics import consistency_distance
 from regar.pipeline import DegradationModel, reconstruct_channel
 from regar.prox import (ConsistencySpec, project_consistency,
@@ -110,6 +113,52 @@ def test_dra_iterates_become_cauchy():
     diffs = [np.linalg.norm(us[k + 1] - us[k]) for k in range(len(us) - 1)]
     for k in range(10, len(diffs) - 1):
         assert diffs[k + 1] <= diffs[k] * (1.0 + 1e-12) + 1e-16
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.integers(1, 8), n_head=st.integers(1, 40),
+       f_kind=st.sampled_from(["circulant", "identity", "blowup"]),
+       g_kind=st.sampled_from(["soft", "box", "identity"]),
+       with_offset=st.booleans(), gamma=st.floats(0.05, 5.0),
+       k=st.integers(1, 30), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@example(q=3, n_head=20, f_kind="circulant", g_kind="identity", with_offset=True,
+         gamma=1.0, k=5, m=7, seed=1)
+@example(q=3, n_head=20, f_kind="blowup", g_kind="box", with_offset=False,
+         gamma=1.0, k=12, m=1, seed=2)
+def test_dr_loop_matches_the_allocating_copy(q, n_head, f_kind, g_kind,
+                                             with_offset, gamma, k, m, seed):
+    # the product loop writes into its buffers; every iterate, the returned
+    # state and the divergence iteration must equal the copy byte for byte
+    rng = np.random.default_rng(seed)
+    op = circulant_embed_filter(rng.standard_normal(q), n_head)
+    quad = circulant_quadratic_prox(
+        op, gamma, rng.standard_normal(op.L) if with_offset else None)
+    prox_f = {"circulant": lambda v, g: quad(v),
+              "identity": lambda v, g: v,
+              "blowup": lambda v, g: v * 1e150}[f_kind]
+    prox_g = {"soft": lambda v, g: prox_regularizer_extended(
+                  v, lambda h: soft_threshold(h, 0.1 * g), n_head),
+              "box": lambda v, g: np.clip(v, -0.5, 0.5),
+              "identity": lambda v, g: v}[g_kind]
+    z0 = rng.standard_normal(op.L)
+
+    def run(loop):
+        try:
+            u1, z1 = loop(prox_f, prox_g, z0, gamma, k, return_state=True)
+            u2, z2 = loop(prox_f, prox_g, z1, gamma, m, return_state=True)
+            u3 = loop(prox_f, prox_g, z0, gamma, k + m)
+        except DouglasRachfordDivergence as err:
+            return err.iteration
+        # read after every call, so a write into a returned or passed-in
+        # array shows as well
+        return [a.tobytes() for a in (u1, z1, u2, z2, u3, z0)]
+
+    product = run(douglas_rachford)
+    assert product == run(copy_douglas_rachford)
+    if f_kind != "blowup":
+        assert isinstance(product, list)
+    elif k >= 8:  # overflows within a few iterations of the first call
+        assert isinstance(product, int) and product <= k
 
 
 # ------------------------------------------------------- coefficient update
