@@ -8,8 +8,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -18,12 +19,12 @@ import numpy as np
 from .armodel import random_stable_ar, simulate_ar
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .degrade import drop_samples, hard_clip, uniform_quantize
-from .metrics import (ReconstructionReport, consistency_distance, sdr,
-                      sdr_scores)
+from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
+                      sdr, sdr_scores)
 from .framing import frame_layout, segment
 from .pipeline import (DegradationModel, frame_record, frame_specs,
-                       reconstruct_channel, resolve_workers)
-from .solver import SolverConfig, progressive_schedule
+                       reconstruct_channel)
+from .solver import STRATEGIES, SolverConfig, progressive_schedule
 
 __all__ = ["run_cli", "main", "write_report"]
 
@@ -123,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="restore a degraded file")
     rec.add_argument("input")
     rec.add_argument("-o", "--output", required=True)
-    rec.add_argument("--strategy", choices=("inpaint", "glp", "declip", "dequant"),
-                     required=True)
+    rec.add_argument("--strategy", choices=STRATEGIES, required=True)
     rec.add_argument("--theta", type=_positive_float,
                      help="clipping threshold (default: peak of the input)")
     rec.add_argument("--bits", type=int)
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--accel", default="none",
                      help="comma list: extrapolate,extrapolate-coefs,"
                           "linesearch or none")
-    rec.add_argument("--workers", type=int, default=None)
+    rec.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     rec.add_argument("--reference", help="clean file for SDR reporting")
     rec.add_argument("--report")
     rec.add_argument("--report-format", choices=("csv", "json"), default="json")
@@ -172,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     dem.add_argument("--order", type=int, default=32)
     dem.add_argument("--clip-level", type=float, default=0.2)
     dem.add_argument("--sample-rate", type=int, default=16000)
-    dem.add_argument("--strategy", choices=("inpaint", "glp", "declip", "dequant"),
-                     default="declip")
+    dem.add_argument("--strategy", choices=STRATEGIES, default="declip")
     dem.add_argument("--bits", type=int, default=5)
     dem.add_argument("--lambda-c", type=_lambda_value, default=1e-3)
     dem.add_argument("--lambda-s", type=_lambda_value, default=math.inf)
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     dem.add_argument("--outer", type=int, default=5)
     dem.add_argument("--inner", type=int, default=200)
     dem.add_argument("--accel", default="none")
-    dem.add_argument("--workers", type=int, default=None)
+    dem.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     return parser
 
 
@@ -210,10 +209,6 @@ def _report_value(value):
     return value
 
 
-_CSV_COLUMNS = ("frame_index", "sdr_db", "delta_sdr_db", "consistency_sq",
-                "outer_iter", "objective", "inner_iters", "wall_ms")
-
-
 def write_report(report: ReconstructionReport, path, fmt: str = "json",
                  deterministic: bool = False) -> None:
     """Serialize a reconstruction report as CSV rows or a JSON document.
@@ -223,15 +218,16 @@ def write_report(report: ReconstructionReport, path, fmt: str = "json",
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
+    columns = [f.name for f in fields(FrameRecord)]
     rows = []
     for r in report.per_frame:
         if deterministic:
             r = replace(r, wall_ms=0.0)
-        rows.append({key: _report_value(getattr(r, key)) for key in _CSV_COLUMNS})
+        rows.append({key: _report_value(getattr(r, key)) for key in columns})
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)  # writes None as an empty cell
-            writer.writerow(_CSV_COLUMNS)
+            writer.writerow(columns)
             writer.writerows(row.values() for row in rows)
         return
     doc = {
@@ -378,12 +374,11 @@ def cmd_reconstruct(a) -> int:
         raise ValueError("reference shape does not match the input")
     models = _build_models(a, buf, infer_theta=True)
     cfg = _build_config(a)
-    workers = resolve_workers(a.workers)
     out = np.empty_like(buf.data)
     parts = []
     for c in range(buf.channels):
         x_hat, part = reconstruct_channel(
-            buf.channel(c), models[c], cfg, a.frame, _hop(a), workers=workers,
+            buf.channel(c), models[c], cfg, a.frame, _hop(a), workers=a.workers,
             reference=reference.channel(c) if reference is not None else None)
         out[:, c] = x_hat
         parts.append(part)
@@ -476,9 +471,8 @@ def cmd_demo(a) -> int:
         order=a.order, strategy=a.strategy, lambda_c=a.lambda_c,
         lambda_s=a.lambda_s, outer_iters=a.outer, inner_iters=a.inner,
         acceleration=_parse_accel(a.accel))
-    workers = resolve_workers(a.workers)
     x_hat, report = reconstruct_channel(
-        deg_buf.channel(0), model, cfg, a.frame, _hop(a), workers=workers,
+        deg_buf.channel(0), model, cfg, a.frame, _hop(a), workers=a.workers,
         reference=clean_buf.channel(0))
     write_wav(out_dir / "restored.wav", AudioBuffer(x_hat, a.sample_rate),
               fmt="float32")

@@ -17,52 +17,52 @@ __all__ = ["FrameLayout", "frame_layout", "segment", "sine_window", "overlap_add
 class FrameLayout:
     """Placement of overlapping frames over a signal.
 
-    Frame k covers samples [k*hop, k*hop + frame_length); the signal is
-    zero-padded at the end so the last frame is full length.
+    Frame k covers samples [k*hop, k*hop + frame_length) for k < n_frames =
+    ceil(n_samples / hop), so every sample is covered; pad_end trailing
+    zeros make the last frame full length.
     """
 
     frame_length: int
     hop: int
-    n_frames: int
     n_samples: int
-    pad_end: int = 0
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError("empty input")
         if not 1 <= self.hop <= self.frame_length:
             raise ValueError("hop must satisfy 1 <= hop <= frame_length")
-        if self.n_frames < 1:
-            raise ValueError("need at least one frame")
-        covered = (self.n_frames - 1) * self.hop + self.frame_length
-        if covered < self.n_samples:
-            raise ValueError("layout does not cover the signal")
+
+    @property
+    def n_frames(self) -> int:
+        return -(-self.n_samples // self.hop)
+
+    @property
+    def pad_end(self) -> int:
+        return (self.n_frames - 1) * self.hop + self.frame_length - self.n_samples
 
 
 def frame_layout(n_samples: int, frame_length: int, hop: int) -> FrameLayout:
-    """Layout placing a frame at every hop that still contains signal.
+    """Layout placing a frame at every hop that still contains signal."""
+    return FrameLayout(frame_length, hop, n_samples)
 
-    n_frames = ceil(n / hop), so every sample is covered and the last frame
-    is padded with trailing zeros up to the full frame length.
+
+def segment(x, layout: FrameLayout) -> list[np.ndarray]:
+    """Frames as read-only rows (row k is frame k) of x, which has the
+    layout's length or its padded length.
+
+    Frames inside x view x (made contiguous first); only the last ones, which
+    reach into the end padding, view one short zero-padded copy of the tail.
     """
-    if n_samples < 1:
-        raise ValueError("empty input")
-    if not 1 <= hop <= frame_length:
-        raise ValueError("hop must satisfy 1 <= hop <= frame_length")
-    n_frames = int(np.ceil(n_samples / hop))
-    pad_end = (n_frames - 1) * hop + frame_length - n_samples
-    return FrameLayout(frame_length=frame_length, hop=hop, n_frames=n_frames,
-                       n_samples=n_samples, pad_end=pad_end)
-
-
-def segment(x, layout: FrameLayout) -> np.ndarray:
-    """Frames as read-only rows (row k is frame k) over one contiguous buffer
-    of the layout's padded length: x itself if it is one, else a copy."""
-    x = np.asarray(x, dtype=float)
-    if x.shape == (layout.n_samples,) and layout.pad_end:
-        x = np.concatenate((x, np.zeros(layout.pad_end)))
-    if x.shape != (layout.n_samples + layout.pad_end,):
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape not in ((layout.n_samples,), (layout.n_samples + layout.pad_end,)):
         raise ValueError("signal length does not match the layout")
-    return sliding_window_view(np.ascontiguousarray(x),
-                               layout.frame_length)[::layout.hop]
+    w, h = layout.frame_length, layout.hop
+    rows = list(sliding_window_view(x, w)[::h]) if x.size >= w else []
+    if len(rows) < layout.n_frames:
+        tail = np.zeros((layout.n_frames - len(rows) - 1) * h + w)
+        tail[: x.size - len(rows) * h] = x[len(rows) * h:]
+        rows += list(sliding_window_view(tail, w)[::h])
+    return rows
 
 
 def sine_window(frame_length: int) -> np.ndarray:

@@ -11,7 +11,6 @@ reconstructions here and estimates in ``regar evaluate``.
 """
 
 import math
-import os
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .framing import frame_layout, overlap_add, segment, sine_window
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
@@ -29,7 +27,7 @@ from .prox import ConsistencySpec
 from .solver import SolverConfig, acs_run
 
 __all__ = ["DegradationModel", "frame_record", "frame_specs",
-           "reconstruct_channel", "resolve_workers"]
+           "reconstruct_channel"]
 
 # slack for observations that passed through a float32 file
 MASK_TOL_FACTOR = 1e-6
@@ -77,21 +75,6 @@ class DegradationModel:
             return ConsistencySpec.dequant(padded, self.delta)
         return ConsistencySpec.inpaint(padded, np.concatenate(
             (self.reliable, np.ones(pad_end, dtype=bool))))
-
-
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit argument, then REGAR_THREADS, then the CPU count."""
-    if requested is not None:
-        if requested < 1:
-            raise ValueError("worker count must be positive")
-        return requested
-    env = os.environ.get("REGAR_THREADS")
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError("REGAR_THREADS must be positive")
-        return value
-    return os.cpu_count() or 1
 
 
 def _solve_frame(spec: ConsistencySpec, cfg: SolverConfig):
@@ -142,17 +125,6 @@ def frame_specs(box: ConsistencySpec, layout) -> Iterator[ConsistencySpec]:
         *(segment(a, layout) for a in (box.y, box.lower, box.upper))))
 
 
-def _frame_views(x, layout) -> Iterator[np.ndarray]:
-    """Frames of a contiguous channel: views of x, except the last frames,
-    which reach into the end padding and come from one short padded copy."""
-    w, h = layout.frame_length, layout.hop
-    inside = max(0, (layout.n_samples - w) // h + 1)
-    yield from sliding_window_view(x, w)[::h][:inside] if inside else ()
-    if inside < layout.n_frames:
-        tail = x[inside * h:]
-        yield from segment(tail, frame_layout(tail.size, w, h))
-
-
 def frame_record(k: int, estimate, observed=None, spec=None, reference=None,
                  stats=UNTOUCHED) -> FrameRecord:
     """Report row of frame k: the estimate's SDR against the reference, its
@@ -171,11 +143,14 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
     """Reconstruct one channel frame by frame.
 
     ``cfg = None`` skips the solver entirely (frames pass through overlap-add
-    unmodified).  Returns the reconstructed channel and a
-    ReconstructionReport; SDR fields are filled when a reference is given.
+    unmodified); ``workers`` (at least 1) processes solve the others.
+    Returns the reconstructed channel and a ReconstructionReport; SDR fields
+    are filled when a reference is given.
     """
     y = np.asarray(y, dtype=float)
     t_begin = time.perf_counter()
+    if workers < 1:
+        raise ValueError("worker count must be positive")
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
         if reference.size != y.size:
@@ -192,7 +167,7 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
     x_hat = overlap_add(
         scored(_frame_estimates(frame_specs(box, layout), cfg, workers),
                repeat(None) if reference is None
-               else _frame_views(np.ascontiguousarray(reference), layout)),
+               else segment(reference, layout)),
         layout, sine_window(frame_length))
     score, gain = sdr_scores(reference, x_hat, y)
     report = ReconstructionReport(

@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regar import cli
 from regar.armodel import random_stable_ar, simulate_ar
 from regar.audio_io import AudioBuffer, read_wav, write_wav
 from regar.cli import run_cli, write_report
+from regar.framing import frame_layout
 from regar.metrics import FrameRecord, ReconstructionReport
+from regar.pipeline import frame_record
 
 
 def make_wav(path, data, rate=16000, fmt="float32"):
@@ -140,6 +143,39 @@ def test_evaluate_with_degraded_and_report(tmp_path, ar_signal):
     assert doc["frames"]
 
 
+def test_evaluate_frames_view_the_channels_read(monkeypatch, tmp_path,
+                                               ar_signal):
+    # only frames that reach past the channel end are cut from a padded copy
+    clean, x = ar_signal
+    quantized = tmp_path / "q.wav"
+    make_wav(quantized, np.round(x * 8) / 8)
+    reads, seen = [], []  # estimate, reference and degraded, in that order
+
+    def read_spy(path):
+        reads.append(read_wav(path))
+        return reads[-1]
+
+    def record_spy(*args):
+        seen.append(args)
+        return frame_record(*args)
+
+    monkeypatch.setattr(cli, "read_wav", read_spy)
+    monkeypatch.setattr(cli, "frame_record", record_spy)
+    assert run_cli(["evaluate", str(quantized), "--reference", str(clean),
+                    "--degraded", str(quantized), "--bits", "4",
+                    "--frame", "512", "--hop", "160"]) == 0
+    layout = frame_layout(x.size, 512, 160)
+    assert len(seen) == layout.n_frames
+    inside = [k * 160 + 512 <= x.size for k in range(layout.n_frames)]
+    assert any(inside) and not all(inside)
+    est, ref, degraded = (buf.data for buf in reads)
+    for (_, estimate, observed, spec, reference), view in zip(seen, inside):
+        assert np.shares_memory(estimate, est) == view
+        assert np.shares_memory(observed, degraded) == view
+        assert np.shares_memory(reference, ref) == view
+        assert spec is not None
+
+
 def test_silent_reference_reports_null_sdr(tmp_path, ar_signal, capsys):
     clean, x = ar_signal
     clipped = tmp_path / "clip.wav"
@@ -255,6 +291,16 @@ def test_jobspec_validation_errors(tmp_path, ar_signal, capsys):
     assert run_cli(["evaluate", str(tmp_path / "none.wav"),
                     "--reference", str(clean)]) == 1
 
+
+
+def test_zero_workers_is_rejected(tmp_path, ar_signal, capsys):
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out),
+                    "--strategy", "declip", "--order", "8", "--frame", "512",
+                    "--outer", "1", "--inner", "10", "--workers", "0"]) == 1
+    assert "worker count must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option", ["--lambda-c", "--lambda-s"])

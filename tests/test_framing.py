@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from numpy.lib.array_utils import byte_bounds
 
 from oracles import copy_overlap_add, copy_segment
-from regar.framing import (FrameLayout, frame_layout, overlap_add, segment,
-                           sine_window)
+from regar.framing import frame_layout, overlap_add, segment, sine_window
 
 layouts = st.integers(1, 300).flatmap(lambda n: st.integers(1, 64).flatmap(
     lambda w: st.integers(1, w).map(lambda h: frame_layout(n, w, h))))
@@ -38,8 +37,6 @@ def test_layout_validation():
         frame_layout(8, 4, 0)
     with pytest.raises(ValueError):
         frame_layout(8, 4, 5)
-    with pytest.raises(ValueError):
-        FrameLayout(frame_length=4, hop=2, n_frames=1, n_samples=10)
     with pytest.raises(ValueError):
         segment([], frame_layout(1, 1, 1))
 
@@ -118,23 +115,36 @@ def test_overlap_add_validation():
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(layout=layouts)
-def test_segment_rows_are_read_only_views_of_one_padded_buffer(layout):
+def test_segment_views_the_signal_and_one_padded_tail(layout):
     x = np.arange(1.0, layout.n_samples + 1)
     rows = segment(x, layout)
     assert [row.tobytes() for row in rows] == \
         [frame.tobytes() for frame in copy_segment(x, layout)]
-    lo, hi = byte_bounds(rows)
-    assert hi - lo == (layout.n_samples + layout.pad_end) * x.itemsize
-    assert [byte_bounds(row)[0] - lo for row in rows] == \
-        [k * layout.hop * x.itemsize for k in range(layout.n_frames)]
-    assert np.shares_memory(rows, x) == (layout.pad_end == 0)
-    with pytest.raises(ValueError, match="read-only"):
-        rows[-1][0] = 0.0
+    w, h, size = layout.frame_length, layout.hop, x.itemsize
+    inside = sum(k * h + w <= x.size for k in range(layout.n_frames))
+    assert [np.shares_memory(row, x) for row in rows] == \
+        [k < inside for k in range(layout.n_frames)]
+    assert layout.n_frames - inside <= -(-w // h)
+    # the inside rows start every hop into x; the tail rows every hop into
+    # one buffer that ends with the last frame
+    starts = [byte_bounds(row)[0] for row in rows]
+    assert [s - byte_bounds(x)[0] for s in starts[:inside]] == \
+        [k * h * size for k in range(inside)]
+    tail = starts[inside:]
+    assert [s - tail[0] for s in tail] == [k * h * size for k in range(len(tail))]
+    if tail:
+        assert byte_bounds(rows[-1])[1] - tail[0] == \
+            ((len(tail) - 1) * h + w) * size
+    for row in (rows[0], rows[-1]):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
     strided = np.stack((x, x), axis=1)[:, 0]  # a stereo file's channel
     assert all(row.flags.c_contiguous for row in segment(strided, layout))
     padded = np.concatenate((x, np.zeros(layout.pad_end)))
-    assert segment(padded, layout).tobytes() == rows.tobytes()
-    assert np.shares_memory(segment(padded, layout), padded)
+    from_padded = segment(padded, layout)
+    assert [row.tobytes() for row in from_padded] == \
+        [row.tobytes() for row in rows]
+    assert all(np.shares_memory(row, padded) for row in from_padded)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -14,7 +14,7 @@ from regar.degrade import hard_clip, uniform_quantize
 from regar.framing import frame_layout
 from regar.metrics import consistency_distance, sdr
 from regar.pipeline import (DegradationModel, frame_record, frame_specs,
-                            reconstruct_channel, resolve_workers)
+                            reconstruct_channel)
 from regar.solver import SolverConfig
 
 
@@ -354,14 +354,12 @@ def test_drop_model_needs_matching_mask():
         model.spec_for(np.zeros(4))
 
 
-def test_resolve_workers(monkeypatch):
-    assert resolve_workers(3) == 3
-    with pytest.raises(ValueError):
-        resolve_workers(0)
-    monkeypatch.setenv("REGAR_THREADS", "5")
-    assert resolve_workers() == 5
-    monkeypatch.setenv("REGAR_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_workers()
-    monkeypatch.delenv("REGAR_THREADS")
-    assert resolve_workers() >= 1
+@pytest.mark.parametrize("solve", [False, True])
+def test_worker_count_must_be_positive(solve):
+    _, y, theta = clipped_channel(n=300)
+    cfg = SolverConfig(order=4, strategy="declip", lambda_c=1e-3,
+                       lambda_s=math.inf, outer_iters=1, inner_iters=10,
+                       acceleration=frozenset()) if solve else None
+    with pytest.raises(ValueError, match="worker count must be positive"):
+        reconstruct_channel(y, DegradationModel(kind="clip", theta=theta), cfg,
+                            64, 16, workers=0)

@@ -1,7 +1,9 @@
-"""The package root exports exactly what its documented users import.
+"""The package surface: what the root exports and what the package reads.
 
-The users are the README's Python examples and the benchmark workloads; a
-root name that neither imports belongs in its own module only.
+The root exports exactly what its documented users import (the README's
+Python examples and the benchmark workloads); a root name that neither
+imports belongs in its own module only.  Options come from arguments alone:
+no module reads the environment.
 """
 
 import ast
@@ -37,3 +39,19 @@ def test_root_exports_exactly_what_readme_and_bench_import():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert exported == used, f"exported only for tests: {sorted(exported - used)}"
+
+
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    readers = []
+    for path in sorted((ROOT / "src" / "regar").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and ENV_READERS & {alias.name for alias in node.names}):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers, f"environment read at {readers}"
