@@ -1,8 +1,8 @@
 """WAV file reading and writing (RIFF PCM 16/24-bit and 32-bit float).
 
 Integer PCM is scaled to [-1, 1) by 2**(bits-1) on read; writing PCM rejects
-samples outside [-1, 1] instead of clipping silently.  Float mode stores the
-samples as-is, so float32-representable data round-trips bitwise.
+NaN and samples outside [-1, 1] instead of clipping silently.  Float mode
+stores the samples as-is, so float32-representable data round-trips bitwise.
 """
 
 import struct
@@ -94,7 +94,8 @@ def read_wav(path) -> AudioBuffer:
         audio_format = struct.unpack_from("<H", fmt, 24)[0]
     if channels < 1:
         raise ValueError(f"{path}: no channels")
-    if block_align != channels * (bits // 8):
+    # a header below 8 bits per sample can claim a block of zero bytes
+    if block_align == 0 or block_align != channels * (bits // 8):
         raise ValueError(f"{path}: inconsistent block alignment")
     if len(data) % block_align != 0:
         raise ValueError(f"{path}: truncated sample data")
@@ -124,7 +125,7 @@ def write_wav(path, buffer: AudioBuffer, fmt: str = "float32") -> None:
         payload = flat.astype("<f4").tobytes()
         audio_format, bits = _IEEE_FLOAT, 32
     else:
-        if np.any(np.abs(flat) > 1.0):
+        if not np.all(np.abs(flat) <= 1.0):  # rejects NaN too
             raise ValueError("PCM output requires samples in [-1, 1]")
         bits = 16 if fmt == "pcm16" else 24
         full = 2 ** (bits - 1)

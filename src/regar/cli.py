@@ -45,32 +45,27 @@ def _model_options(a: argparse.Namespace) -> int:
     return given
 
 
+# the option each degrade mode needs, and no other mode takes
+_MODE_OPTIONS = {"clip": "theta", "quantize": "bits", "drop": "ratio"}
+
+
 def _validate(a: argparse.Namespace) -> None:
     """Reject option combinations that the parser alone lets through."""
     if a.command == "degrade":
-        if a.mode == "clip" and a.theta is None:
-            raise ValueError("clip mode needs --theta")
-        if a.mode == "quantize" and a.bits is None:
-            raise ValueError("quantize mode needs --bits")
-        if a.mode == "drop" and a.ratio is None:
-            raise ValueError("drop mode needs --ratio")
-        if a.mode != "clip" and a.theta is not None:
-            raise ValueError("--theta applies to clip mode only")
-        if a.mode != "quantize" and a.bits is not None:
-            raise ValueError("--bits applies to quantize mode only")
-        if a.mode != "drop" and a.ratio is not None:
-            raise ValueError("--ratio applies to drop mode only")
+        option = _MODE_OPTIONS[a.mode]
+        if getattr(a, option) is None:
+            raise ValueError(f"{a.mode} mode needs --{option}")
+        for mode, other in _MODE_OPTIONS.items():
+            if mode != a.mode and getattr(a, other) is not None:
+                raise ValueError(f"--{other} applies to {mode} mode only")
     elif a.command == "reconstruct":
         if a.strategy == "dequant":
             if a.bits is None:
                 raise ValueError("dequant strategy needs --bits")
-            if a.bits < 1:
-                raise ValueError("word length must be at least 1 bit")
             if a.theta is not None or a.mask is not None:
                 raise ValueError("dequant strategy takes --bits only")
-        else:
-            if a.bits is not None:
-                raise ValueError("--bits applies to the dequant strategy only")
+        elif a.bits is not None:
+            raise ValueError("--bits applies to the dequant strategy only")
         if a.strategy in ("declip", "glp") and a.mask is not None:
             raise ValueError(f"{a.strategy} strategy derives masks from --theta")
         if a.strategy == "inpaint" and a.mask is None and a.theta is None:
@@ -83,10 +78,11 @@ def _validate(a: argparse.Namespace) -> None:
     elif a.command == "evaluate":
         if _model_options(a) and a.degraded is None:
             raise ValueError("--theta, --bits and --mask need --degraded")
-        if a.bits is not None and a.bits < 1:
-            raise ValueError("word length must be at least 1 bit")
         if a.hop is not None and a.frame is None:
             raise ValueError("--hop needs --frame")
+    # demo quantizes only for the dequant strategy, which checks --bits itself
+    if a.command != "demo" and a.bits is not None and a.bits < 1:
+        raise ValueError("word length must be at least 1 bit")
 
 
 def _positive_float(text: str) -> float:
@@ -103,6 +99,36 @@ def _lambda_value(text: str) -> float:
     return value
 
 
+# Options that several subcommands share, each declared once: a subcommand
+# picks the flags it takes and sets its own defaults with set_defaults.
+_OPTIONS = {
+    "--theta": dict(type=_positive_float, help="clipping threshold "
+                    "(reconstruct: the input's peak by default)"),
+    "--bits": dict(type=int),
+    "--mask": dict(help="reliable-sample mask (.npy) for inpainting"),
+    "--lambda-c": dict(type=_lambda_value, default=1e-3),
+    "--lambda-s": dict(type=_lambda_value, default=math.inf),
+    "--order": dict(type=int),
+    "--frame": dict(type=int),
+    "--hop": dict(type=int, help="default: frame/4 (demo: 256)"),
+    "--outer": dict(type=int),
+    "--inner": dict(type=int),
+    "--accel": dict(default="none", help="comma list: extrapolate,"
+                    "extrapolate-coefs,linesearch or none"),
+    "--workers": dict(type=int, default=os.cpu_count() or 1),
+    "--seed": dict(type=int, default=0),
+    "--report": dict(),
+    "--report-format": dict(choices=("csv", "json"), default="json"),
+    "--format": dict(choices=("float32", "pcm16", "pcm24"), default="float32"),
+}
+
+
+def _shared(parser: argparse.ArgumentParser, flags: str) -> None:
+    """Add the shared options named in ``flags`` to a subcommand."""
+    for flag in flags.split():
+        parser.add_argument(flag, **_OPTIONS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regar",
@@ -113,89 +139,62 @@ def build_parser() -> argparse.ArgumentParser:
     deg = sub.add_parser("degrade", help="clip, quantize or drop samples")
     deg.add_argument("input")
     deg.add_argument("-o", "--output", required=True)
-    deg.add_argument("--mode", choices=("clip", "quantize", "drop"), required=True)
-    deg.add_argument("--theta", type=_positive_float)
-    deg.add_argument("--bits", type=int)
+    deg.add_argument("--mode", choices=tuple(_MODE_OPTIONS), required=True)
+    _shared(deg, "--theta --bits")
     deg.add_argument("--ratio", type=float, help="fraction of samples to drop")
-    deg.add_argument("--seed", type=int, default=0)
-    deg.add_argument("--format", choices=("float32", "pcm16", "pcm24"),
-                     default="float32")
+    _shared(deg, "--seed --format")
+    deg.set_defaults(run=cmd_degrade)
 
     rec = sub.add_parser("reconstruct", help="restore a degraded file")
     rec.add_argument("input")
     rec.add_argument("-o", "--output", required=True)
     rec.add_argument("--strategy", choices=STRATEGIES, required=True)
-    rec.add_argument("--theta", type=_positive_float,
-                     help="clipping threshold (default: peak of the input)")
-    rec.add_argument("--bits", type=int)
-    rec.add_argument("--mask", help="reliable-sample mask (.npy) for inpainting")
-    rec.add_argument("--lambda-c", type=_lambda_value, default=1e-3)
-    rec.add_argument("--lambda-s", type=_lambda_value, default=math.inf)
+    _shared(rec, "--theta --bits --mask --lambda-c --lambda-s")
     rec.add_argument("--gamma-c", type=_positive_float, default=1.0)
     rec.add_argument("--gamma-s", type=_positive_float, default=1.0)
-    rec.add_argument("--order", type=int, default=512)
-    rec.add_argument("--frame", type=int, default=2048)
-    rec.add_argument("--hop", type=int, default=None,
-                     help="default: frame/4")
-    rec.add_argument("--outer", type=int, default=10)
-    rec.add_argument("--inner", type=int, default=None)
+    _shared(rec, "--order --frame --hop --outer --inner")
     rec.add_argument("--inner-schedule",
                      help="n1,nI exponents of a logarithmic schedule")
-    rec.add_argument("--accel", default="none",
-                     help="comma list: extrapolate,extrapolate-coefs,"
-                          "linesearch or none")
-    rec.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    _shared(rec, "--accel --workers")
     rec.add_argument("--reference", help="clean file for SDR reporting")
-    rec.add_argument("--report")
-    rec.add_argument("--report-format", choices=("csv", "json"), default="json")
+    _shared(rec, "--report --report-format")
     rec.add_argument("--deterministic-report", action="store_true",
                      help="zero out wall-clock fields in the report")
-    rec.add_argument("--format", choices=("float32", "pcm16", "pcm24"),
-                     default="float32")
+    _shared(rec, "--format")
+    rec.set_defaults(order=512, frame=2048, outer=10, run=cmd_reconstruct)
 
     ev = sub.add_parser("evaluate", help="score an estimate against a reference")
     ev.add_argument("estimate")
     ev.add_argument("--reference", required=True)
     ev.add_argument("--degraded")
-    ev.add_argument("--theta", type=_positive_float)
-    ev.add_argument("--bits", type=int)
-    ev.add_argument("--mask")
-    ev.add_argument("--frame", type=int)
-    ev.add_argument("--hop", type=int)
-    ev.add_argument("--report")
-    ev.add_argument("--report-format", choices=("csv", "json"), default="json")
+    _shared(ev, "--theta --bits --mask --frame --hop --report --report-format")
+    ev.set_defaults(run=cmd_evaluate)
 
     dem = sub.add_parser("demo", help="synthetic end-to-end run")
     dem.add_argument("--out-dir", required=True)
-    dem.add_argument("--seed", type=int, default=0)
+    _shared(dem, "--seed")
     dem.add_argument("--length", type=int, default=8192)
-    dem.add_argument("--order", type=int, default=32)
+    _shared(dem, "--order")
     dem.add_argument("--clip-level", type=float, default=0.2)
     dem.add_argument("--sample-rate", type=int, default=16000)
     dem.add_argument("--strategy", choices=STRATEGIES, default="declip")
-    dem.add_argument("--bits", type=int, default=5)
-    dem.add_argument("--lambda-c", type=_lambda_value, default=1e-3)
-    dem.add_argument("--lambda-s", type=_lambda_value, default=math.inf)
-    dem.add_argument("--frame", type=int, default=1024)
-    dem.add_argument("--hop", type=int, default=256)
-    dem.add_argument("--outer", type=int, default=5)
-    dem.add_argument("--inner", type=int, default=200)
-    dem.add_argument("--accel", default="none")
-    dem.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    _shared(dem, "--bits --lambda-c --lambda-s --frame --hop --outer --inner "
+                 "--accel --workers")
+    # demo restores as reconstruct does, with the solver options it lacks
+    dem.set_defaults(order=32, bits=5, frame=1024, hop=256, outer=5, inner=200,
+                     theta=None, mask=None, gamma_c=1.0, gamma_s=1.0,
+                     inner_schedule=None, run=cmd_demo)
     return parser
 
 
 def _parse_accel(text: str) -> frozenset:
-    text = text.strip()
-    if not text or text == "none":
+    if text.strip() in ("", "none"):
         return frozenset()
-    out = set()
-    for token in text.split(","):
-        token = token.strip()
+    tokens = [token.strip() for token in text.split(",")]
+    for token in tokens:
         if token not in _ACCEL_TOKENS:
             raise ValueError(f"unknown acceleration {token!r}")
-        out.add(_ACCEL_TOKENS[token])
-    return frozenset(out)
+    return frozenset(_ACCEL_TOKENS[token] for token in tokens)
 
 
 def _report_value(value):
@@ -269,32 +268,31 @@ def _merge_reports(parts: list[ReconstructionReport], reference, degraded,
     )
 
 
+def _clip_or_quantize(a, buf: AudioBuffer) -> np.ndarray:
+    """Every channel clipped at --theta or, without it, quantized to --bits."""
+    if a.theta is not None:
+        obs = [hard_clip(x, a.theta) for x in buf.data.T]
+        print(f"clipped at theta = {a.theta}")
+    else:
+        obs = [uniform_quantize(x, a.bits) for x in buf.data.T]
+        print(f"quantized to {a.bits} bits, step {obs[0].delta}")
+    return np.column_stack([o.y for o in obs])
+
+
 def cmd_degrade(a) -> int:
     buf = read_wav(a.input)
-    out = np.empty_like(buf.data)
-    if a.mode == "clip":
-        for c in range(buf.channels):
-            out[:, c] = hard_clip(buf.channel(c), a.theta).y
-        print(f"clipped at theta = {a.theta}")
-    elif a.mode == "quantize":
-        delta = None
-        for c in range(buf.channels):
-            obs = uniform_quantize(buf.channel(c), a.bits)
-            out[:, c] = obs.y
-            delta = obs.delta
-        print(f"quantized to {a.bits} bits, step {delta}")
+    if a.mode != "drop":
+        out = _clip_or_quantize(a, buf)
     else:
         if not 0.0 <= a.ratio <= 1.0:
             raise ValueError("drop ratio must be in [0, 1]")
         rng = np.random.default_rng(a.seed)
+        n_drop = int(round(a.ratio * buf.n_samples))
+        out = np.empty_like(buf.data)
         reliable = np.ones(buf.data.shape, dtype=bool)
-        for c in range(buf.channels):
-            n = buf.n_samples
-            n_drop = int(round(a.ratio * n))
-            drop_idx = rng.choice(n, size=n_drop, replace=False)
-            keep = np.ones(n, dtype=bool)
-            keep[drop_idx] = False
-            out[:, c], reliable[:, c] = drop_samples(buf.channel(c), keep)
+        for c, x in enumerate(buf.data.T):
+            reliable[rng.choice(x.size, size=n_drop, replace=False), c] = False
+            out[:, c] = drop_samples(x, reliable[:, c])[0]
         mask_path = a.output + ".mask.npy"
         np.save(mask_path, reliable)
         print(f"dropped {a.ratio:.1%} of samples; mask saved to {mask_path}")
@@ -302,20 +300,11 @@ def cmd_degrade(a) -> int:
     return 0
 
 
-def _load_mask(path, shape) -> np.ndarray:
-    """Reliable-sample mask (.npy) with one column per channel of the file."""
-    reliable = np.load(path)
-    if reliable.ndim == 1:
-        reliable = reliable[:, None]
-    if reliable.shape != shape:
-        raise ValueError("mask shape does not match the input file")
-    return reliable
-
-
 def _build_models(a, buf: AudioBuffer,
                   infer_theta: bool = False) -> list[DegradationModel] | None:
     """One degradation model per channel, from --bits, --mask or --theta.
 
+    A --mask (.npy) has one column per channel, or is 1-D for a mono file.
     Without any of them the clipping threshold is the peak of the file when
     ``infer_theta`` is set, else there is no model (None).
     """
@@ -323,7 +312,11 @@ def _build_models(a, buf: AudioBuffer,
         delta = 2.0 ** (1 - a.bits)
         return [DegradationModel(kind="quant", delta=delta)] * buf.channels
     if a.mask is not None:
-        reliable = _load_mask(a.mask, buf.data.shape)
+        reliable = np.load(a.mask)
+        if reliable.ndim == 1:
+            reliable = reliable[:, None]
+        if reliable.shape != buf.data.shape:
+            raise ValueError("mask shape does not match the input file")
         return [DegradationModel(kind="drop", reliable=reliable[:, c])
                 for c in range(buf.channels)]
     theta = a.theta
@@ -345,14 +338,12 @@ def _hop(a) -> int:
 def _build_config(a) -> SolverConfig | None:
     if a.outer == 0:
         return None
+    schedule = None
     if a.inner_schedule is not None:
         parts = a.inner_schedule.split(",")
         if len(parts) != 2:
             raise ValueError("--inner-schedule takes two exponents n1,nI")
-        schedule = tuple(progressive_schedule(float(parts[0]), float(parts[1]),
-                                              a.outer))
-    else:
-        schedule = None
+        schedule = tuple(progressive_schedule(*map(float, parts), a.outer))
     return SolverConfig(
         order=a.order,
         strategy=a.strategy,
@@ -367,9 +358,8 @@ def _build_config(a) -> SolverConfig | None:
     )
 
 
-def cmd_reconstruct(a) -> int:
-    buf = read_wav(a.input)
-    reference = read_wav(a.reference) if a.reference else None
+def _restore(a, buf: AudioBuffer, reference: AudioBuffer | None):
+    """Every channel restored as the reconstruct options say; one report."""
     if reference is not None and reference.data.shape != buf.data.shape:
         raise ValueError("reference shape does not match the input")
     models = _build_models(a, buf, infer_theta=True)
@@ -377,21 +367,26 @@ def cmd_reconstruct(a) -> int:
     out = np.empty_like(buf.data)
     parts = []
     for c in range(buf.channels):
-        x_hat, part = reconstruct_channel(
+        out[:, c], part = reconstruct_channel(
             buf.channel(c), models[c], cfg, a.frame, _hop(a), workers=a.workers,
             reference=reference.channel(c) if reference is not None else None)
-        out[:, c] = x_hat
         parts.append(part)
+    return out, _merge_reports(parts, reference.data if reference else None,
+                               buf.data, out)
+
+
+def cmd_reconstruct(a) -> int:
+    buf = read_wav(a.input)
+    out, report = _restore(a, buf, read_wav(a.reference) if a.reference
+                           else None)
     write_wav(a.output, AudioBuffer(out, buf.sample_rate), fmt=a.format)
-    report = _merge_reports(parts, reference.data if reference else None,
-                            buf.data, out)
     if a.report:
         write_report(report, a.report, a.report_format,
                      deterministic=a.deterministic_report)
     if report.sdr_db is not None:
         print(f"SDR: {_report_value(report.sdr_db)} dB "
               f"(improvement {_report_value(report.delta_sdr_db)} dB)")
-    elif reference is not None:
+    elif a.reference:
         print("SDR: undefined (silent reference)")
     print(f"consistency: {_report_value(report.consistency_sq)}")
     return 0
@@ -442,6 +437,9 @@ def cmd_evaluate(a) -> int:
 
 
 def cmd_demo(a) -> int:
+    """Degrade a synthetic AR signal and restore it, as ``degrade`` and
+    ``reconstruct`` do: the dequant strategy quantizes to --bits, the others
+    clip at --clip-level times the peak."""
     out_dir = Path(a.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(a.seed)
@@ -449,35 +447,20 @@ def cmd_demo(a) -> int:
     clean = simulate_ar(coeffs, a.length, rng, burn_in=1000)
     clean = 0.99 * clean / np.max(np.abs(clean))
     clean_path = out_dir / "clean.wav"
-    write_wav(clean_path, AudioBuffer(clean, a.sample_rate), fmt="float32")
+    write_wav(clean_path, AudioBuffer(clean, a.sample_rate))
     clean_buf = read_wav(clean_path)
 
-    degraded_path = out_dir / "degraded.wav"
-    if a.strategy == "dequant":
-        obs = uniform_quantize(clean_buf.channel(0), a.bits)
-        degraded = obs.y
-        model = DegradationModel(kind="quant", delta=obs.delta)
-        print(f"quantized to {a.bits} bits, step {obs.delta}")
-    else:
+    if a.strategy != "dequant":
         peak = float(np.max(np.abs(clean_buf.channel(0))))
-        theta = float(np.float32(a.clip_level * peak))
-        degraded = hard_clip(clean_buf.channel(0), theta).y
-        model = DegradationModel(kind="clip", theta=theta)
-        print(f"clipped at theta = {theta}")
-    write_wav(degraded_path, AudioBuffer(degraded, a.sample_rate), fmt="float32")
-
+        a.theta, a.bits = float(np.float32(a.clip_level * peak)), None
+    degraded_path = out_dir / "degraded.wav"
+    write_wav(degraded_path, AudioBuffer(_clip_or_quantize(a, clean_buf),
+                                         a.sample_rate))
     deg_buf = read_wav(degraded_path)
-    cfg = SolverConfig(
-        order=a.order, strategy=a.strategy, lambda_c=a.lambda_c,
-        lambda_s=a.lambda_s, outer_iters=a.outer, inner_iters=a.inner,
-        acceleration=_parse_accel(a.accel))
-    x_hat, report = reconstruct_channel(
-        deg_buf.channel(0), model, cfg, a.frame, _hop(a), workers=a.workers,
-        reference=clean_buf.channel(0))
-    write_wav(out_dir / "restored.wav", AudioBuffer(x_hat, a.sample_rate),
-              fmt="float32")
-    write_report(report, out_dir / "report.csv", "csv", deterministic=True)
-    write_report(report, out_dir / "report.json", "json", deterministic=True)
+    x_hat, report = _restore(a, deg_buf, clean_buf)
+    write_wav(out_dir / "restored.wav", AudioBuffer(x_hat, a.sample_rate))
+    for fmt in ("csv", "json"):
+        write_report(report, out_dir / f"report.{fmt}", fmt, deterministic=True)
 
     input_sdr = sdr(clean_buf.channel(0), deg_buf.channel(0))
     print(f"input SDR: {_report_value(input_sdr)} dB, restored SDR: "
@@ -486,23 +469,14 @@ def cmd_demo(a) -> int:
     return 0
 
 
-_COMMANDS = {
-    "degrade": cmd_degrade,
-    "reconstruct": cmd_reconstruct,
-    "evaluate": cmd_evaluate,
-    "demo": cmd_demo,
-}
-
-
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
         _validate(args)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -44,7 +44,10 @@ __all__ = [
     "acs_run",
 ]
 
-STRATEGIES = ("inpaint", "glp", "declip", "dequant")
+# each strategy and the consistency-spec variants it accepts: the
+# missing-sample strategies need reliable samples, so no dequant spec
+STRATEGIES = {"inpaint": ("declip", "inpaint"), "glp": ("declip",),
+              "declip": ("declip",), "dequant": ("dequant",)}
 ACCELERATIONS = ("extrapolate_signal", "extrapolate_coefs", "line_search")
 
 COEF_GROWTH_LIMIT = 1e6
@@ -371,12 +374,6 @@ def line_search(a_half, a_prev, x_half, x_prev, objective_fn, tau_grid):
     return best[1], best[2]
 
 
-def _reliable_mask(spec: ConsistencySpec) -> np.ndarray:
-    if spec.variant == "dequant":
-        raise ValueError(f"strategy needs reliable samples, got a {spec.variant} spec")
-    return spec.pinned
-
-
 def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
             ground_truth=None):
     """Run the full alternating solver on one frame.
@@ -390,13 +387,12 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     y = np.asarray(observation, dtype=float)
     if spec.n != y.size:
         raise ValueError("consistency spec length does not match the observation")
-    if cfg.strategy == "glp" and spec.variant != "declip":
-        raise ValueError("the glp strategy needs a declip spec")
-    if cfg.strategy in ("declip", "dequant") and spec.variant != cfg.strategy:
-        raise ValueError(f"strategy {cfg.strategy!r} needs a matching spec, "
+    if spec.variant not in STRATEGIES[cfg.strategy]:
+        raise ValueError(f"strategy {cfg.strategy!r} takes a "
+                         f"{' or '.join(STRATEGIES[cfg.strategy])} spec, "
                          f"got {spec.variant!r}")
     if cfg.strategy in ("inpaint", "glp"):
-        reliable = _reliable_mask(spec)
+        reliable = spec.pinned
     total_iters = cfg.outer_iters
     use_linesearch = "line_search" in cfg.acceleration
     extra_sig = "extrapolate_signal" in cfg.acceleration

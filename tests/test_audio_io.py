@@ -51,6 +51,15 @@ def test_pcm_rejects_out_of_range(tmp_path):
                   fmt="pcm16")
 
 
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24"])
+def test_pcm_rejects_nan(tmp_path, fmt):
+    path = tmp_path / "nan.wav"
+    with pytest.raises(ValueError, match="requires samples"):
+        write_wav(path, AudioBuffer(np.array([0.1, np.nan, 0.2]), 8000),
+                  fmt=fmt)
+    assert not path.exists()
+
+
 def test_float_mode_preserves_out_of_range(tmp_path):
     path = tmp_path / "hot.wav"
     write_wav(path, AudioBuffer(np.array([1.5, -2.0]), 8000), fmt="float32")

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -437,3 +439,147 @@ def test_demo_smoke(tmp_path):
         assert (out_dir / name).exists()
     doc = json.loads((out_dir / "report.json").read_text())
     assert doc["global"]["sdr_db"] is not None
+
+
+def test_demo_zero_outer_passes_the_observation_through(tmp_path):
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
+                    "--frame", "512", "--outer", "0", "--workers", "1"]) == 0
+    restored = (out_dir / "restored.wav").read_bytes()
+    assert restored == (out_dir / "degraded.wav").read_bytes()
+    assert (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("strategy, model", [("declip", "--theta"),
+                                             ("dequant", "--bits")])
+def test_demo_restores_as_reconstruct_does(tmp_path, capsys, strategy, model):
+    solver = ["--order", "8", "--frame", "512", "--hop", "128",
+              "--outer", "2", "--inner", "40", "--workers", "1"]
+    demo = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(demo), "--seed", "2",
+                    "--length", "2048", "--strategy", strategy, *solver]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    # "clipped at theta = 0.19..." or "quantized to 5 bits, step 0.0625"
+    value = printed.split()[-1] if model == "--theta" else "5"
+    restored, report = tmp_path / "restored.wav", tmp_path / "report.json"
+    assert run_cli(["reconstruct", str(demo / "degraded.wav"),
+                    "-o", str(restored), "--strategy", strategy, model, value,
+                    "--reference", str(demo / "clean.wav"),
+                    "--report", str(report), "--deterministic-report",
+                    *solver]) == 0
+    assert restored.read_bytes() == (demo / "restored.wav").read_bytes()
+    assert report.read_bytes() == (demo / "report.json").read_bytes()
+
+
+# every option of every subcommand: (dest, type, default, choices, required);
+# None in the workers row stands for the CPU count
+_CHOICES = {"format": ["float32", "pcm16", "pcm24"], "report": ["csv", "json"],
+            "strategy": ["inpaint", "glp", "declip", "dequant"]}
+_SURFACE = {
+    "degrade": {
+        "input": ("input", None, None, None, True),
+        "-o --output": ("output", None, None, None, True),
+        "--mode": ("mode", None, None, ["clip", "quantize", "drop"], True),
+        "--theta": ("theta", "_positive_float", None, None, False),
+        "--bits": ("bits", "int", None, None, False),
+        "--ratio": ("ratio", "float", None, None, False),
+        "--seed": ("seed", "int", 0, None, False),
+        "--format": ("format", None, "float32", _CHOICES["format"], False),
+    },
+    "reconstruct": {
+        "input": ("input", None, None, None, True),
+        "-o --output": ("output", None, None, None, True),
+        "--strategy": ("strategy", None, None, _CHOICES["strategy"], True),
+        "--theta": ("theta", "_positive_float", None, None, False),
+        "--bits": ("bits", "int", None, None, False),
+        "--mask": ("mask", None, None, None, False),
+        "--lambda-c": ("lambda_c", "_lambda_value", 1e-3, None, False),
+        "--lambda-s": ("lambda_s", "_lambda_value", math.inf, None, False),
+        "--gamma-c": ("gamma_c", "_positive_float", 1.0, None, False),
+        "--gamma-s": ("gamma_s", "_positive_float", 1.0, None, False),
+        "--order": ("order", "int", 512, None, False),
+        "--frame": ("frame", "int", 2048, None, False),
+        "--hop": ("hop", "int", None, None, False),
+        "--outer": ("outer", "int", 10, None, False),
+        "--inner": ("inner", "int", None, None, False),
+        "--inner-schedule": ("inner_schedule", None, None, None, False),
+        "--accel": ("accel", None, "none", None, False),
+        "--workers": ("workers", "int", None, None, False),
+        "--reference": ("reference", None, None, None, False),
+        "--report": ("report", None, None, None, False),
+        "--report-format": ("report_format", None, "json", _CHOICES["report"],
+                            False),
+        "--deterministic-report": ("deterministic_report", None, False, None,
+                                   False),
+        "--format": ("format", None, "float32", _CHOICES["format"], False),
+    },
+    "evaluate": {
+        "estimate": ("estimate", None, None, None, True),
+        "--reference": ("reference", None, None, None, True),
+        "--degraded": ("degraded", None, None, None, False),
+        "--theta": ("theta", "_positive_float", None, None, False),
+        "--bits": ("bits", "int", None, None, False),
+        "--mask": ("mask", None, None, None, False),
+        "--frame": ("frame", "int", None, None, False),
+        "--hop": ("hop", "int", None, None, False),
+        "--report": ("report", None, None, None, False),
+        "--report-format": ("report_format", None, "json", _CHOICES["report"],
+                            False),
+    },
+    "demo": {
+        "--out-dir": ("out_dir", None, None, None, True),
+        "--seed": ("seed", "int", 0, None, False),
+        "--length": ("length", "int", 8192, None, False),
+        "--order": ("order", "int", 32, None, False),
+        "--clip-level": ("clip_level", "float", 0.2, None, False),
+        "--sample-rate": ("sample_rate", "int", 16000, None, False),
+        "--strategy": ("strategy", None, "declip", _CHOICES["strategy"], False),
+        "--bits": ("bits", "int", 5, None, False),
+        "--lambda-c": ("lambda_c", "_lambda_value", 1e-3, None, False),
+        "--lambda-s": ("lambda_s", "_lambda_value", math.inf, None, False),
+        "--frame": ("frame", "int", 1024, None, False),
+        "--hop": ("hop", "int", 256, None, False),
+        "--outer": ("outer", "int", 5, None, False),
+        "--inner": ("inner", "int", 200, None, False),
+        "--accel": ("accel", None, "none", None, False),
+        "--workers": ("workers", "int", None, None, False),
+    },
+}
+
+
+def test_parser_surface_is_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_SURFACE)
+    for name, sub_parser in sub.choices.items():
+        seen = {}
+        for action in sub_parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            key = " ".join(action.option_strings) or action.dest
+            default = action.default
+            if action.dest == "workers":
+                assert default == (os.cpu_count() or 1)
+                default = None
+            seen[key] = (action.dest, getattr(action.type, "__name__", None),
+                         default, None if action.choices is None
+                         else list(action.choices), action.required)
+        assert seen == _SURFACE[name], name
+    # demo restores with reconstruct's solver settings but does not take them
+    demo_flags = set(_SURFACE["demo"])
+    for flag in ("--gamma-c", "--gamma-s", "--inner-schedule", "--theta",
+                 "--mask"):
+        assert flag not in demo_flags
+
+
+def test_malformed_wav_header_is_an_error_line(tmp_path, capsys):
+    # 4-bit PCM claims a zero-byte block; reading it must not divide by zero
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 0, 0, 4)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 4) + bytes(4))
+    path = tmp_path / "f.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert run_cli(["evaluate", str(path), "--reference", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "inconsistent block alignment" in err

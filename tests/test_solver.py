@@ -616,6 +616,24 @@ def test_acs_spec_strategy_mismatch():
         acs_run(y, spec, cfg)
 
 
+@pytest.mark.parametrize("strategy", ["inpaint", "glp", "declip", "dequant"])
+@pytest.mark.parametrize("variant", ["declip", "dequant", "inpaint"])
+def test_strategy_accepts_only_its_spec_variants(strategy, variant):
+    accepted = {"inpaint": {"declip", "inpaint"}, "glp": {"declip"},
+                "declip": {"declip"}, "dequant": {"dequant"}}
+    y = np.array([0.25, -0.75, 0.25, 0.75, -0.25, 0.25, -0.25, 0.75])
+    spec = {"declip": lambda: ConsistencySpec.declip(y, 0.75),
+            "dequant": lambda: ConsistencySpec.dequant(y, 0.5),
+            "inpaint": lambda: ConsistencySpec.inpaint(y, y > 0)}[variant]()
+    cfg = SolverConfig(order=1, strategy=strategy, outer_iters=1,
+                       inner_iters=5)
+    if variant in accepted[strategy]:
+        assert acs_run(y, spec, cfg)[1].shape == y.shape
+    else:
+        with pytest.raises(ValueError):
+            acs_run(y, spec, cfg)
+
+
 def test_acs_growth_guard_attaches_trace(monkeypatch):
     x_true, obs, spec = clipped_instance(13, n=64, p=2)
     monkeypatch.setattr(solver_mod, "COEF_GROWTH_LIMIT", 1e-12)
