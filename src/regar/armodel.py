@@ -15,7 +15,6 @@ import numpy as np
 from .prox import project_consistency
 
 __all__ = [
-    "ArCoefficients",
     "ObjectiveValue",
     "residual",
     "levinson_durbin",
@@ -27,34 +26,15 @@ __all__ = [
 
 
 def coef_array(a) -> np.ndarray:
-    """Return the coefficient vector of an ArCoefficients or array-like."""
-    vec = np.asarray(a.a if isinstance(a, ArCoefficients) else a, dtype=float)
+    """The float vector of ``a``, checked to be [1, a_2, ..., a_{p+1}]."""
+    vec = np.asarray(a, dtype=float)
     if vec.ndim != 1 or vec.size < 1:
         raise ValueError("coefficients must be a nonempty 1-D vector")
+    if vec[0] != 1.0:
+        raise ValueError("first coefficient must be exactly 1")
+    if not np.isfinite(vec).all():
+        raise ValueError("coefficients contain non-finite values")
     return vec
-
-
-@dataclass(frozen=True)
-class ArCoefficients:
-    """All-pole filter coefficients [1, a_2, ..., a_{p+1}] with the leading 1 fixed."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("coefficients must be a nonempty 1-D vector")
-        if a[0] != 1.0:
-            raise ValueError("first coefficient must be exactly 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coefficients contain non-finite values")
-        object.__setattr__(self, "a", a)
-
-    @classmethod
-    def from_free(cls, free) -> "ArCoefficients":
-        """Build coefficients from the free part (a_2, ..., a_{p+1})."""
-        free = np.asarray(free, dtype=float)
-        return cls(np.concatenate(([1.0], free)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +73,7 @@ def autocorrelation(x, max_lag: int) -> np.ndarray:
     return r
 
 
-def levinson_durbin(x, p: int) -> ArCoefficients:
+def levinson_durbin(x, p: int) -> np.ndarray:
     """Classic AR estimation by the autocorrelation method.
 
     Solves the order-p autocorrelation normal equations by the
@@ -109,7 +89,7 @@ def levinson_durbin(x, p: int) -> ArCoefficients:
     if not 0 <= p < n:
         raise ValueError(f"order must satisfy 0 <= p < {n}")
     if p == 0:
-        return ArCoefficients(np.ones(1))
+        return np.ones(1)
     r = autocorrelation(x, p)
     if not r[0] > 0:
         raise ValueError("degenerate autocorrelation (all-zero signal?)")
@@ -124,7 +104,7 @@ def levinson_durbin(x, p: int) -> ArCoefficients:
         a[1:i] += k * a[1:i][::-1]
         a[i] = k
         err *= 1.0 - k * k
-    return ArCoefficients(a)
+    return a
 
 
 def objective(a, x, lambda_c: float, lambda_s: float, spec) -> ObjectiveValue:
@@ -162,7 +142,7 @@ def objective(a, x, lambda_c: float, lambda_s: float, spec) -> ObjectiveValue:
     )
 
 
-def reflection_to_ar(reflection) -> ArCoefficients:
+def reflection_to_ar(reflection) -> np.ndarray:
     """Convert reflection coefficients to AR coefficients (Levinson step-up).
 
     Every |k| < 1 yields a stable all-pole filter, which makes this the
@@ -175,10 +155,10 @@ def reflection_to_ar(reflection) -> ArCoefficients:
     for k in reflection:
         a = np.concatenate((a, [0.0]))
         a = a + k * a[::-1]
-    return ArCoefficients(a)
+    return a
 
 
-def random_stable_ar(order: int, rng, k_max: float = 0.8) -> ArCoefficients:
+def random_stable_ar(order: int, rng, k_max: float = 0.8) -> np.ndarray:
     """Random stable AR model of the given order (reflection coefficients in (-k_max, k_max))."""
     k = rng.uniform(-k_max, k_max, size=order)
     return reflection_to_ar(k)

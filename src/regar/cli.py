@@ -71,17 +71,18 @@ def _validate(a: argparse.Namespace) -> None:
         if a.strategy == "inpaint" and a.mask is None and a.theta is None:
             raise ValueError("inpaint strategy needs --mask or --theta")
         _model_options(a)
-        if a.outer < 0:
-            raise ValueError("outer iteration count must be >= 0")
-        if a.inner_schedule is not None and a.inner is not None:
-            raise ValueError("--inner and --inner-schedule conflict")
     elif a.command == "evaluate":
         if _model_options(a) and a.degraded is None:
             raise ValueError("--theta, --bits and --mask need --degraded")
         if a.hop is not None and a.frame is None:
             raise ValueError("--hop needs --frame")
-    # demo quantizes only for the dequant strategy, which checks --bits itself
-    if a.command != "demo" and a.bits is not None and a.bits < 1:
+    if a.command in ("reconstruct", "demo"):
+        if a.outer < 0:
+            raise ValueError("outer iteration count must be >= 0")
+        if a.inner_schedule is not None and a.inner is not None:
+            raise ValueError("--inner and --inner-schedule conflict")
+        _build_config(a)  # the solver options fail before any file is touched
+    if a.bits is not None and a.bits < 1:
         raise ValueError("word length must be at least 1 bit")
 
 
@@ -292,7 +293,7 @@ def cmd_degrade(a) -> int:
         reliable = np.ones(buf.data.shape, dtype=bool)
         for c, x in enumerate(buf.data.T):
             reliable[rng.choice(x.size, size=n_drop, replace=False), c] = False
-            out[:, c] = drop_samples(x, reliable[:, c])[0]
+            out[:, c] = drop_samples(x, reliable[:, c])
         mask_path = a.output + ".mask.npy"
         np.save(mask_path, reliable)
         print(f"dropped {a.ratio:.1%} of samples; mask saved to {mask_path}")

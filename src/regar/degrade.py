@@ -28,19 +28,13 @@ def _as_signal(x) -> np.ndarray:
 
 
 def _as_bool_mask(m, n: int) -> np.ndarray:
-    """Accept a boolean mask of length n or an array of indices."""
+    """The boolean mask ``m`` itself, checked to have length n."""
     m = np.asarray(m)
-    if m.dtype == bool:
-        if m.shape != (n,):
-            raise ValueError(f"boolean mask must have length {n}, got {m.shape}")
-        return m.copy()
-    mask = np.zeros(n, dtype=bool)
-    if m.size:
-        idx = m.astype(np.intp)
-        if idx.min() < 0 or idx.max() >= n:
-            raise ValueError("mask index out of range")
-        mask[idx] = True
-    return mask
+    if m.dtype != bool:
+        raise ValueError(f"mask must be a boolean array, got dtype {m.dtype}")
+    if m.shape != (n,):
+        raise ValueError(f"boolean mask must have length {n}, got {m.shape}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -50,35 +44,13 @@ class ClipObservation:
     y: np.ndarray
     theta: float
 
-    def __post_init__(self):
-        y = _as_signal(self.y)
-        if not self.theta > 0:
-            raise ValueError("clipping threshold must be positive")
-        if np.any(np.abs(y) > self.theta * (1 + 4 * np.finfo(float).eps)):
-            raise ValueError("clip observation exceeds the threshold")
-        object.__setattr__(self, "y", y)
-
 
 @dataclass(frozen=True)
 class QuantObservation:
     """Uniformly quantized signal; every sample is an odd multiple of delta/2."""
 
     y: np.ndarray
-    word_length: int
     delta: float
-
-    def __post_init__(self):
-        y = _as_signal(self.y)
-        if self.word_length < 1:
-            raise ValueError("word length must be at least 1 bit")
-        expected = 2.0 ** (1 - self.word_length)
-        if self.delta != expected:
-            raise ValueError(f"delta must equal 2**(1-word_length) = {expected}")
-        levels = y / (self.delta / 2.0)
-        rounded = np.round(levels)
-        if np.any(np.abs(levels - rounded) > 1e-9) or np.any(rounded.astype(np.int64) % 2 == 0):
-            raise ValueError("quantized samples must be odd multiples of delta/2")
-        object.__setattr__(self, "y", y)
 
 
 def hard_clip(x, theta: float) -> ClipObservation:
@@ -109,16 +81,11 @@ def uniform_quantize(x, word_length: int) -> QuantObservation:
     delta = 2.0 ** (1 - word_length)
     sign = np.where(x >= 0, 1.0, -1.0)
     y = sign * delta * (np.floor(np.abs(x) / delta) + 0.5)
-    return QuantObservation(y=y, word_length=word_length, delta=delta)
+    return QuantObservation(y=y, delta=delta)
 
 
-def drop_samples(x, reliable) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the reliable samples of x and zero out the rest.
-
-    ``reliable`` is a boolean mask or an array of reliable indices.  Returns
-    the observed signal (missing entries stored as 0, never NaN) and the
-    boolean reliable mask.
-    """
+def drop_samples(x, reliable) -> np.ndarray:
+    """The observed signal: x on the boolean ``reliable`` mask, 0 elsewhere
+    (missing entries are stored as 0, never NaN)."""
     x = _as_signal(x)
-    reliable = _as_bool_mask(reliable, len(x))
-    return np.where(reliable, x, 0.0), reliable
+    return np.where(_as_bool_mask(reliable, len(x)), x, 0.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .armodel import ArCoefficients, coef_array, levinson_durbin, objective
+from .armodel import coef_array, levinson_durbin, objective
 from .fastops import circulant_embed_filter, circulant_quadratic_prox, extend, \
     prox_regularizer_extended
 from .prox import (ConsistencySpec, project_consistency, prox_signal_penalty,
@@ -158,8 +158,7 @@ class AcsTrace:
         return len(self.entries)
 
 
-def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
-                     return_state: bool = False):
+def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int):
     """Douglas-Rachford splitting for min f + g given the two prox operators.
 
     The prox callables receive ``(v, gamma)`` and must evaluate the prox of
@@ -167,9 +166,8 @@ def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
 
         u_k = prox_g(z_k);  z_{k+1} = z_k + prox_f(2 u_k - z_k) - u_k,
 
-    and the returned point is the final prox_g-side iterate, so an indicator
-    g yields an exactly feasible result.  With ``return_state`` the final
-    z is returned as well, enabling warm starts.
+    and the result is (u, z): the final prox_g-side iterate, so an indicator
+    g yields an exactly feasible u, and the final z, enabling warm starts.
 
     prox_f must return a new float array of z's shape (or its argument,
     which is a new array each iteration): the next z is written into it.
@@ -193,7 +191,7 @@ def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
         z = p
         if not np.isfinite(z, out=finite).all():
             raise DouglasRachfordDivergence(k + 1)
-    return (u, z) if return_state else u
+    return u, z
 
 
 def _circulant_dr(filt, n_head: int, head_prox, z0, gamma: float, iters: int,
@@ -212,7 +210,7 @@ def _circulant_dr(filt, n_head: int, head_prox, z0, gamma: float, iters: int,
     u, z = douglas_rachford(
         lambda v, g: quad(v),
         lambda v, g: prox_regularizer_extended(v, head_prox, n_head),
-        extend(z0, op.L), gamma, iters, return_state=True)
+        extend(z0, op.L), gamma, iters)
     return u[:n_head], z
 
 
@@ -233,7 +231,7 @@ def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int, state
     if a_prev.size != p + 1:
         raise ValueError("warm-start coefficients have the wrong order")
     if p == 0:
-        return ArCoefficients(np.ones(1)), None
+        return np.ones(1), None
     energy = float(x @ x)
     gamma = cfg.gamma_c / energy if energy > 0 else cfg.gamma_c
     threshold = gamma * cfg.lambda_c
@@ -243,7 +241,7 @@ def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int, state
                             lambda h: soft_threshold(h, threshold),
                             a_prev[1:] if state is None else state, gamma,
                             int(inner_iters), offset=x)
-    return ArCoefficients.from_free(free), z
+    return np.concatenate(([1.0], free)), z
 
 
 def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
@@ -258,8 +256,6 @@ def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
     and the final DR state.
     """
     a = coef_array(a)
-    if a[0] != 1.0:
-        raise ValueError("first coefficient must be 1")
     x_prev = np.asarray(x_prev, dtype=float)
     n = x_prev.size
     if spec.n != n:
@@ -402,7 +398,7 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     # an all-zero start has no autocorrelation to fit; the unit filter is
     # consistent with it (the exact missing-sample solution is then zero)
     coeffs = (levinson_durbin(x, cfg.order) if np.any(x)
-              else ArCoefficients.from_free(np.zeros(cfg.order)))
+              else np.r_[1.0, np.zeros(cfg.order)])
     z_coef = None
     z_sig = None
     entries = []
@@ -410,11 +406,11 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     def q_total(a_vec, x_vec) -> float:
         return objective(a_vec, x_vec, cfg.lambda_c, cfg.lambda_s, spec).total
 
-    def signal_step(a_obj, x_cur, z_cur, inner):
+    def signal_step(a, x_cur, z_cur, inner):
         if cfg.strategy in ("declip", "dequant"):
-            return update_signal(a_obj, x_cur, cfg, spec, inner_iters=inner,
+            return update_signal(a, x_cur, cfg, spec, inner_iters=inner,
                                  state=z_cur)
-        x_new = janssen_signal_update(a_obj, y, reliable)
+        x_new = janssen_signal_update(a, y, reliable)
         if cfg.strategy == "glp":
             x_new = glp_rectify(x_new, spec)
         return x_new, z_cur
@@ -422,21 +418,19 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     for i in range(1, total_iters + 1):
         t_start = time.perf_counter()
         inner = cfg.inner_schedule[i - 1]
-        a_prev_vec = coeffs.a
+        a_prev = coeffs
         x_prev = x
         try:
             a_half, z_coef = update_coefficients(x_prev, coeffs, cfg,
                                                  inner_iters=inner, state=z_coef)
             if use_linesearch:
                 x_half, z_sig = signal_step(a_half, x_prev, z_sig, inner)
-                a_vec, x = line_search(a_half.a, a_prev_vec, x_half, x_prev,
-                                       q_total, TAU_GRID)
-                coeffs = ArCoefficients(a_vec)
+                coeffs, x = line_search(a_half, a_prev, x_half, x_prev,
+                                        q_total, TAU_GRID)
             else:
                 if extra_coef and total_iters > 1:
                     tau_c = 2.0 * (total_iters - i) / (total_iters - 1)
-                    coeffs = ArCoefficients(
-                        extrapolate(a_half.a, a_prev_vec, tau_c, anchor_first=True))
+                    coeffs = extrapolate(a_half, a_prev, tau_c, anchor_first=True)
                 else:
                     coeffs = a_half
                 x_half, z_sig = signal_step(coeffs, x_prev, z_sig, inner)
@@ -450,9 +444,9 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
                                  aborted=f"inner divergence at outer iteration {i}")
             raise
         wall = time.perf_counter() - t_start
-        magnitude = float(np.max(np.abs(coeffs.a)))
+        magnitude = float(np.max(np.abs(coeffs)))
         value = objective(coeffs, x, cfg.lambda_c, cfg.lambda_s, spec)
-        change = float(np.linalg.norm(coeffs.a - a_prev_vec) / np.linalg.norm(coeffs.a))
+        change = float(np.linalg.norm(coeffs - a_prev) / np.linalg.norm(coeffs))
         sdr_db = None
         if ground_truth is not None:
             sdr_db = sdr(ground_truth, x)

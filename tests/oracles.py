@@ -16,7 +16,7 @@ intermediate afresh.
 import numpy as np
 import scipy.linalg
 
-from regar.armodel import ArCoefficients, coef_array
+from regar.armodel import coef_array
 from regar.degrade import _as_bool_mask
 from regar.pipeline import MASK_TOL_FACTOR
 from regar.prox import ConsistencySpec, prox_signal_penalty, soft_threshold
@@ -99,7 +99,7 @@ def soft_threshold_anchored(a, threshold: float) -> np.ndarray:
     return out
 
 
-def dense_update_coefficients(x, a_prev, cfg) -> ArCoefficients:
+def dense_update_coefficients(x, a_prev, cfg) -> np.ndarray:
     """``update_coefficients`` run on the dense Toeplitz system (no embedding).
 
     Same step normalization, warm start and iteration count
@@ -112,10 +112,10 @@ def dense_update_coefficients(x, a_prev, cfg) -> ArCoefficients:
     threshold = gamma * cfg.lambda_c
     T = build_toeplitz(np.concatenate(([0.0], x)), p)
     quad = dense_quadratic_prox(T, gamma, np.concatenate((x, np.zeros(p))))
-    free = douglas_rachford(lambda v, g: quad(v),
-                            lambda v, g: soft_threshold(v, threshold),
-                            coef_array(a_prev)[1:], gamma, cfg.inner_schedule[-1])
-    return ArCoefficients.from_free(free)
+    free, _ = douglas_rachford(lambda v, g: quad(v),
+                               lambda v, g: soft_threshold(v, threshold),
+                               coef_array(a_prev)[1:], gamma, cfg.inner_schedule[-1])
+    return np.concatenate(([1.0], free))
 
 
 def dense_update_signal(a, x_prev, cfg, spec) -> np.ndarray:
@@ -127,7 +127,7 @@ def dense_update_signal(a, x_prev, cfg, spec) -> np.ndarray:
     quad = dense_quadratic_prox(build_toeplitz(a, x_prev.size), gamma)
     return douglas_rachford(lambda v, g: quad(v),
                             lambda v, g: prox_signal_penalty(v, weight, spec),
-                            x_prev, gamma, cfg.inner_schedule[-1])
+                            x_prev, gamma, cfg.inner_schedule[-1])[0]
 
 
 def dense_janssen_signal_update(a, y, reliable) -> np.ndarray:
@@ -245,8 +245,7 @@ def copy_frame_specs(model, y, layout) -> list[ConsistencySpec]:
             for frame, gap in zip(frames, missing)]
 
 
-def copy_douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
-                          return_state: bool = False):
+def copy_douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int):
     """``douglas_rachford`` with a new array for every intermediate:
     z <- z + prox_f(2 u - z) - u after u = prox_g(z)."""
     if not gamma > 0:
@@ -260,4 +259,4 @@ def copy_douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int,
         z = z + prox_f(2.0 * u - z, gamma) - u
         if not np.all(np.isfinite(z)):
             raise DouglasRachfordDivergence(k + 1)
-    return (u, z) if return_state else u
+    return u, z

@@ -12,8 +12,8 @@ import pytest
 
 from oracles import (circulant_matrix, dense_update_coefficients,
                      dense_update_signal, prox_quadratic_dense)
-from regar.armodel import (ArCoefficients, objective, random_stable_ar,
-                           reflection_to_ar, simulate_ar)
+from regar.armodel import (objective, random_stable_ar, reflection_to_ar,
+                           simulate_ar)
 from regar.cli import run_cli
 from regar.degrade import hard_clip, uniform_quantize
 from regar.fastops import circulant_embed_filter, circulant_quadratic_prox
@@ -86,12 +86,12 @@ def test_criterion_03_extended_problem_shares_minimum():
         for lam_c in (0.0, 0.01):
             base = dict(order=p, strategy="declip", lambda_c=lam_c,
                         outer_iters=1, inner_iters=4000)
-            a0 = ArCoefficients.from_free(np.zeros(p))
+            a0 = np.r_[1.0, np.zeros(p)]
             cfg = SolverConfig(**base)
             dense = dense_update_coefficients(x, a0, cfg)
             fast, _ = update_coefficients(x, a0, cfg, inner_iters=cfg.inner_iters)
             worst = max(worst,
-                        np.linalg.norm(dense.a - fast.a) / np.linalg.norm(dense.a))
+                        np.linalg.norm(dense - fast) / np.linalg.norm(dense))
     verdict(3, worst <= 1e-6,
             f"truncated circulant-embedded DRA vs dense Toeplitz DRA, "
             f"worst rel err {worst:.2e} <= 1e-6")
@@ -105,7 +105,7 @@ def test_criterion_04_dra_matches_proximal_gradient_oracle():
     sys = np.eye(8) + T.T @ T
     prox_f = lambda v, g: np.linalg.solve(sys, v + g * T.T @ b)
     prox_g = lambda v, g: soft_threshold(v, g * t)
-    u_dra = douglas_rachford(prox_f, prox_g, np.zeros(8), 1.0, 2000)
+    u_dra, _ = douglas_rachford(prox_f, prox_g, np.zeros(8), 1.0, 2000)
 
     step = 1.0 / np.linalg.norm(T, 2) ** 2
     u = np.zeros(8)
@@ -127,7 +127,7 @@ def test_criterion_05_janssen_exact_gap_recovery():
     x = np.zeros(n)
     x[:4] = rng.standard_normal(4)
     for i in range(4, n):
-        x[i] = -(a.a[1:] @ x[i - 4: i][::-1])
+        x[i] = -(a[1:] @ x[i - 4: i][::-1])
     reliable = np.ones(n, dtype=bool)
     reliable[246:266] = False
     rec = janssen_signal_update(a, np.where(reliable, x, 0.0), reliable)
@@ -232,12 +232,11 @@ def test_criterion_11_line_search_never_worse():
         for _ in range(4):
             a_half, _ = update_coefficients(x_cur, coeffs, cfg, inner_iters=200)
             x_half, _ = update_signal(a_half, x_cur, cfg, spec, inner_iters=200)
-            q_pre = q_fn(a_half.a, x_half)
-            a_vec, x_new = line_search(a_half.a, coeffs.a, x_half, x_cur,
-                                       q_fn, grid)
-            q_post = q_fn(a_vec, x_new)
+            q_pre = q_fn(a_half, x_half)
+            coeffs, x_new = line_search(a_half, coeffs, x_half, x_cur,
+                                        q_fn, grid)
+            q_post = q_fn(coeffs, x_new)
             ok = ok and q_post <= q_pre
-            coeffs = ArCoefficients(a_vec)
             x_cur = x_new
             checked += 1
     verdict(11, ok and checked == 20,

@@ -10,10 +10,12 @@ import scipy.linalg
 
 import regar
 from oracles import build_toeplitz
-from regar.armodel import (ArCoefficients, autocorrelation, levinson_durbin,
-                           objective, random_stable_ar, reflection_to_ar,
-                           residual, simulate_ar)
+from regar.armodel import (autocorrelation, levinson_durbin, objective,
+                           random_stable_ar, reflection_to_ar, residual,
+                           simulate_ar)
 from regar.prox import ConsistencySpec
+from regar.solver import (SolverConfig, janssen_signal_update,
+                          update_coefficients, update_signal)
 
 
 def test_residual_examples():
@@ -54,23 +56,37 @@ def test_toeplitz_products_match_residual():
         assert np.linalg.norm(build_toeplitz(x, p + 1) @ a - e) <= 1e-12 * scale
 
 
-def test_coefficients_validation():
-    with pytest.raises(ValueError):
-        ArCoefficients(np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        ArCoefficients(np.array([1.0, np.inf]))
-    c = ArCoefficients.from_free([0.3, -0.2])
-    assert c.a.size == 3
-    assert c.a[0] == 1.0
+_X = np.linspace(-1.0, 1.0, 8)
+# every public function that takes a coefficient vector, called with it
+_COEF_ENTRIES = {
+    "residual": lambda a: residual(a, _X),
+    "objective": lambda a: objective(a, _X, 0.0, 0.0, None),
+    "simulate_ar": lambda a: simulate_ar(a, 8, np.random.default_rng(0)),
+    "update_coefficients": lambda a: update_coefficients(
+        _X, a, SolverConfig(order=max(np.size(a) - 1, 0)), inner_iters=1),
+    "update_signal": lambda a: update_signal(
+        a, _X, SolverConfig(order=0), ConsistencySpec.dequant(_X, 0.5),
+        inner_iters=1),
+    "janssen_signal_update": lambda a: janssen_signal_update(
+        a, _X, np.zeros(8, dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("a", [[0.5, 1.0], [1.0, math.inf], [[1.0]], []],
+                         ids=["leading-not-one", "non-finite", "2-D", "empty"])
+@pytest.mark.parametrize("entry", _COEF_ENTRIES)
+def test_coefficients_validation(entry, a):
+    with pytest.raises(ValueError, match="coefficient"):
+        _COEF_ENTRIES[entry](a)
 
 
 def test_levinson_order_zero():
-    np.testing.assert_array_equal(levinson_durbin([1.0, 2.0], 0).a, [1.0])
+    np.testing.assert_array_equal(levinson_durbin([1.0, 2.0], 0), [1.0])
 
 
 def test_levinson_hand_example():
     c = levinson_durbin([1.0, 1.0, 1.0, 1.0], 1)
-    np.testing.assert_allclose(c.a, [1.0, -0.75], atol=1e-15)
+    np.testing.assert_allclose(c, [1.0, -0.75], atol=1e-15)
 
 
 def test_levinson_matches_dense_normal_equations():
@@ -80,7 +96,7 @@ def test_levinson_matches_dense_normal_equations():
         c = levinson_durbin(x, 4)
         r = autocorrelation(x, 4)
         free = np.linalg.solve(scipy.linalg.toeplitz(r[:4]), -r[1:5])
-        np.testing.assert_allclose(c.a[1:], free, atol=1e-9)
+        np.testing.assert_allclose(c[1:], free, atol=1e-9)
 
 
 def test_levinson_minimum_phase():
@@ -88,7 +104,7 @@ def test_levinson_minimum_phase():
     for _ in range(10):
         x = rng.standard_normal(128)
         c = levinson_durbin(x, 8)
-        assert np.max(np.abs(np.roots(c.a))) < 1.0 + 1e-10
+        assert np.max(np.abs(np.roots(c))) < 1.0 + 1e-10
 
 
 def test_levinson_errors():
@@ -108,7 +124,7 @@ def test_levinson_error_decreases_with_length():
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             x = simulate_ar(a_true, n, rng)
-            errs.append(np.linalg.norm(levinson_durbin(x, 4).a - a_true.a))
+            errs.append(np.linalg.norm(levinson_durbin(x, 4) - a_true))
         means.append(np.mean(errs))
     assert means[0] > means[1] > means[2]
 
@@ -161,7 +177,7 @@ def test_random_stable_ar_is_stable():
     rng = np.random.default_rng(5)
     for order in (1, 8, 32):
         c = random_stable_ar(order, rng)
-        assert np.max(np.abs(np.roots(c.a))) < 1.0
+        assert np.max(np.abs(np.roots(c))) < 1.0
 
 
 def test_simulate_ar_matches_recursion():

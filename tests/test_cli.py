@@ -450,6 +450,17 @@ def test_demo_zero_outer_passes_the_observation_through(tmp_path):
     assert (out_dir / "report.json").exists()
 
 
+@pytest.mark.parametrize("option", [["--outer", "-1"], ["--inner", "0"],
+                                    ["--accel", "bogus"],
+                                    ["--strategy", "dequant", "--bits", "0"]])
+def test_demo_rejects_bad_options_before_writing(tmp_path, capsys, option):
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
+                    "--workers", "1", *option]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("strategy, model", [("declip", "--theta"),
                                              ("dequant", "--bits")])
 def test_demo_restores_as_reconstruct_does(tmp_path, capsys, strategy, model):

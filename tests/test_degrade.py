@@ -116,19 +116,16 @@ def test_quantize_errors():
 
 def test_drop_samples():
     x = np.array([1.0, 2.0, 3.0])
-    y, reliable = drop_samples(x, np.array([True, True, True]))
-    np.testing.assert_array_equal(y, x)
-    assert reliable.all()
-
-    y, reliable = drop_samples(x, np.zeros(3, dtype=bool))
-    np.testing.assert_array_equal(y, np.zeros(3))
-    assert not reliable.any()
-
-    y, reliable = drop_samples(x, np.array([0, 2]))
-    np.testing.assert_array_equal(y, [1.0, 0.0, 3.0])
-    np.testing.assert_array_equal(reliable, [True, False, True])
+    np.testing.assert_array_equal(drop_samples(x, np.ones(3, dtype=bool)), x)
+    np.testing.assert_array_equal(drop_samples(x, np.zeros(3, dtype=bool)),
+                                  np.zeros(3))
+    np.testing.assert_array_equal(drop_samples(x, np.array([True, False, True])),
+                                  [1.0, 0.0, 3.0])
 
 
-def test_drop_samples_index_out_of_range():
-    with pytest.raises(ValueError):
-        drop_samples([1.0, 2.0], np.array([5]))
+def test_drop_samples_rejects_bad_masks():
+    with pytest.raises(ValueError, match="length 2"):
+        drop_samples([1.0, 2.0], np.ones(3, dtype=bool))
+    # an index array is refused, not cast to a mask
+    with pytest.raises(ValueError, match="boolean"):
+        drop_samples([1.0, 2.0], np.array([0, 1]))

@@ -154,14 +154,14 @@ def test_extended_dra_shares_minimum_with_dense_toeplitz_dra():
 
         dense_quad = lambda v, g: prox_quadratic_dense(v, g, T, c)
         thresh = lambda v, g: soft_threshold(v, g * t)
-        u_dense = douglas_rachford(dense_quad, thresh, v0, gamma, 4000)
+        u_dense, _ = douglas_rachford(dense_quad, thresh, v0, gamma, 4000)
 
         op = circulant_embed_filter(filt, n)
         c_ext = extend(c, op.L)
         fast_quad = lambda v, g: circulant_quadratic_prox(op, g, c_ext)(v)
         ext_thresh = lambda v, g: prox_regularizer_extended(
             v, lambda h: soft_threshold(h, g * t), n)
-        u_ext = douglas_rachford(fast_quad, ext_thresh, extend(v0, op.L),
-                                 gamma, 4000)
+        u_ext, _ = douglas_rachford(fast_quad, ext_thresh, extend(v0, op.L),
+                                    gamma, 4000)
         rel = np.linalg.norm(u_ext[:n] - u_dense) / np.linalg.norm(u_dense)
         assert rel <= 1e-6

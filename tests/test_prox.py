@@ -32,6 +32,8 @@ def test_spec_validation():
         ConsistencySpec.dequant(y, 0.0)
     with pytest.raises(ValueError, match="length 4"):
         ConsistencySpec.inpaint(y, np.ones(3, dtype=bool))
+    with pytest.raises(ValueError, match="boolean"):
+        ConsistencySpec.inpaint(y, np.array([0, 2]))
 
 
 def test_spec_bounds_of_each_variant():
@@ -39,7 +41,7 @@ def test_spec_bounds_of_each_variant():
     np.testing.assert_array_equal(spec.lower, [0.25, -0.25])
     np.testing.assert_array_equal(spec.upper, [0.5, 0.0])
     assert not spec.pinned.any()
-    spec = ConsistencySpec.inpaint([1.0, 0.0, 3.0], np.array([0, 2]))
+    spec = ConsistencySpec.inpaint([1.0, 0.0, 3.0], np.array([True, False, True]))
     np.testing.assert_array_equal(spec.lower, [1.0, -np.inf, 3.0])
     np.testing.assert_array_equal(spec.upper, [1.0, np.inf, 3.0])
     np.testing.assert_array_equal(spec.pinned, [True, False, True])

@@ -10,8 +10,8 @@ import regar.solver as solver_mod
 from oracles import (build_toeplitz, copy_douglas_rachford,
                      dense_janssen_signal_update, dense_update_coefficients,
                      dense_update_signal)
-from regar.armodel import (ArCoefficients, objective, random_stable_ar,
-                           reflection_to_ar, residual, simulate_ar)
+from regar.armodel import (objective, random_stable_ar, reflection_to_ar,
+                           residual, simulate_ar)
 from regar.degrade import hard_clip
 from regar.fastops import (circulant_embed_filter, circulant_quadratic_prox,
                            prox_regularizer_extended)
@@ -44,7 +44,7 @@ def one_shot(update):
 def test_dra_projection_onto_point():
     c = np.array([1.0, -2.0, 0.5])
     proj = lambda v, g: c.copy()
-    out = douglas_rachford(proj, proj, np.zeros(3), 1.0, 1)
+    out, _ = douglas_rachford(proj, proj, np.zeros(3), 1.0, 1)
     np.testing.assert_array_equal(out, c)
 
 
@@ -52,7 +52,7 @@ def test_dra_quadratic_plus_zero():
     b = np.array([0.3, -0.8, 2.0, 0.0])
     prox_f = lambda v, g: (v + g * b) / (1.0 + g)  # prox of 1/2 ||. - b||^2
     prox_g = lambda v, g: v
-    out = douglas_rachford(prox_f, prox_g, np.zeros(4), 1.0, 300)
+    out, _ = douglas_rachford(prox_f, prox_g, np.zeros(4), 1.0, 300)
     np.testing.assert_allclose(out, b, atol=1e-10)
 
 
@@ -77,7 +77,7 @@ def test_dra_matches_ista_on_lasso():
     sys = np.eye(8) + 1.0 * T.T @ T
     prox_f = lambda v, g: np.linalg.solve(sys, v + g * T.T @ b)
     prox_g = lambda v, g: soft_threshold(v, g * t)
-    u_dra = douglas_rachford(prox_f, prox_g, np.zeros(8), 1.0, 2000)
+    u_dra, _ = douglas_rachford(prox_f, prox_g, np.zeros(8), 1.0, 2000)
     u_ref = ista_lasso(T, b, t)
     assert np.linalg.norm(u_dra - u_ref) / np.linalg.norm(u_ref) <= 1e-6
 
@@ -108,7 +108,7 @@ def test_dra_iterates_become_cauchy():
     us = []
     z = np.zeros(6)
     for _ in range(60):
-        u, z = douglas_rachford(prox_f, prox_g, z, 1.0, 1, return_state=True)
+        u, z = douglas_rachford(prox_f, prox_g, z, 1.0, 1)
         us.append(u)
     diffs = [np.linalg.norm(us[k + 1] - us[k]) for k in range(len(us) - 1)]
     for k in range(10, len(diffs) - 1):
@@ -135,7 +135,8 @@ def test_dr_loop_matches_the_allocating_copy(q, n_head, f_kind, g_kind,
         op, gamma, rng.standard_normal(op.L) if with_offset else None)
     prox_f = {"circulant": lambda v, g: quad(v),
               "identity": lambda v, g: v,
-              "blowup": lambda v, g: v * 1e150}[f_kind]
+              # the overflow is the point: quiet it here, and only here
+              "blowup": np.errstate(over="ignore")(lambda v, g: v * 1e150)}[f_kind]
     prox_g = {"soft": lambda v, g: prox_regularizer_extended(
                   v, lambda h: soft_threshold(h, 0.1 * g), n_head),
               "box": lambda v, g: np.clip(v, -0.5, 0.5),
@@ -144,14 +145,14 @@ def test_dr_loop_matches_the_allocating_copy(q, n_head, f_kind, g_kind,
 
     def run(loop):
         try:
-            u1, z1 = loop(prox_f, prox_g, z0, gamma, k, return_state=True)
-            u2, z2 = loop(prox_f, prox_g, z1, gamma, m, return_state=True)
-            u3 = loop(prox_f, prox_g, z0, gamma, k + m)
+            u1, z1 = loop(prox_f, prox_g, z0, gamma, k)
+            u2, z2 = loop(prox_f, prox_g, z1, gamma, m)
+            u3, z3 = loop(prox_f, prox_g, z0, gamma, k + m)
         except DouglasRachfordDivergence as err:
             return err.iteration
         # read after every call, so a write into a returned or passed-in
         # array shows as well
-        return [a.tobytes() for a in (u1, z1, u2, z2, u3, z0)]
+        return [a.tobytes() for a in (u1, z1, u2, z2, u3, z3, z0)]
 
     product = run(douglas_rachford)
     assert product == run(copy_douglas_rachford)
@@ -177,10 +178,9 @@ def constrained_least_squares(x, p):
 def test_update_coefficients_matches_least_squares(update):
     x = np.array([1.0, 1.0, 1.0, 1.0])
     cfg = make_config(order=1, lambda_c=0.0, inner_iters=3000)
-    a0 = ArCoefficients(np.array([1.0, 0.0]))
-    got = update(x, a0, cfg)
-    np.testing.assert_allclose(got.a, constrained_least_squares(x, 1), atol=1e-9)
-    np.testing.assert_allclose(got.a, [1.0, -0.75], atol=1e-9)
+    got = update(x, np.array([1.0, 0.0]), cfg)
+    np.testing.assert_allclose(got, constrained_least_squares(x, 1), atol=1e-9)
+    np.testing.assert_allclose(got, [1.0, -0.75], atol=1e-9)
 
 
 def test_update_coefficients_recovers_ar2():
@@ -189,28 +189,25 @@ def test_update_coefficients_recovers_ar2():
     x = simulate_ar(a_true, 4096, rng)
     cfg = make_config(order=2, lambda_c=0.0, inner_iters=1000,
                       acceleration=frozenset())
-    got = one_shot(update_coefficients)(x, ArCoefficients(np.array([1.0, 0.0, 0.0])),
-                                        cfg)
-    assert np.max(np.abs(got.a - a_true.a)) <= 0.05
+    got = one_shot(update_coefficients)(x, np.array([1.0, 0.0, 0.0]), cfg)
+    assert np.max(np.abs(got - a_true)) <= 0.05
 
 
 def test_update_coefficients_large_penalty_zeroes_free_part():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(64)
     cfg = make_config(order=3, lambda_c=1e9, inner_iters=200)
-    got = one_shot(update_coefficients)(x, ArCoefficients.from_free(np.zeros(3)), cfg)
-    np.testing.assert_array_equal(got.a, [1.0, 0.0, 0.0, 0.0])
+    got = one_shot(update_coefficients)(x, np.r_[1.0, np.zeros(3)], cfg)
+    np.testing.assert_array_equal(got, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_update_coefficients_order_zero_and_validation():
     cfg = make_config(order=0)
-    got, state = update_coefficients(np.ones(8), ArCoefficients(np.ones(1)), cfg,
-                                     inner_iters=200)
-    np.testing.assert_array_equal(got.a, [1.0])
+    got, state = update_coefficients(np.ones(8), np.ones(1), cfg, inner_iters=200)
+    np.testing.assert_array_equal(got, [1.0])
     assert state is None
     with pytest.raises(ValueError):
-        one_shot(update_coefficients)(np.ones(8), ArCoefficients(np.ones(1)),
-                                      make_config(order=2))
+        one_shot(update_coefficients)(np.ones(8), np.ones(1), make_config(order=2))
 
 
 # ------------------------------------------------------------ signal update
@@ -236,7 +233,7 @@ def test_update_signal_minimum_norm_feasible(update):
 
 def test_update_signal_matches_dense_oracle_dra():
     rng = np.random.default_rng(3)
-    a = reflection_to_ar([0.5, -0.3]).a
+    a = reflection_to_ar([0.5, -0.3])
     n = 24
     y = np.clip(rng.uniform(-1, 1, size=n), -0.4, 0.4)
     spec = ConsistencySpec.declip(y, 0.4)
@@ -251,7 +248,7 @@ def test_update_signal_matches_dense_oracle_dra():
     sys = np.eye(n) + gamma * (T.T @ T)
     prox_f = lambda v, g: np.linalg.solve(sys, v)
     prox_g = lambda v, g: prox_signal_penalty(v, g * 10.0, spec)
-    oracle = douglas_rachford(prox_f, prox_g, y.copy(), gamma, 6000)
+    oracle, _ = douglas_rachford(prox_f, prox_g, y.copy(), gamma, 6000)
     assert np.linalg.norm(got - oracle) / np.linalg.norm(oracle) <= 1e-8
 
 
@@ -285,12 +282,12 @@ def test_warm_start_continues_exactly_property(p, extra, k, m, lambda_c, lambda_
         reliable = rng.random(n) < 0.7
         spec = ConsistencySpec.inpaint(np.where(reliable, x, 0.0), reliable)
     cfg = make_config(order=p, lambda_c=lambda_c, lambda_s=lambda_s)
-    a0 = ArCoefficients.from_free(np.zeros(p))
+    a0 = np.r_[1.0, np.zeros(p)]
 
     head, z = update_coefficients(x, a0, cfg, inner_iters=k)
     split = update_coefficients(x, head, cfg, inner_iters=m, state=z)
     whole = update_coefficients(x, a0, cfg, inner_iters=k + m)
-    np.testing.assert_array_equal(split[0].a, whole[0].a)
+    np.testing.assert_array_equal(split[0], whole[0])
     np.testing.assert_array_equal(split[1], whole[1])
 
     head, z = update_signal(a, spec.y, cfg, spec, inner_iters=k)
@@ -308,7 +305,7 @@ def noiseless_ar4():
     x = np.zeros(512)
     x[:4] = rng.standard_normal(4)
     for i in range(4, 512):
-        x[i] = -(a.a[1:] @ x[i - 4: i][::-1])
+        x[i] = -(a[1:] @ x[i - 4: i][::-1])
     return a, x
 
 
