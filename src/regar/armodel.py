@@ -25,12 +25,14 @@ __all__ = [
 ]
 
 
-def coef_array(a) -> np.ndarray:
-    """The float vector of ``a``, checked to be [1, a_2, ..., a_{p+1}]."""
+def coef_array(a, rows: tuple = ()) -> np.ndarray:
+    """The float vector of ``a``, checked to be [1, a_2, ..., a_{p+1}]; with
+    ``rows``, the leading shape of a stack of signals, one such vector per
+    signal."""
     vec = np.asarray(a, dtype=float)
-    if vec.ndim != 1 or vec.size < 1:
-        raise ValueError("coefficients must be a nonempty 1-D vector")
-    if vec[0] != 1.0:
+    if vec.shape[:-1] != tuple(rows) or vec.shape[-1:] in ((), (0,)):
+        raise ValueError("coefficients must be a nonempty 1-D vector per signal")
+    if np.any(vec[..., 0] != 1.0):
         raise ValueError("first coefficient must be exactly 1")
     if not np.isfinite(vec).all():
         raise ValueError("coefficients contain non-finite values")

@@ -2,7 +2,8 @@
 
 Integer PCM is scaled to [-1, 1) by 2**(bits-1) on read; writing PCM rejects
 NaN and samples outside [-1, 1] instead of clipping silently.  Float mode
-stores the samples as-is, so float32-representable data round-trips bitwise.
+stores the samples as-is, so float32-representable data round-trips bitwise,
+and rejects samples that are not finite as float32.
 """
 
 import struct
@@ -117,12 +118,18 @@ def write_wav(path, buffer: AudioBuffer, fmt: str = "float32") -> None:
 
     ``fmt`` is one of "float32", "pcm16", "pcm24".  PCM modes raise on
     samples outside [-1, 1]; only an exact +1.0 saturates to the top code.
+    float32 raises on NaN, infinities and values beyond the float32 range.
     """
     if fmt not in ("float32", "pcm16", "pcm24"):
         raise ValueError(f"unknown format {fmt!r}")
     flat = buffer.data.reshape(-1)
     if fmt == "float32":
-        payload = flat.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):  # an overflow shows as inf below
+            samples = flat.astype("<f4")
+        if not np.isfinite(samples).all():
+            raise ValueError("float32 output requires finite samples "
+                             "within the float32 range")
+        payload = samples.tobytes()
         audio_format, bits = _IEEE_FLOAT, 32
     else:
         if not np.all(np.abs(flat) <= 1.0):  # rejects NaN too

@@ -84,6 +84,17 @@ def _validate(a: argparse.Namespace) -> None:
         _build_config(a)  # the solver options fail before any file is touched
     if a.bits is not None and a.bits < 1:
         raise ValueError("word length must be at least 1 bit")
+    # the framing and pool options, which the library would reject only
+    # after demo has written its first files
+    if getattr(a, "workers", 1) < 1:
+        raise ValueError("--workers: worker count must be positive")
+    if getattr(a, "frame", None) is not None:
+        if a.frame < 1:
+            raise ValueError("--frame must be at least 1")
+        if a.hop is not None and not 1 <= a.hop <= a.frame:
+            raise ValueError(f"--hop must lie in [1, --frame] = [1, {a.frame}]")
+    if getattr(a, "length", 1) < 1:
+        raise ValueError("--length must be at least 1")
 
 
 def _positive_float(text: str) -> float:
@@ -441,12 +452,15 @@ def cmd_demo(a) -> int:
     """Degrade a synthetic AR signal and restore it, as ``degrade`` and
     ``reconstruct`` do: the dequant strategy quantizes to --bits, the others
     clip at --clip-level times the peak."""
-    out_dir = Path(a.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(a.seed)
     coeffs = random_stable_ar(a.order, rng)
     clean = simulate_ar(coeffs, a.length, rng, burn_in=1000)
+    if not np.isfinite(clean).all():
+        raise ValueError(f"--order {a.order}: the simulated AR signal overflows; "
+                         "choose a lower order")
     clean = 0.99 * clean / np.max(np.abs(clean))
+    out_dir = Path(a.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     clean_path = out_dir / "clean.wav"
     write_wav(clean_path, AudioBuffer(clean, a.sample_rate))
     clean_buf = read_wav(clean_path)

@@ -9,6 +9,10 @@ and filters are real, so ``np.fft.rfft``/``irfft`` carry the half spectrum
 and the inverse transform is real by construction).  Extending the
 regularizer by an indicator of zero on the tail coordinates keeps the
 minimizer of the original problem.
+
+Every routine takes a stack of frames as well: one filter and one vector per
+row, all of one embedding size, with ``axis=-1`` transforms (row by row they
+round exactly as one frame alone).
 """
 
 from dataclasses import dataclass
@@ -48,7 +52,8 @@ class CirculantOperator:
     """Circulant embedding of a convolution filter.
 
     ``spectrum`` holds the L//2 + 1 real-FFT bins of the zero-padded filter
-    (equivalently of the first column of the circulant matrix).  Products
+    (equivalently of the first column of the circulant matrix), one row per
+    filter of a stack.  Products
     with vectors supported on the first ``n_head`` coordinates agree with the
     dense Toeplitz matrix of the filter on the first ``n_head + q - 1``
     outputs.
@@ -60,7 +65,7 @@ class CirculantOperator:
     filter_length: int
 
     def __post_init__(self):
-        if self.spectrum.shape != (self.L // 2 + 1,):
+        if self.spectrum.shape[-1:] != (self.L // 2 + 1,):
             raise ValueError("spectrum must hold the L//2 + 1 real-FFT bins")
         if self.L < self.n_head + self.filter_length - 1:
             raise ValueError("embedding too small: circular wrap would corrupt the output")
@@ -71,69 +76,80 @@ def circulant_embed_filter(filt, n_head: int) -> CirculantOperator:
 
     The embedding size is the least 2-, 3- and 5-smooth length
     >= n_head + q - 1, so products with zero-tailed vectors never wrap around.
+    ``filt`` is one filter, or a stack of filters of length q (one per row).
     """
     filt = np.asarray(filt, dtype=float)
-    if filt.ndim != 1 or filt.size < 1:
-        raise ValueError("filter must be a nonempty 1-D vector")
+    if filt.ndim not in (1, 2) or filt.shape[-1] < 1:
+        raise ValueError("filter must be a nonempty 1-D vector or a stack of them")
     if n_head < 1:
         raise ValueError("need at least one head coordinate")
-    L = fast_len(n_head + filt.size - 1)
-    spectrum = np.fft.rfft(filt, L)
+    q = filt.shape[-1]
+    L = fast_len(n_head + q - 1)
+    spectrum = np.fft.rfft(filt, L, axis=-1)
     return CirculantOperator(spectrum=spectrum, L=L, n_head=n_head,
-                             filter_length=filt.size)
+                             filter_length=q)
 
 
-def circulant_quadratic_prox(op: CirculantOperator, gamma: float, offset_ext=None):
+def circulant_quadratic_prox(op: CirculantOperator, gamma, offset_ext=None):
     """Spectral quadratic prox u = (I + gamma C'C)^(-1) (v - gamma C' offset).
 
     All factors are diagonal in the DFT basis, so the solve is an
     elementwise division by 1 + gamma |c_hat|^2.  The divisor (and the offset
-    shift) are computed once; the returned closure maps an L-vector to its
-    prox with one rfft and one irfft.
+    shift) are computed once; the returned closure maps an L-vector (a row
+    per filter of a stacked ``op``, whose steps ``gamma`` may form a column)
+    to its prox with one rfft and one irfft into buffers of its own, and
+    writes the prox into ``out`` when given (which may be its argument).
     """
-    if not gamma > 0:
+    if not np.all(np.asarray(gamma) > 0):
         raise ValueError("gamma must be positive")
     # complex already, so the in-place division casts nothing per call
     denom = (1.0 + gamma * np.abs(op.spectrum) ** 2).astype(complex)
+    shape = denom.shape[:-1] + (op.L,)
     if offset_ext is None:
         shift_hat = None
     else:
         offset_ext = np.asarray(offset_ext, dtype=float)
-        if offset_ext.shape != (op.L,):
-            raise ValueError(f"offset must have length {op.L}")
-        shift_hat = gamma * np.conj(op.spectrum) * np.fft.rfft(offset_ext)
+        if offset_ext.shape != shape:
+            raise ValueError(f"offset must have shape {shape}")
+        shift_hat = gamma * np.conj(op.spectrum) * np.fft.rfft(offset_ext, axis=-1)
+    rhs_hat = np.empty_like(denom)
 
-    def apply(v_ext):
+    def apply(v_ext, out=None):
         v_ext = np.asarray(v_ext, dtype=float)
-        if v_ext.shape != (op.L,):
-            raise ValueError(f"expected a vector of length {op.L}")
-        rhs_hat = np.fft.rfft(v_ext)
+        if v_ext.shape != shape:
+            raise ValueError(f"expected vectors of shape {shape}")
+        rhs = np.fft.rfft(v_ext, axis=-1, out=rhs_hat)
         if shift_hat is not None:
-            rhs_hat -= shift_hat
-        rhs_hat /= denom
-        return np.fft.irfft(rhs_hat, op.L)
+            rhs -= shift_hat
+        rhs /= denom
+        return np.fft.irfft(rhs, op.L, axis=-1, out=out)
 
     return apply
 
 
 def extend(v, L: int) -> np.ndarray:
-    """Zero-pad a head vector to the embedding size."""
+    """Zero-pad a head vector (every row of a stack) to the embedding size."""
     v = np.asarray(v, dtype=float)
-    if v.size > L:
+    n = v.shape[-1]
+    if n > L:
         raise ValueError("vector longer than the embedding")
-    out = np.zeros(L)
-    out[: v.size] = v
+    out = np.zeros(v.shape[:-1] + (L,))
+    out[..., :n] = v
     return out
 
 
-def prox_regularizer_extended(u_ext, head_prox, n_head: int) -> np.ndarray:
+def prox_regularizer_extended(u_ext, head_prox, n_head: int, out=None) -> np.ndarray:
     """Prox of the extended regularizer: head prox on the leading coordinates, zero tail.
 
     The extended function is the original regularizer on the first n_head
     coordinates plus the indicator of zero on the rest; its prox is exactly
     this composition because the two groups of coordinates are separable.
+    ``out``, when given, must be zero past the head; only its head is
+    written, and a ``head_prox`` that returns a view of that head has its
+    result taken in place, with no copy.
     """
     u_ext = np.asarray(u_ext, dtype=float)
-    out = np.zeros_like(u_ext)
-    out[:n_head] = head_prox(u_ext[:n_head])
+    if out is None:
+        out = np.zeros_like(u_ext)
+    out[..., :n_head] = head_prox(u_ext[..., :n_head])
     return out

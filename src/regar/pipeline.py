@@ -4,9 +4,12 @@ Views each frame's consistency spec in one box over the zero-padded channel,
 solves every degraded frame (in parallel when requested) and adds each
 estimate into the windowed overlap-add as it lands.  Frames whose exact
 solution is the observation (nothing degraded in them) pass through and
-never reach the pool.  A task carries only its frame's spec and the solver
-config, and all per-frame work is a pure function of them, so the result
-does not depend on the worker count.  The same frame-report builder scores
+never reach the pool.  Consecutive degraded frames are solved in lockstep
+stacks of at most ``FRAMES_PER_STACK``; a stack closes early at the next
+passthrough frame.  A task carries only its stack's specs and the solver
+config, the stacks do not depend on the worker count, and every row of a
+stack has the bits of its frame solved alone, so the result does not depend
+on the worker count.  The same frame-report builder scores
 reconstructions here and estimates in ``regar evaluate``.
 """
 
@@ -16,7 +19,7 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, groupby, islice, repeat
 
 import numpy as np
 
@@ -31,9 +34,11 @@ __all__ = ["DegradationModel", "frame_record", "frame_specs",
 
 # slack for observations that passed through a float32 file
 MASK_TOL_FACTOR = 1e-6
+# degraded frames solved together by one acs_run call (one pool task)
+FRAMES_PER_STACK = 4
 # frames in flight per pool worker: enough to keep every worker busy, few
 # enough that only a handful of frame specs are alive at once
-TASKS_PER_WORKER = 8
+FRAMES_PER_WORKER = 8
 # (outer_iter, objective, inner_iters, wall_ms) of a frame the solver never saw
 UNTOUCHED = (0, None, 0, 0.0)
 
@@ -77,14 +82,26 @@ class DegradationModel:
             (self.reliable, np.ones(pad_end, dtype=bool))))
 
 
-def _solve_frame(spec: ConsistencySpec, cfg: SolverConfig):
-    """Solver output of one frame and its (outer_iter, objective,
-    inner_iters, wall_ms) statistics."""
+def _solve_stack(specs: list, cfg: SolverConfig) -> list:
+    """(estimate, stats) of every frame of a stack, solved in lockstep;
+    stats are (outer_iter, objective, inner_iters, wall_ms), and a frame's
+    wall_ms is the stack's wall time divided by its frame count."""
     t0 = time.perf_counter()
-    _, x, trace = acs_run(spec.y, spec, cfg)
-    stats = (len(trace), trace.entries[-1].objective if trace.entries else None,
-             int(sum(e.inner_iters for e in trace.entries)))
-    return x, (*stats, (time.perf_counter() - t0) * 1000.0)
+    stack = ConsistencySpec.stack(specs)
+    _, x, traces = acs_run(stack.y, stack, cfg)
+    wall_ms = (time.perf_counter() - t0) * 1000.0 / len(specs)
+    return [(row, (len(trace), trace.entries[-1].objective,
+                   int(sum(e.inner_iters for e in trace.entries)), wall_ms))
+            for row, trace in zip(x, traces)]
+
+
+def _stacks(specs, untouched) -> Iterator[tuple]:
+    """(frames, solve) in frame order: a frame ``untouched`` says to pass
+    through alone, the others in runs of up to FRAMES_PER_STACK."""
+    for skip, run in groupby(specs, key=untouched):
+        size = 1 if skip else FRAMES_PER_STACK
+        while stack := list(islice(run, size)):
+            yield stack, not skip
 
 
 def _frame_estimates(specs, cfg: SolverConfig | None,
@@ -93,29 +110,38 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
 
     A frame whose observation is its exact solution (all samples pinned, and
     the strategy keeps pinned samples), or any frame when ``cfg`` is None, is
-    its own estimate; only the others go to the pool, if one is asked for.
+    its own estimate; the others are solved in stacks, one pool task each
+    if a pool is asked for.
     """
     def untouched(spec):
         return cfg is None or ((cfg.strategy in ("inpaint", "glp")
                                 or math.isinf(cfg.lambda_s))
                                and bool(spec.pinned.all()))
 
+    def rows(stack, solved):
+        """Each frame with its solver output, or with itself if ``solved``
+        is None."""
+        for spec, out in zip(stack, solved or [(s.y, UNTOUCHED) for s in stack]):
+            yield spec, *out
+
     if workers == 1 or cfg is None:
-        for spec in specs:
-            yield spec, *((spec.y, UNTOUCHED) if untouched(spec)
-                          else _solve_frame(spec, cfg))
+        for stack, solve in _stacks(specs, untouched):
+            yield from rows(stack, _solve_stack(stack, cfg) if solve else None)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque()  # (spec, task or None), in frame order
-        for spec in chain(specs, [None]):
-            if spec is not None:
-                pending.append((spec, None if untouched(spec)
-                                else pool.submit(_solve_frame, spec, cfg)))
-            while pending and (spec is None or pending[0][1] is None
-                               or len(pending) >= TASKS_PER_WORKER * workers):
-                head, task = pending.popleft()
-                yield head, *((head.y, UNTOUCHED) if task is None
-                              else task.result())
+        pending = deque()  # (frames, task or None), in frame order
+        in_flight = 0  # frames in pending
+        for run in chain(_stacks(specs, untouched), [None]):
+            if run is not None:
+                stack, solve = run
+                pending.append((stack, pool.submit(_solve_stack, stack, cfg)
+                                if solve else None))
+                in_flight += len(stack)
+            while pending and (run is None or pending[0][1] is None
+                               or in_flight >= FRAMES_PER_WORKER * workers):
+                stack, task = pending.popleft()
+                in_flight -= len(stack)
+                yield from rows(stack, None if task is None else task.result())
 
 
 def frame_specs(box: ConsistencySpec, layout) -> Iterator[ConsistencySpec]:

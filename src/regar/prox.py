@@ -29,7 +29,9 @@ class ConsistencySpec:
 
     Sample n of a consistent signal lies in [lower[n], upper[n]].  A pinned
     sample (lower = upper = y) is known exactly; an infinite bound leaves
-    that side free.  The constructors build the box of each variant:
+    that side free.  The arrays are one frame, or a stack of frames of one
+    length (one per row, see ``stack``).  The constructors build the box of
+    one frame for each variant:
 
     "declip":  reliable samples pinned, samples clipped high bounded below by
         theta, samples clipped low bounded above by -theta.
@@ -47,8 +49,8 @@ class ConsistencySpec:
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1:
-            raise ValueError("observation must be a 1-D signal")
+        if y.ndim not in (1, 2):
+            raise ValueError("observation must be a 1-D signal or a stack of them")
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != y.shape or upper.shape != y.shape:
@@ -61,7 +63,8 @@ class ConsistencySpec:
 
     @property
     def n(self) -> int:
-        return self.y.size
+        """Samples per frame."""
+        return self.y.shape[-1]
 
     @property
     def pinned(self) -> np.ndarray:
@@ -70,7 +73,19 @@ class ConsistencySpec:
 
     def head(self, n: int) -> "ConsistencySpec":
         """The set of the first n samples, viewing this set's arrays."""
-        return ConsistencySpec(self.variant, self.y[:n], self.lower[:n], self.upper[:n])
+        return ConsistencySpec(self.variant, self.y[..., :n], self.lower[..., :n],
+                               self.upper[..., :n])
+
+    @classmethod
+    def stack(cls, specs) -> "ConsistencySpec":
+        """One set whose row k is the frame ``specs[k]`` (of the first's variant)."""
+        return cls(specs[0].variant, *(np.stack([getattr(spec, name) for spec in specs])
+                                       for name in ("y", "lower", "upper")))
+
+    def rows(self) -> list["ConsistencySpec"]:
+        """The frame of every row of a stack, viewing its arrays."""
+        return [ConsistencySpec(self.variant, *row)
+                for row in zip(self.y, self.lower, self.upper)]
 
     @classmethod
     def declip(cls, y, theta: float, tol: float = 0.0) -> "ConsistencySpec":
@@ -111,34 +126,48 @@ class ConsistencySpec:
                    np.where(free, np.inf, y))
 
 
-def project_consistency(x, spec: ConsistencySpec) -> np.ndarray:
-    """Euclidean projection onto the (closed) consistency set."""
+def project_consistency(x, spec: ConsistencySpec, out=None) -> np.ndarray:
+    """Euclidean projection onto the (closed) consistency set, written into
+    ``out`` when given."""
     x = np.asarray(x, dtype=float)
     if x.shape != spec.y.shape:
         raise ValueError("signal and observation lengths differ")
-    return np.clip(x, spec.lower, spec.upper)
+    return np.clip(x, spec.lower, spec.upper, out=out)
 
 
-def prox_signal_penalty(x, lambda_s: float, spec: ConsistencySpec) -> np.ndarray:
+def prox_signal_penalty(x, lambda_s, spec: ConsistencySpec, out=None) -> np.ndarray:
     """Prox of the scaled half-squared distance to the consistency set.
 
     For finite lambda_s this is the convex combination
     ``lambda_s/(lambda_s+1) * proj(x) + 1/(lambda_s+1) * x``; the limit
-    lambda_s = inf is the projection itself (indicator function).
+    lambda_s = inf is the projection itself (indicator function).  A stack
+    of frames may carry one weight per row, as a column.  The result is
+    written into ``out`` when given, which must not overlap x.
     """
-    if lambda_s < 0:
+    lam = np.asarray(lambda_s, dtype=float)
+    least = lam.min()  # one reduction checks the sign and the infinite case
+    if least < 0:
         raise ValueError("lambda_s must be nonnegative")
     x = np.asarray(x, dtype=float)
-    proj = project_consistency(x, spec)
-    if math.isinf(lambda_s):
+    proj = project_consistency(x, spec, out=out)
+    if least == math.inf:
         return proj
-    w = lambda_s / (lambda_s + 1.0)
-    return w * proj + (1.0 - w) * x
+    with np.errstate(invalid="ignore"):  # inf / inf in a row taken by isinf
+        w = np.where(np.isinf(lam), 1.0, lam / (lam + 1.0))
+    return np.add(w * proj, (1.0 - w) * x, out=proj)
 
 
-def soft_threshold(v, threshold: float) -> np.ndarray:
-    """Elementwise soft thresholding, the prox of threshold * ||.||_1."""
-    if threshold < 0:
+def soft_threshold(v, threshold, out=None) -> np.ndarray:
+    """Elementwise soft thresholding, the prox of threshold * ||.||_1.
+
+    A stack of rows may carry one threshold per row, as a column.  The
+    result is written into ``out`` when given, which must not overlap v.
+    """
+    if np.asarray(threshold).min() < 0:
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+    out = np.abs(v, out=out)
+    out -= threshold
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out

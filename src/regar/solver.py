@@ -10,6 +10,11 @@ Janssen's exact missing-sample solve and its rectified GLP variant are the
 two classic baselines, selectable as strategies of the same outer loop.
 Optional accelerations: progressive inner-iteration schedules, extrapolation
 of either update, and a line search along the extrapolation direction.
+
+``acs_run`` solves a stack of frames of one length in lockstep: the DR
+kernels run on (frames, L) arrays, while every per-frame reduction (energies,
+AR fit, Janssen's solve, objective, line-search choice) stays a 1-D call per
+row, so each row rounds exactly as its frame solved alone.
 """
 
 import math
@@ -168,27 +173,31 @@ def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int):
 
     and the result is (u, z): the final prox_g-side iterate, so an indicator
     g yields an exactly feasible u, and the final z, enabling warm starts.
+    z may be a stack of rows with a column of steps ``gamma``; any
+    non-finite entry stops the whole stack.
 
-    prox_f must return a new float array of z's shape (or its argument,
-    which is a new array each iteration): the next z is written into it.
-    prox_g may return its argument; its output is never written to.
+    The loop swaps two buffers, z and a spare holding 2u - z.  prox_f may
+    overwrite and return its argument, or return a new float array of z's
+    shape: the next z is written into what it returns.  prox_g may return
+    its argument or a buffer of its own; its output is never written to.
     """
-    if not gamma > 0:
+    if not np.all(np.asarray(gamma) > 0):
         raise ValueError("gamma must be positive")
     if iters < 1:
         raise ValueError("need at least one iteration")
     z = np.array(z0, dtype=float)
+    spare = np.empty_like(z)
     finite = np.empty(z.shape, dtype=bool)
     u = None
     for k in range(iters):
         u = prox_g(z, gamma)
-        reflected = 2.0 * u
+        reflected = np.multiply(u, 2.0, out=spare)
         reflected -= z
         p = prox_f(reflected, gamma)
         # (p + z) - u rounds exactly like (z + p) - u
         p += z
         p -= u
-        z = p
+        spare, z = z, p
         if not np.isfinite(z, out=finite).all():
             raise DouglasRachfordDivergence(k + 1)
     return u, z
@@ -199,19 +208,37 @@ def _circulant_dr(filt, n_head: int, head_prox, z0, gamma: float, iters: int,
     """Douglas-Rachford on min 1/2 ||C u + offset||^2 + r(u_head) + i{u_tail = 0}.
 
     C is the circulant embedding of the convolution with ``filt``;
-    ``head_prox`` evaluates the prox of gamma * r on the first ``n_head``
-    coordinates.  ``z0`` is a head vector (zero-padded here) or the DR state
-    carried over from a previous call.  Returns the head of the final
+    ``head_prox(v, out)`` writes the prox of gamma * r of the first
+    ``n_head`` coordinates v into out.  ``z0`` is a head vector (zero-padded
+    here) or the DR state carried over from a previous call.  A stack holds
+    one row per frame in every array (gamma as a column).  The quadratic prox
+    transforms in place and the head prox writes into one zero-tailed
+    buffer, so the loop allocates nothing.  Returns the head of the final
     iterate and the DR state.
     """
     op = circulant_embed_filter(filt, n_head)
     quad = circulant_quadratic_prox(
         op, gamma, None if offset is None else extend(offset, op.L))
-    u, z = douglas_rachford(
-        lambda v, g: quad(v),
-        lambda v, g: prox_regularizer_extended(v, head_prox, n_head),
-        extend(z0, op.L), gamma, iters)
-    return u[:n_head], z
+    z0 = extend(z0, op.L)
+    u = np.zeros_like(z0)
+    head = u[..., :n_head]
+    write_head = lambda v_head: head_prox(v_head, head)
+    _, z = douglas_rachford(
+        lambda v, g: quad(v, out=v),
+        lambda v, g: prox_regularizer_extended(v, write_head, n_head, out=u),
+        z0, gamma, iters)
+    return head, z
+
+
+def _row_energy(v) -> np.ndarray:
+    """v @ v of every row, as a column (a 1-D dot per row rounds as alone)."""
+    rows = v.reshape(-1, v.shape[-1])
+    return np.array([row @ row for row in rows]).reshape(v.shape[:-1] + (1,))
+
+
+def _prepend(value: float, v) -> np.ndarray:
+    """v with ``value`` put before the first entry of every row."""
+    return np.concatenate((np.full(v.shape[:-1] + (1,), value), v), axis=-1)
 
 
 def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int, state=None):
@@ -222,26 +249,28 @@ def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int, state
     warm-started at ``a_prev`` or at the DR ``state`` of the previous call.
     The configured step size is normalized by the signal energy, which keeps
     the inner convergence speed independent of the frame length and scale
-    (the minimizer does not depend on the step size).  Returns the
+    (the minimizer does not depend on the step size).  A stack of signals
+    (one per row) takes one row of coefficients each.  Returns the
     coefficients and the final DR state (None at order 0).
     """
     x = np.asarray(x, dtype=float)
-    a_prev = coef_array(a_prev)
+    a_prev = coef_array(a_prev, x.shape[:-1])
     p = cfg.order
-    if a_prev.size != p + 1:
+    if a_prev.shape[-1] != p + 1:
         raise ValueError("warm-start coefficients have the wrong order")
     if p == 0:
-        return np.ones(1), None
-    energy = float(x @ x)
-    gamma = cfg.gamma_c / energy if energy > 0 else cfg.gamma_c
+        return np.ones(a_prev.shape), None
+    energy = _row_energy(x)
+    # a silent row keeps the bare multiplier
+    gamma = cfg.gamma_c / np.where(energy > 0, energy, 1.0)
     threshold = gamma * cfg.lambda_c
     # with a_1 pinned to 1 the residual splits as x + (Toeplitz of [0, x]) @ free,
     # so the quadratic carries the signal as a fixed offset
-    free, z = _circulant_dr(np.concatenate(([0.0], x)), p,
-                            lambda h: soft_threshold(h, threshold),
-                            a_prev[1:] if state is None else state, gamma,
+    free, z = _circulant_dr(_prepend(0.0, x), p,
+                            lambda h, out: soft_threshold(h, threshold, out=out),
+                            a_prev[..., 1:] if state is None else state, gamma,
                             int(inner_iters), offset=x)
-    return np.concatenate(([1.0], free)), z
+    return _prepend(1.0, free), z
 
 
 def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
@@ -251,20 +280,21 @@ def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
     ``inner_iters`` Douglas-Rachford iterations on the signal with the
     quadratic prox and the penalty prox (projection when lambda_s is inf),
     warm-started at ``x_prev`` or at the DR ``state`` of the previous call;
-    the step size is normalized by the filter energy.  Returns the
-    penalty-side iterate, exactly feasible in the hard-constrained case,
-    and the final DR state.
+    the step size is normalized by the filter energy.  A stack of signals
+    (one per row, with a stacked spec) takes one row of coefficients each.
+    Returns the penalty-side iterate, exactly feasible in the
+    hard-constrained case, and the final DR state.
     """
-    a = coef_array(a)
     x_prev = np.asarray(x_prev, dtype=float)
-    n = x_prev.size
-    if spec.n != n:
+    a = coef_array(a, x_prev.shape[:-1])
+    if spec.y.shape != x_prev.shape:
         raise ValueError("consistency spec length does not match the signal")
-    gamma = cfg.gamma_s / float(a @ a)
+    gamma = cfg.gamma_s / _row_energy(a)
     weight = gamma * cfg.lambda_s
-    return _circulant_dr(a, n, lambda v: prox_signal_penalty(v, weight, spec),
-                         x_prev if state is None else state, gamma,
-                         int(inner_iters))
+    return _circulant_dr(
+        a, x_prev.shape[-1],
+        lambda v, out: prox_signal_penalty(v, weight, spec, out=out),
+        x_prev if state is None else state, gamma, int(inner_iters))
 
 
 def janssen_signal_update(a, y, reliable) -> np.ndarray:
@@ -345,7 +375,7 @@ def extrapolate(u_half, u_prev, tau: float, anchor_first: bool = False) -> np.nd
         raise ValueError("shapes differ")
     out = (1.0 + tau) * u_half - tau * u_prev
     if anchor_first:
-        out[0] = 1.0
+        out[..., 0] = 1.0
     return out
 
 
@@ -372,21 +402,32 @@ def line_search(a_half, a_prev, x_half, x_prev, objective_fn, tau_grid):
 
 def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
             ground_truth=None):
-    """Run the full alternating solver on one frame.
+    """Run the full alternating solver on one frame, or on a stack of frames.
 
     Starts from the observed signal (missing samples zero) and its classic AR
     fit, then alternates coefficient and signal updates for
     ``cfg.outer_iters`` iterations, applying the configured strategy and
     accelerations.  Returns the final coefficients, the reconstructed signal
-    and the per-iteration trace.
+    and the per-iteration trace.  A 2-D observation (one frame per row, with
+    a stacked spec and ground truth) is solved in lockstep and gives one row
+    of coefficients and signal and one trace per frame, each with the bits
+    of its frame solved alone and its share of the step wall time.  A row
+    that diverges or grows stops the stack: a divergence carries the first
+    row's trace, a growth error that of the first row that grew.
     """
     y = np.asarray(observation, dtype=float)
-    if spec.n != y.size:
+    if spec.y.shape != y.shape:
         raise ValueError("consistency spec length does not match the observation")
     if spec.variant not in STRATEGIES[cfg.strategy]:
         raise ValueError(f"strategy {cfg.strategy!r} takes a "
                          f"{' or '.join(STRATEGIES[cfg.strategy])} spec, "
                          f"got {spec.variant!r}")
+    single = y.ndim == 1
+    if single:  # a frame is a stack of one
+        spec, y = ConsistencySpec.stack([spec]), y[None]
+        if ground_truth is not None:
+            ground_truth = np.asarray(ground_truth, dtype=float)[None]
+    rows = spec.rows()
     if cfg.strategy in ("inpaint", "glp"):
         reliable = spec.pinned
     total_iters = cfg.outer_iters
@@ -397,23 +438,26 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     x = y.copy()
     # an all-zero start has no autocorrelation to fit; the unit filter is
     # consistent with it (the exact missing-sample solution is then zero)
-    coeffs = (levinson_durbin(x, cfg.order) if np.any(x)
-              else np.r_[1.0, np.zeros(cfg.order)])
+    unit = np.r_[1.0, np.zeros(cfg.order)]
+    coeffs = np.stack([levinson_durbin(row, cfg.order) if np.any(row) else unit
+                       for row in x])
     z_coef = None
     z_sig = None
-    entries = []
+    traces = [AcsTrace(entries=[]) for _ in rows]
 
-    def q_total(a_vec, x_vec) -> float:
-        return objective(a_vec, x_vec, cfg.lambda_c, cfg.lambda_s, spec).total
+    def q_total(a_vec, x_vec, row_spec) -> float:
+        return objective(a_vec, x_vec, cfg.lambda_c, cfg.lambda_s, row_spec).total
 
     def signal_step(a, x_cur, z_cur, inner):
         if cfg.strategy in ("declip", "dequant"):
             return update_signal(a, x_cur, cfg, spec, inner_iters=inner,
                                  state=z_cur)
-        x_new = janssen_signal_update(a, y, reliable)
+        x_new = [janssen_signal_update(a_row, y_row, rel)
+                 for a_row, y_row, rel in zip(a, y, reliable)]
         if cfg.strategy == "glp":
-            x_new = glp_rectify(x_new, spec)
-        return x_new, z_cur
+            x_new = [glp_rectify(row, row_spec)
+                     for row, row_spec in zip(x_new, rows)]
+        return np.stack(x_new), z_cur
 
     for i in range(1, total_iters + 1):
         t_start = time.perf_counter()
@@ -425,8 +469,11 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
                                                  inner_iters=inner, state=z_coef)
             if use_linesearch:
                 x_half, z_sig = signal_step(a_half, x_prev, z_sig, inner)
-                coeffs, x = line_search(a_half, a_prev, x_half, x_prev,
-                                        q_total, TAU_GRID)
+                picks = [line_search(*pair, lambda a_t, x_t, r=row_spec:
+                                     q_total(a_t, x_t, r), TAU_GRID)
+                         for *pair, row_spec in zip(a_half, a_prev, x_half,
+                                                    x_prev, rows)]
+                coeffs, x = (np.stack(v) for v in zip(*picks))
             else:
                 if extra_coef and total_iters > 1:
                     tau_c = 2.0 * (total_iters - i) / (total_iters - 1)
@@ -440,28 +487,23 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
                 else:
                     x = x_half
         except DouglasRachfordDivergence as err:
-            err.trace = AcsTrace(entries=entries,
+            err.trace = AcsTrace(entries=traces[0].entries,
                                  aborted=f"inner divergence at outer iteration {i}")
             raise
-        wall = time.perf_counter() - t_start
-        magnitude = float(np.max(np.abs(coeffs)))
-        value = objective(coeffs, x, cfg.lambda_c, cfg.lambda_s, spec)
-        change = float(np.linalg.norm(coeffs - a_prev) / np.linalg.norm(coeffs))
-        sdr_db = None
-        if ground_truth is not None:
-            sdr_db = sdr(ground_truth, x)
-        entries.append(AcsStep(
-            outer_iter=i,
-            objective=value.total,
-            residual_term=value.residual_term,
-            coef_term=value.coef_term,
-            signal_term=value.signal_term,
-            inner_iters=inner,
-            wall_time=wall,
-            coef_change=change,
-            sdr_db=sdr_db,
-        ))
-        if magnitude > COEF_GROWTH_LIMIT:
-            trace = AcsTrace(entries=entries, aborted="coefficient growth")
-            raise CoefficientGrowthError(magnitude, trace)
-    return coeffs, x, AcsTrace(entries=entries)
+        wall = (time.perf_counter() - t_start) / len(rows)
+        for k, (trace, row_spec) in enumerate(zip(traces, rows)):
+            value = objective(coeffs[k], x[k], cfg.lambda_c, cfg.lambda_s, row_spec)
+            change = float(np.linalg.norm(coeffs[k] - a_prev[k])
+                           / np.linalg.norm(coeffs[k]))
+            trace.entries.append(AcsStep(
+                i, value.total, value.residual_term, value.coef_term,
+                value.signal_term, inner, wall, change,
+                None if ground_truth is None else sdr(ground_truth[k], x[k])))
+        for a_k, trace in zip(coeffs, traces):
+            magnitude = float(np.max(np.abs(a_k)))
+            if magnitude > COEF_GROWTH_LIMIT:
+                raise CoefficientGrowthError(magnitude, AcsTrace(
+                    entries=trace.entries, aborted="coefficient growth"))
+    if single:
+        return coeffs[0], x[0], traces[0]
+    return coeffs, x, traces

@@ -60,6 +60,23 @@ def test_pcm_rejects_nan(tmp_path, fmt):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39],
+                         ids=["nan", "inf", "-inf", "overflow", "-overflow"])
+def test_float32_rejects_samples_that_are_not_finite_as_float32(tmp_path, value):
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match="finite"):
+        write_wav(path, AudioBuffer(np.array([0.1, value, 0.2]), 8000),
+                  fmt="float32")
+    assert not path.exists()
+
+
+def test_float32_keeps_the_largest_finite_float32(tmp_path):
+    path = tmp_path / "max.wav"
+    peak = float(np.finfo(np.float32).max)
+    write_wav(path, AudioBuffer(np.array([peak, -peak]), 8000), fmt="float32")
+    np.testing.assert_array_equal(read_wav(path).data[:, 0], [peak, -peak])
+
+
 def test_float_mode_preserves_out_of_range(tmp_path):
     path = tmp_path / "hot.wav"
     write_wav(path, AudioBuffer(np.array([1.5, -2.0]), 8000), fmt="float32")

@@ -461,6 +461,34 @@ def test_demo_rejects_bad_options_before_writing(tmp_path, capsys, option):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("option, name", [
+    (["--workers", "0"], "--workers"), (["--frame", "0"], "--frame"),
+    (["--hop", "0"], "--hop"), (["--hop", "2048"], "--hop"),
+    (["--length", "0"], "--length"), (["--order", "3000"], "--order")])
+def test_demo_writes_no_wav_before_its_checks(tmp_path, capsys, option, name):
+    # --order 3000 draws a stable model whose direct-form simulation
+    # overflows; the others fail the option checks
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
+                    "--workers", "1", *option]) == 1
+    assert name in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.wav"))
+
+
+@pytest.mark.parametrize("option, name", [
+    (["--workers", "0"], "--workers"), (["--frame", "0"], "--frame"),
+    (["--hop", "513"], "--hop")])
+def test_reconstruct_names_the_bad_framing_option(tmp_path, ar_signal, capsys,
+                                                  option, name):
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out),
+                    "--strategy", "declip", "--order", "8", "--frame", "512",
+                    "--outer", "1", "--inner", "10", *option]) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("strategy, model", [("declip", "--theta"),
                                              ("dequant", "--bits")])
 def test_demo_restores_as_reconstruct_does(tmp_path, capsys, strategy, model):

@@ -165,3 +165,38 @@ def test_extended_dra_shares_minimum_with_dense_toeplitz_dra():
                                     gamma, 4000)
         rel = np.linalg.norm(u_ext[:n] - u_dense) / np.linalg.norm(u_dense)
         assert rel <= 1e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 6), p=st.integers(0, 8), n=st.integers(1, 64),
+       with_offset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_circulant_prox_rows_match_the_dense_oracle(rows, p, n,
+                                                           with_offset, seed):
+    # one filter, step and offset per row; each row is held to the bound of
+    # criterion 02 against its own materialized circulant
+    rng = np.random.default_rng(seed)
+    op = circulant_embed_filter(rng.standard_normal((rows, p + 1)), n)
+    gamma = rng.uniform(0.05, 5.0, size=(rows, 1))
+    offset = rng.standard_normal((rows, op.L)) if with_offset else None
+    v = rng.standard_normal((rows, op.L))
+    fast = circulant_quadratic_prox(op, gamma, offset)(v)
+    in_place = v.copy()
+    circulant_quadratic_prox(op, gamma, offset)(in_place, out=in_place)
+    assert in_place.tobytes() == fast.tobytes()
+    for k in range(rows):
+        row_op = CirculantOperator(op.spectrum[k], op.L, n, p + 1)
+        ref = prox_quadratic_dense(v[k], float(gamma[k, 0]),
+                                   circulant_matrix(row_op),
+                                   None if offset is None else offset[k])
+        assert np.linalg.norm(fast[k] - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_prox_regularizer_extended_writes_only_the_head_of_out():
+    u = np.arange(12, dtype=float).reshape(2, 6)
+    out = np.zeros((2, 6))
+    head = out[:, :2]
+    got = prox_regularizer_extended(u, lambda h: np.negative(h, out=head), 2,
+                                    out=out)
+    assert got is out
+    np.testing.assert_array_equal(out, [[0, -1, 0, 0, 0, 0],
+                                        [-6, -7, 0, 0, 0, 0]])

@@ -15,7 +15,8 @@ from regar.framing import frame_layout
 from regar.metrics import consistency_distance, sdr
 from regar.pipeline import (DegradationModel, frame_record, frame_specs,
                             reconstruct_channel)
-from regar.solver import SolverConfig
+import regar.solver as solver_mod
+from regar.solver import DouglasRachfordDivergence, SolverConfig
 
 
 def clipped_channel(seed=0, n=2000, theta=0.3):
@@ -102,10 +103,11 @@ def test_worker_count_does_not_change_result():
 
 
 class InlinePool:
-    """Process-pool stand-in: runs each task on submit and counts the tasks
-    submitted and those whose result is not taken yet."""
+    """Process-pool stand-in: runs each task on submit and counts the tasks,
+    the frames submitted and the frames whose result is not taken yet (a
+    task's first argument is its stack of frames)."""
 
-    submitted = in_flight = peak = 0
+    tasks = submitted = in_flight = peak = 0
 
     def __init__(self, max_workers):
         pass
@@ -117,14 +119,16 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args):
-        InlinePool.submitted += 1
-        InlinePool.in_flight += 1
+        frames = len(args[0])
+        InlinePool.tasks += 1
+        InlinePool.submitted += frames
+        InlinePool.in_flight += frames
         InlinePool.peak = max(InlinePool.peak, InlinePool.in_flight)
         value = fn(*args)
 
         class Task:
             def result(self):
-                InlinePool.in_flight -= 1
+                InlinePool.in_flight -= frames
                 return value
 
         return Task()
@@ -133,7 +137,7 @@ class InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
-    for counter in ("submitted", "in_flight", "peak"):
+    for counter in ("tasks", "submitted", "in_flight", "peak"):
         monkeypatch.setattr(InlinePool, counter, 0)
     return InlinePool
 
@@ -147,7 +151,7 @@ def test_pool_keeps_few_tasks_in_flight(inline_pool):
     pooled = reconstruct_channel(y, model, cfg, 128, 32, workers=2,
                                  reference=x)
     assert len(pooled[1].per_frame) == 125
-    assert inline_pool.peak == pipeline.TASKS_PER_WORKER * 2
+    assert inline_pool.peak == pipeline.FRAMES_PER_WORKER * 2
     assert inline_pool.in_flight == 0
     assert pooled[0].tobytes() == serial[0].tobytes()
     assert ([dataclasses.replace(r, wall_ms=0.0) for r in pooled[1].per_frame]
@@ -168,6 +172,8 @@ def test_only_solved_frames_reach_the_pool(inline_pool):
     solved = sum(r.outer_iter > 0 for r in pooled[1].per_frame)
     assert 0 < solved < len(pooled[1].per_frame) // 4
     assert inline_pool.submitted == solved
+    # each gap's four solved frames form one stack, a single pool task
+    assert inline_pool.tasks == 3 * -(-4 // pipeline.FRAMES_PER_STACK)
     assert inline_pool.in_flight == 0
     assert pooled[0].tobytes() == serial[0].tobytes()
     assert ([dataclasses.replace(r, wall_ms=0.0) for r in pooled[1].per_frame]
@@ -363,3 +369,53 @@ def test_worker_count_must_be_positive(solve):
     with pytest.raises(ValueError, match="worker count must be positive"):
         reconstruct_channel(y, DegradationModel(kind="clip", theta=theta), cfg,
                             64, 16, workers=0)
+
+
+def _dequant_channel(n, seed=6):
+    rng = np.random.default_rng(seed)
+    x = simulate_ar(random_stable_ar(4, rng), n, rng)
+    obs = uniform_quantize(x / np.max(np.abs(x)), 3)
+    return x, obs.y, DegradationModel(kind="quant", delta=obs.delta)
+
+
+def test_stacks_give_the_bits_of_single_frames_at_every_worker_count(monkeypatch):
+    # nine solved frames: two full stacks and a stack of one, so stacks
+    # cross the pool's tasks; worker counts and frame-by-frame solves agree
+    x, y, model = _dequant_channel(288)
+    cfg = SolverConfig(order=4, strategy="dequant", lambda_c=1e-3,
+                       outer_iters=2, inner_iters=30)
+
+    def run(workers):
+        out, report = reconstruct_channel(y, model, cfg, 64, 32, workers=workers,
+                                          reference=x)
+        assert sum(r.outer_iter > 0 for r in report.per_frame) == 9
+        rows = [dataclasses.replace(r, wall_ms=0.0) for r in report.per_frame]
+        return out.tobytes(), repr(rows)
+
+    runs = [run(workers) for workers in (1, 2, 3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    monkeypatch.setattr(pipeline, "FRAMES_PER_STACK", 1)
+    assert run(1) == runs[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_diverging_row_stops_its_stack_and_reaches_the_caller(monkeypatch,
+                                                              workers):
+    # the second row of every stack turns non-finite; pool workers fork
+    # after the patch, so they see it too
+    real = solver_mod.soft_threshold
+
+    def poisoned(v, threshold, out=None):
+        out = real(v, threshold, out=out)
+        if out.ndim == 2 and out.shape[0] > 1:
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(solver_mod, "soft_threshold", poisoned)
+    _, y, model = _dequant_channel(288)
+    cfg = SolverConfig(order=4, strategy="dequant", outer_iters=2,
+                       inner_iters=10)
+    with pytest.raises(DouglasRachfordDivergence) as err:
+        reconstruct_channel(y, model, cfg, 64, 32, workers=workers)
+    assert err.value.iteration == 1
+    assert err.value.trace.aborted == "inner divergence at outer iteration 1"

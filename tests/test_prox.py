@@ -21,9 +21,10 @@ def test_spec_validation():
     y = np.zeros(4)
     with pytest.raises(ValueError, match="unknown variant"):
         ConsistencySpec(variant="nope", y=y, lower=y, upper=y)
+    # a 2-D spec is a stack of frames, one per row; more axes are rejected
     with pytest.raises(ValueError, match="1-D"):
-        ConsistencySpec(variant="inpaint", y=np.zeros((2, 2)),
-                        lower=np.zeros((2, 2)), upper=np.zeros((2, 2)))
+        ConsistencySpec(variant="inpaint", y=np.zeros((2, 2, 2)),
+                        lower=np.zeros((2, 2, 2)), upper=np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="bounds must match"):
         ConsistencySpec(variant="inpaint", y=y, lower=y, upper=np.zeros(3))
     with pytest.raises(ValueError, match="empty"):
@@ -293,3 +294,38 @@ def test_firm_nonexpansiveness():
             v = rng.uniform(-3, 3, size=6)
             du = op(u) - op(v)
             assert du @ du <= du @ (u - v) + 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 5), n=st.integers(1, 20),
+       lam=st.sampled_from([0.0, 0.5, 10.0, math.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_proxes_write_each_row_as_alone(rows, n, lam, seed):
+    # one step per row, results written into a given buffer, signed zeros
+    # included: every row has the bytes of the 1-D call on that row
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((rows, n))
+    v[rng.random((rows, n)) < 0.2] = -0.0
+    y = np.round(rng.standard_normal((rows, n)) * 4.0) / 4.0
+    stack = ConsistencySpec.stack([ConsistencySpec.dequant(row, 0.25) for row in y])
+    step = rng.uniform(0.1, 2.0, size=(rows, 1))
+    soft = np.empty_like(v)
+    assert soft_threshold(v, step * lam if math.isfinite(lam) else step,
+                          out=soft) is soft
+    penalty = prox_signal_penalty(v, step * lam, stack, out=np.empty_like(v))
+    for k, row_spec in enumerate(stack.rows()):
+        t = float(step[k, 0])
+        assert soft[k].tobytes() == soft_threshold(
+            v[k], t * lam if math.isfinite(lam) else t).tobytes()
+        assert penalty[k].tobytes() == prox_signal_penalty(
+            v[k], t * lam, row_spec).tobytes()
+
+
+def test_spec_stack_and_rows_round_trip():
+    specs = [ConsistencySpec.declip(np.array([0.1, 0.5, -0.5]), 0.5),
+             ConsistencySpec.declip(np.array([0.2, -0.2, 0.4]), 0.4)]
+    stack = ConsistencySpec.stack(specs)
+    assert stack.y.shape == (2, 3) and stack.n == 3
+    assert [(r.y.tobytes(), r.lower.tobytes(), r.upper.tobytes())
+            for r in stack.rows()] == \
+        [(s.y.tobytes(), s.lower.tobytes(), s.upper.tobytes()) for s in specs]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -162,6 +163,59 @@ def test_dr_loop_matches_the_allocating_copy(q, n_head, f_kind, g_kind,
         assert isinstance(product, int) and product <= k
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 5), q=st.integers(1, 8), n_head=st.integers(1, 40),
+       g_kind=st.sampled_from(["soft", "penalty"]), with_offset=st.booleans(),
+       k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_stacked_dr_loop_matches_the_allocating_copy_per_row(
+        rows, q, n_head, g_kind, with_offset, k, seed):
+    # the kernel's form: one filter and step per row, the quadratic prox
+    # transforming in place and the head prox writing into a zero-tailed
+    # buffer; every row must have the bytes of the allocating 1-D copy
+    rng = np.random.default_rng(seed)
+    filt = rng.standard_normal((rows, q))
+    op = circulant_embed_filter(filt, n_head)
+    gamma = rng.uniform(0.05, 5.0, size=(rows, 1))
+    offset = rng.standard_normal((rows, op.L)) if with_offset else None
+    y = rng.standard_normal((rows, n_head))
+    spec = ConsistencySpec.stack([ConsistencySpec.dequant(r, 0.5) for r in y])
+    z0 = rng.standard_normal((rows, op.L))
+
+    def head_prox(h, g, row_spec, out=None):
+        if g_kind == "soft":
+            return soft_threshold(h, 0.1 * g, out=out)
+        return prox_signal_penalty(h, 10.0 * g, row_spec, out=out)
+
+    quad = circulant_quadratic_prox(op, gamma, offset)
+    u = np.zeros_like(z0)
+    head = u[:, :n_head]
+    got_u, got_z = douglas_rachford(
+        lambda v, g: quad(v, out=v),
+        lambda v, g: prox_regularizer_extended(
+            v, lambda h: head_prox(h, g, spec, out=head), n_head, out=u),
+        z0, gamma, k)
+    for r, row_spec in enumerate(spec.rows()):
+        g_r = float(gamma[r, 0])
+        quad_r = circulant_quadratic_prox(
+            circulant_embed_filter(filt[r], n_head), g_r,
+            None if offset is None else offset[r])
+        want_u, want_z = copy_douglas_rachford(
+            lambda v, g: quad_r(v),
+            lambda v, g: prox_regularizer_extended(
+                v, lambda h: head_prox(h, g, row_spec), n_head),
+            z0[r], g_r, k)
+        assert (got_u[r].tobytes(), got_z[r].tobytes()) == \
+            (want_u.tobytes(), want_z.tobytes())
+
+
+def test_dr_divergence_in_one_row_stops_the_stack():
+    z0 = np.ones((3, 4))
+    poison = lambda v, g: np.where(np.arange(3)[:, None] == 1, np.nan, v)
+    with pytest.raises(DouglasRachfordDivergence) as err:
+        douglas_rachford(poison, lambda v, g: v, z0, np.ones((3, 1)), 10)
+    assert err.value.iteration == 1
+
+
 # ------------------------------------------------------- coefficient update
 
 def constrained_least_squares(x, p):
@@ -295,6 +349,34 @@ def test_warm_start_continues_exactly_property(p, extra, k, m, lambda_c, lambda_
     whole = update_signal(a, spec.y, cfg, spec, inner_iters=k + m)
     np.testing.assert_array_equal(split[0], whole[0])
     np.testing.assert_array_equal(split[1], whole[1])
+
+
+def test_stacked_updates_match_the_dense_oracles_per_row():
+    # criterion 03 run on stacks: each row of a stacked update against the
+    # dense Toeplitz DR of that row, at the criterion's bound
+    rng = np.random.default_rng(21)
+    p, n, rows = 4, 48, 3
+    a_true = random_stable_ar(p, rng)
+    x = np.stack([simulate_ar(a_true, n, rng) * scale for scale in (1.0, 0.01, 30.0)])
+    y = np.stack([hard_clip(row, 0.4 * np.max(np.abs(row))).y for row in x])
+    specs = [ConsistencySpec.declip(row, np.max(np.abs(row))) for row in y]
+    stack = ConsistencySpec.stack(specs)
+    a_rows = np.stack([a_true] * rows)
+    worst = 0.0
+    for lam_s in (10.0, math.inf):
+        cfg = make_config(order=p, lambda_s=lam_s, inner_iters=4000)
+        fast, _ = update_signal(a_rows, y, cfg, stack, inner_iters=4000)
+        for r in range(rows):
+            dense = dense_update_signal(a_true, y[r].copy(), cfg, specs[r])
+            worst = max(worst, np.linalg.norm(dense - fast[r]) / np.linalg.norm(dense))
+    a0 = np.stack([np.r_[1.0, np.zeros(p)]] * rows)
+    for lam_c in (0.01,):
+        cfg = make_config(order=p, lambda_c=lam_c, inner_iters=4000)
+        fast, _ = update_coefficients(x, a0, cfg, inner_iters=4000)
+        for r in range(rows):
+            dense = dense_update_coefficients(x[r], a0[r], cfg)
+            worst = max(worst, np.linalg.norm(dense - fast[r]) / np.linalg.norm(dense))
+    assert worst <= 1e-6
 
 
 # ----------------------------------------------------------------- Janssen
@@ -629,6 +711,76 @@ def test_strategy_accepts_only_its_spec_variants(strategy, variant):
     else:
         with pytest.raises(ValueError):
             acs_run(y, spec, cfg)
+
+
+_STACK_ACCEL = {"none": {}, "extrapolate": {"acceleration": frozenset(
+    {"extrapolate_signal", "extrapolate_coefs"})},
+    "line_search": {"acceleration": frozenset({"line_search"})}}
+
+
+def _stack_frames(strategy, rows, n, zero_row, rng):
+    """Clean frames of very different energy and the specs (one variant) of
+    their observations; row ``zero_row`` (if any) observes only zeros."""
+    a = random_stable_ar(3, rng)
+    clean = np.stack([simulate_ar(a, n, rng) * 10.0 ** rng.uniform(-3, 3)
+                      for _ in range(rows)])
+    observed = clean.copy()
+    if zero_row is not None:
+        observed[zero_row % rows] = 0.0
+    specs = []
+    for row in observed:
+        peak = float(np.max(np.abs(row))) or 1.0
+        if strategy == "dequant":
+            delta = peak / 4.0
+            specs.append(ConsistencySpec.dequant(np.round(row / delta) * delta, delta))
+        elif strategy == "inpaint":
+            reliable = rng.random(n) > 0.25
+            specs.append(ConsistencySpec.inpaint(np.where(reliable, row, 0.0), reliable))
+        else:
+            specs.append(ConsistencySpec.declip(hard_clip(row, 0.5 * peak).y,
+                                                0.5 * peak))
+    return clean, specs
+
+
+def _solve(observation, spec, cfg, truth):
+    try:
+        return acs_run(observation, spec, cfg, ground_truth=truth)
+    except (DouglasRachfordDivergence, CoefficientGrowthError) as err:
+        return type(err)
+
+
+def _untimed(trace):
+    return [repr(dataclasses.replace(e, wall_time=0.0)) for e in trace.entries]
+
+
+@pytest.mark.parametrize("accel", list(_STACK_ACCEL))
+@pytest.mark.parametrize("strategy", ["declip", "dequant", "inpaint", "glp"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 9), n=st.integers(12, 40),
+       zero_row=st.none() | st.integers(0, 8), lambda_s=st.sampled_from([10.0, math.inf]),
+       progressive=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(rows=9, n=24, zero_row=4, lambda_s=math.inf, progressive=True, seed=1)
+@example(rows=1, n=16, zero_row=None, lambda_s=10.0, progressive=False, seed=2)
+def test_stack_solves_every_frame_as_alone(strategy, accel, rows, n, zero_row,
+                                           lambda_s, progressive, seed):
+    rng = np.random.default_rng(seed)
+    clean, specs = _stack_frames(strategy, rows, n, zero_row, rng)
+    cfg = SolverConfig(order=3, strategy=strategy, lambda_c=1e-3, lambda_s=lambda_s,
+                       outer_iters=3, inner_iters=12,
+                       inner_schedule=(4, 9, 20) if progressive else None,
+                       **_STACK_ACCEL[accel])
+    stack = ConsistencySpec.stack(specs)
+    got = _solve(stack.y, stack, cfg, clean)
+    alone = [_solve(spec.y, spec, cfg, clean[k]) for k, spec in enumerate(specs)]
+    if isinstance(got, type):  # an error in any row stops the stack
+        assert got in [r for r in alone if isinstance(r, type)]
+        return
+    coeffs, x, traces = got
+    assert coeffs.shape == (rows, 4) and x.shape == (rows, n) and len(traces) == rows
+    for k, (a_k, x_k, trace_k) in enumerate(alone):
+        assert coeffs[k].tobytes() == a_k.tobytes()
+        assert x[k].tobytes() == x_k.tobytes()
+        assert _untimed(traces[k]) == _untimed(trace_k)
 
 
 def test_acs_growth_guard_attaches_trace(monkeypatch):
