@@ -61,17 +61,19 @@ TAU_GRID = np.logspace(-4.0, 2.0, 25)
 
 
 class DouglasRachfordDivergence(RuntimeError):
-    """A Douglas-Rachford iterate became non-finite."""
+    """A Douglas-Rachford iterate became non-finite (in stack row ``row``)."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite iterate at inner iteration {iteration}")
+    def __init__(self, iteration: int, row: int | None = None):
+        where = "" if row is None else f" in row {row}"
+        super().__init__(f"non-finite iterate at inner iteration {iteration}{where}")
         self.iteration = iteration
+        self.row = row
         self.trace = None  # attached when raised from inside the outer loop
 
     def __reduce__(self):
-        # rebuild from the constructor argument, not the formatted message,
+        # rebuild from the constructor arguments, not the formatted message,
         # so the error crosses a process boundary unchanged
-        return type(self), (self.iteration,), self.__dict__
+        return type(self), (self.iteration, self.row), self.__dict__
 
 
 class CoefficientGrowthError(RuntimeError):
@@ -174,7 +176,8 @@ def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int):
     and the result is (u, z): the final prox_g-side iterate, so an indicator
     g yields an exactly feasible u, and the final z, enabling warm starts.
     z may be a stack of rows with a column of steps ``gamma``; any
-    non-finite entry stops the whole stack.
+    non-finite entry stops the whole stack, and the error names the first
+    row that holds one (row 0 of a 1-D z).
 
     The loop swaps two buffers, z and a spare holding 2u - z.  prox_f may
     overwrite and return its argument, or return a new float array of z's
@@ -199,7 +202,8 @@ def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int):
         p -= u
         spare, z = z, p
         if not np.isfinite(z, out=finite).all():
-            raise DouglasRachfordDivergence(k + 1)
+            row_ok = finite.reshape(-1, finite.shape[-1]).all(axis=1)
+            raise DouglasRachfordDivergence(k + 1, int(np.argmin(row_ok)))
     return u, z
 
 
@@ -297,7 +301,27 @@ def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
         x_prev if state is None else state, gamma, int(inner_iters))
 
 
-def janssen_signal_update(a, y, reliable) -> np.ndarray:
+def _band_lags(missing, p: int) -> np.ndarray:
+    """Lag index of Janssen's Gram band in LAPACK upper-band storage.
+
+    For the sorted missing indices m and bandwidth b <= min(p, m - 1), entry
+    (k, j) is the lag m_j - m_{j-b+k} of diagonal b - k, or p + 1 where that
+    lag exceeds the order or the entry lies left of the matrix, so a gather
+    from the autocorrelation with a zero appended fills the band.  The index
+    depends on the mask and order only; it is Fortran-ordered, the layout
+    LAPACK factors in place, and holds the smallest type that fits p + 1.
+    """
+    m = missing.size
+    b = int(np.max(np.searchsorted(missing, missing + p, side="right")
+                   - np.arange(1, m + 1), initial=0))
+    lags = np.full((b + 1, m), p + 1, dtype=np.min_scalar_type(p + 1), order="F")
+    for d in range(b + 1):  # one diagonal at a time: no (b+1, m) int64 temporary
+        np.minimum(missing[d:] - missing[:m - d], p + 1, out=lags[b - d, d:],
+                   casting="unsafe")
+    return lags
+
+
+def janssen_signal_update(a, y, reliable, *, lags=None) -> np.ndarray:
     """Exact minimizer of the residual energy with the reliable samples fixed.
 
     Solves the positive-definite normal equations restricted to the missing
@@ -305,8 +329,10 @@ def janssen_signal_update(a, y, reliable) -> np.ndarray:
     autocorrelation at lag |m_i - m_j| of the missing indices m, which
     vanishes beyond the order p; in the sorted index the matrix is therefore
     banded, with bandwidth b <= min(p, m - 1).  The upper band is gathered
-    straight into LAPACK band storage and factored by banded Cholesky, so a
-    solve costs O(m b^2) time and O(m b) memory.
+    straight into LAPACK band storage and factored in place by banded
+    Cholesky, so a solve costs O(m b^2) time and O(m b) memory.  ``lags`` is
+    the band's lag index for this mask and order (``_band_lags``), built
+    here when omitted; a caller solving one mask many times builds it once.
     """
     a = coef_array(a)
     y = np.asarray(y, dtype=float)
@@ -316,21 +342,17 @@ def janssen_signal_update(a, y, reliable) -> np.ndarray:
     if missing.size == 0:
         return y.copy()
     p = a.size - 1
+    if lags is None:
+        lags = _band_lags(missing, p)
     acorr = np.correlate(a, a, mode="full")[p:]
     x_fixed = np.where(rel, y, 0.0)
     kernel = np.concatenate((acorr[::-1], acorr[1:]))
     gram_fixed = np.convolve(x_fixed, kernel)[p : p + n]
     rhs = -gram_fixed[missing]
-    # band row k holds diagonal b - k: lag m_j - m_{j-b+k}, and lags past p
-    # (including the left padding) gather the appended zero
-    b = int(np.max(np.searchsorted(missing, missing + p, side="right")
-                   - np.arange(1, missing.size + 1)))
-    padded = np.concatenate((np.full(b, missing[0] - p - 1), missing))
-    lags = missing[:, None] - np.lib.stride_tricks.sliding_window_view(padded, b + 1)
-    band = np.append(acorr, 0.0)[np.minimum(lags, p + 1)].T
-    x = x_fixed.copy()
-    x[missing] = scipy.linalg.solveh_banded(band, rhs, check_finite=False)
-    return x
+    band = np.append(acorr, 0.0)[lags]
+    x_fixed[missing] = scipy.linalg.solveh_banded(
+        band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    return x_fixed
 
 
 def glp_rectify(x, spec: ConsistencySpec) -> np.ndarray:
@@ -412,8 +434,8 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     a stacked spec and ground truth) is solved in lockstep and gives one row
     of coefficients and signal and one trace per frame, each with the bits
     of its frame solved alone and its share of the step wall time.  A row
-    that diverges or grows stops the stack: a divergence carries the first
-    row's trace, a growth error that of the first row that grew.
+    that diverges or grows stops the stack: the error carries the trace of
+    the first row that diverged (named in its message) or grew.
     """
     y = np.asarray(observation, dtype=float)
     if spec.y.shape != y.shape:
@@ -430,6 +452,8 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     rows = spec.rows()
     if cfg.strategy in ("inpaint", "glp"):
         reliable = spec.pinned
+        # the band layout depends on the mask and order only: one per row
+        lags = [_band_lags(np.flatnonzero(~rel), cfg.order) for rel in reliable]
     total_iters = cfg.outer_iters
     use_linesearch = "line_search" in cfg.acceleration
     extra_sig = "extrapolate_signal" in cfg.acceleration
@@ -452,8 +476,8 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
         if cfg.strategy in ("declip", "dequant"):
             return update_signal(a, x_cur, cfg, spec, inner_iters=inner,
                                  state=z_cur)
-        x_new = [janssen_signal_update(a_row, y_row, rel)
-                 for a_row, y_row, rel in zip(a, y, reliable)]
+        x_new = [janssen_signal_update(a_row, y_row, rel, lags=row_lags)
+                 for a_row, y_row, rel, row_lags in zip(a, y, reliable, lags)]
         if cfg.strategy == "glp":
             x_new = [glp_rectify(row, row_spec)
                      for row, row_spec in zip(x_new, rows)]
@@ -487,7 +511,7 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
                 else:
                     x = x_half
         except DouglasRachfordDivergence as err:
-            err.trace = AcsTrace(entries=traces[0].entries,
+            err.trace = AcsTrace(entries=traces[err.row].entries,
                                  aborted=f"inner divergence at outer iteration {i}")
             raise
         wall = (time.perf_counter() - t_start) / len(rows)

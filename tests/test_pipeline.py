@@ -401,21 +401,28 @@ def test_stacks_give_the_bits_of_single_frames_at_every_worker_count(monkeypatch
 @pytest.mark.parametrize("workers", [1, 2])
 def test_diverging_row_stops_its_stack_and_reaches_the_caller(monkeypatch,
                                                               workers):
-    # the second row of every stack turns non-finite; pool workers fork
-    # after the patch, so they see it too
-    real = solver_mod.soft_threshold
-
-    def poisoned(v, threshold, out=None):
-        out = real(v, threshold, out=out)
-        if out.ndim == 2 and out.shape[0] > 1:
-            out[1] = np.nan
-        return out
-
-    monkeypatch.setattr(solver_mod, "soft_threshold", poisoned)
+    # from the second outer iteration on, the coefficient DR state of the
+    # second row of every stack turns non-finite; pool workers fork after
+    # the patch, so they see it too
     _, y, model = _dequant_channel(288)
     cfg = SolverConfig(order=4, strategy="dequant", outer_iters=2,
                        inner_iters=10)
-    with pytest.raises(DouglasRachfordDivergence) as err:
+    _, first = reconstruct_channel(y, model, SolverConfig(
+        order=4, strategy="dequant", outer_iters=1, inner_iters=10), 64, 32)
+    real = solver_mod.update_coefficients
+
+    def poisoned(*args, state=None, **kwargs):
+        if state is not None and len(state) > 1:
+            state = state.copy()
+            state[1] = np.nan
+        return real(*args, state=state, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "update_coefficients", poisoned)
+    with pytest.raises(DouglasRachfordDivergence, match="in row 1$") as err:
         reconstruct_channel(y, model, cfg, 64, 32, workers=workers)
-    assert err.value.iteration == 1
-    assert err.value.trace.aborted == "inner divergence at outer iteration 1"
+    assert (err.value.iteration, err.value.row) == (1, 1)
+    assert err.value.trace.aborted == "inner divergence at outer iteration 2"
+    # the first stack's row 1 is frame 1: its one finished step, not frame 0's
+    objectives = [r.objective for r in first.per_frame[:2]]
+    assert objectives[0] != objectives[1]
+    assert [e.objective for e in err.value.trace.entries] == objectives[1:]

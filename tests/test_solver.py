@@ -211,9 +211,10 @@ def test_stacked_dr_loop_matches_the_allocating_copy_per_row(
 def test_dr_divergence_in_one_row_stops_the_stack():
     z0 = np.ones((3, 4))
     poison = lambda v, g: np.where(np.arange(3)[:, None] == 1, np.nan, v)
-    with pytest.raises(DouglasRachfordDivergence) as err:
+    with pytest.raises(DouglasRachfordDivergence,
+                       match="inner iteration 1 in row 1$") as err:
         douglas_rachford(poison, lambda v, g: v, z0, np.ones((3, 1)), 10)
-    assert err.value.iteration == 1
+    assert (err.value.iteration, err.value.row) == (1, 1)
 
 
 # ------------------------------------------------------- coefficient update
@@ -459,6 +460,10 @@ def test_janssen_banded_matches_dense_property(p, extra, tail_l1, family, seed):
     dense = dense_janssen_signal_update(a, y, reliable)
     np.testing.assert_array_equal(fast[reliable], y[reliable])
     assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
+    # the band index built once per run gives the one-shot call's bits
+    lags = solver_mod._band_lags(np.flatnonzero(~reliable), p)
+    assert janssen_signal_update(a, y, reliable, lags=lags).tobytes() == \
+        fast.tobytes()
 
 
 # --------------------------------------------------------------------- GLP
@@ -663,6 +668,25 @@ def test_acs_glp_output_is_feasible():
     np.testing.assert_array_equal(project_consistency(x, spec), x)
 
 
+@pytest.mark.parametrize("strategy", ["glp", "inpaint"])
+def test_acs_builds_the_band_index_once_per_row(monkeypatch, strategy):
+    # three outer iterations solve each of the two rows three times, from
+    # one band index per row
+    builds, solves = [], []
+    real_build, real_solve = solver_mod._band_lags, solver_mod.janssen_signal_update
+    monkeypatch.setattr(solver_mod, "_band_lags",
+                        lambda *args: builds.append(1) or real_build(*args))
+    monkeypatch.setattr(solver_mod, "janssen_signal_update",
+                        lambda *args, **kw: solves.append(1) or real_solve(*args, **kw))
+    specs = [clipped_instance(seed, n=64, p=4)[2] for seed in (14, 15)]
+    if strategy == "inpaint":
+        specs = [ConsistencySpec.inpaint(s.y, s.pinned) for s in specs]
+    stack = ConsistencySpec.stack(specs)
+    cfg = SolverConfig(order=4, strategy=strategy, outer_iters=3, inner_iters=20)
+    acs_run(stack.y, stack, cfg)
+    assert (len(builds), len(solves)) == (2, 6)
+
+
 def test_acs_extrapolation_and_line_search_run():
     x_true, obs, spec = clipped_instance(11, n=128, p=4)
     for accel in ({"extrapolate_signal"}, {"extrapolate_coefs"}, {"line_search"}):
@@ -817,7 +841,11 @@ def test_divergence_error_survives_pickling():
     assert type(back) is DouglasRachfordDivergence
     assert str(back) == str(div) == "non-finite iterate at inner iteration 7"
     assert back.iteration == 7
+    assert back.row is None
     assert back.trace.aborted == div.trace.aborted
+    in_row = pickle.loads(pickle.dumps(DouglasRachfordDivergence(7, row=2)))
+    assert str(in_row) == "non-finite iterate at inner iteration 7 in row 2"
+    assert in_row.row == 2
 
 
 def test_growth_error_survives_pickling():
