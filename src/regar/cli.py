@@ -37,10 +37,16 @@ _ACCEL_TOKENS = {
 }
 
 
-def _model_options(a: argparse.Namespace) -> int:
-    """How many of --theta, --bits and --mask are given; more than one fails."""
-    given = sum(v is not None for v in (a.theta, a.bits, a.mask))
-    if given > 1:
+# the consistency box each model option gives
+_OPTION_BOX = {"theta": "declip", "bits": "dequant", "mask": "inpaint"}
+# SolverConfig's field defaults, which the solver options take over
+_SOLVER = {f.name: f.default for f in fields(SolverConfig)}
+
+
+def _model_options(a: argparse.Namespace) -> list[str]:
+    """Which of --theta, --bits and --mask are given; more than one fails."""
+    given = [option for option in _OPTION_BOX if getattr(a, option) is not None]
+    if len(given) > 1:
         raise ValueError("give at most one of --theta, --bits, --mask")
     return given
 
@@ -59,18 +65,12 @@ def _validate(a: argparse.Namespace) -> None:
             if mode != a.mode and getattr(a, other) is not None:
                 raise ValueError(f"--{other} applies to {mode} mode only")
     elif a.command == "reconstruct":
-        if a.strategy == "dequant":
-            if a.bits is None:
-                raise ValueError("dequant strategy needs --bits")
-            if a.theta is not None or a.mask is not None:
-                raise ValueError("dequant strategy takes --bits only")
-        elif a.bits is not None:
-            raise ValueError("--bits applies to the dequant strategy only")
-        if a.strategy in ("declip", "glp") and a.mask is not None:
-            raise ValueError(f"{a.strategy} strategy derives masks from --theta")
-        if a.strategy == "inpaint" and a.mask is None and a.theta is None:
-            raise ValueError("inpaint strategy needs --mask or --theta")
-        _model_options(a)
+        boxes = STRATEGIES[a.strategy]
+        # the model option used: the one given, or --theta for a sole declip box
+        used = _model_options(a) or (["theta"] if boxes == ("declip",) else [])
+        if not used or _OPTION_BOX[used[0]] not in boxes:
+            takes = [f"--{o}" for o in _OPTION_BOX if _OPTION_BOX[o] in boxes]
+            raise ValueError(f"{a.strategy} strategy takes {' or '.join(takes)}")
     elif a.command == "evaluate":
         if _model_options(a) and a.degraded is None:
             raise ValueError("--theta, --bits and --mask need --degraded")
@@ -119,7 +119,7 @@ _OPTIONS = {
     "--bits": dict(type=int),
     "--mask": dict(help="reliable-sample mask (.npy) for inpainting"),
     "--lambda-c": dict(type=_lambda_value, default=1e-3),
-    "--lambda-s": dict(type=_lambda_value, default=math.inf),
+    "--lambda-s": dict(type=_lambda_value, default=_SOLVER["lambda_s"]),
     "--order": dict(type=int),
     "--frame": dict(type=int),
     "--hop": dict(type=int, help="default: frame/4 (demo: 256)"),
@@ -162,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("-o", "--output", required=True)
     rec.add_argument("--strategy", choices=STRATEGIES, required=True)
     _shared(rec, "--theta --bits --mask --lambda-c --lambda-s")
-    rec.add_argument("--gamma-c", type=_positive_float, default=1.0)
-    rec.add_argument("--gamma-s", type=_positive_float, default=1.0)
+    rec.add_argument("--gamma-c", type=_positive_float, default=_SOLVER["gamma_c"])
+    rec.add_argument("--gamma-s", type=_positive_float, default=_SOLVER["gamma_s"])
     _shared(rec, "--order --frame --hop --outer --inner")
     rec.add_argument("--inner-schedule",
                      help="n1,nI exponents of a logarithmic schedule")
@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--deterministic-report", action="store_true",
                      help="zero out wall-clock fields in the report")
     _shared(rec, "--format")
-    rec.set_defaults(order=512, frame=2048, outer=10, run=cmd_reconstruct)
+    rec.set_defaults(order=512, frame=2048, outer=_SOLVER["outer_iters"],
+                     run=cmd_reconstruct)
 
     ev = sub.add_parser("evaluate", help="score an estimate against a reference")
     ev.add_argument("estimate")
@@ -194,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "--accel --workers")
     # demo restores as reconstruct does, with the solver options it lacks
     dem.set_defaults(order=32, bits=5, frame=1024, hop=256, outer=5, inner=200,
-                     theta=None, mask=None, gamma_c=1.0, gamma_s=1.0,
-                     inner_schedule=None, run=cmd_demo)
+                     theta=None, mask=None, gamma_c=_SOLVER["gamma_c"],
+                     gamma_s=_SOLVER["gamma_s"], inner_schedule=None, run=cmd_demo)
     return parser
 
 
@@ -364,7 +365,7 @@ def _build_config(a) -> SolverConfig | None:
         gamma_c=a.gamma_c,
         gamma_s=a.gamma_s,
         outer_iters=a.outer,
-        inner_iters=a.inner if a.inner is not None else 1000,
+        inner_iters=_SOLVER["inner_iters"] if a.inner is None else a.inner,
         inner_schedule=schedule,
         acceleration=_parse_accel(a.accel),
     )
@@ -450,8 +451,8 @@ def cmd_evaluate(a) -> int:
 
 def cmd_demo(a) -> int:
     """Degrade a synthetic AR signal and restore it, as ``degrade`` and
-    ``reconstruct`` do: the dequant strategy quantizes to --bits, the others
-    clip at --clip-level times the peak."""
+    ``reconstruct`` do: a strategy that takes a declip box clips at
+    --clip-level times the peak, the others quantize to --bits."""
     rng = np.random.default_rng(a.seed)
     coeffs = random_stable_ar(a.order, rng)
     clean = simulate_ar(coeffs, a.length, rng, burn_in=1000)
@@ -465,7 +466,7 @@ def cmd_demo(a) -> int:
     write_wav(clean_path, AudioBuffer(clean, a.sample_rate))
     clean_buf = read_wav(clean_path)
 
-    if a.strategy != "dequant":
+    if "declip" in STRATEGIES[a.strategy]:
         peak = float(np.max(np.abs(clean_buf.channel(0))))
         a.theta, a.bits = float(np.float32(a.clip_level * peak)), None
     degraded_path = out_dir / "degraded.wav"

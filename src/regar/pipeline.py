@@ -13,7 +13,6 @@ on the worker count.  The same frame-report builder scores
 reconstructions here and estimates in ``regar evaluate``.
 """
 
-import math
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -114,9 +113,7 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
     if a pool is asked for.
     """
     def untouched(spec):
-        return cfg is None or ((cfg.strategy in ("inpaint", "glp")
-                                or math.isinf(cfg.lambda_s))
-                               and bool(spec.pinned.all()))
+        return cfg is None or (cfg.keeps_pinned and bool(spec.pinned.all()))
 
     def rows(stack, solved):
         """Each frame with its solver output, or with itself if ``solved``
@@ -169,7 +166,8 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
     """Reconstruct one channel frame by frame.
 
     ``cfg = None`` skips the solver entirely (frames pass through overlap-add
-    unmodified); ``workers`` (at least 1) processes solve the others.
+    unmodified); ``workers`` (at least 1) processes solve the others.  A model
+    whose box the strategy does not take fails before any frame is solved.
     Returns the reconstructed channel and a ReconstructionReport; SDR fields
     are filled when a reference is given.
     """
@@ -183,6 +181,8 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
             raise ValueError("reference length does not match the observation")
     layout = frame_layout(y.size, frame_length, hop)
     box = model.spec_for(y, layout.pad_end)
+    if cfg is not None:
+        cfg.check_box(box.variant)
     records = []
 
     def scored(outputs, references):

@@ -62,11 +62,6 @@ class ConsistencySpec:
         object.__setattr__(self, "upper", upper)
 
     @property
-    def n(self) -> int:
-        """Samples per frame."""
-        return self.y.shape[-1]
-
-    @property
     def pinned(self) -> np.ndarray:
         """Samples the observation fixes exactly."""
         return self.lower == self.upper

@@ -49,10 +49,11 @@ __all__ = [
     "acs_run",
 ]
 
-# each strategy and the consistency-spec variants it accepts: the
-# missing-sample strategies need reliable samples, so no dequant spec
+# each strategy and the consistency-spec variants (boxes) it takes: the
+# missing-sample strategies need reliable samples, so no dequant box
 STRATEGIES = {"inpaint": ("declip", "inpaint"), "glp": ("declip",),
               "declip": ("declip",), "dequant": ("dequant",)}
+JANSSEN = ("inpaint", "glp")  # the strategies that run Janssen's solve
 ACCELERATIONS = ("extrapolate_signal", "extrapolate_coefs", "line_search")
 
 COEF_GROWTH_LIMIT = 1e6
@@ -139,6 +140,18 @@ class SolverConfig:
         if any(n < 1 for n in schedule):
             raise ValueError("inner iteration counts must be >= 1")
         object.__setattr__(self, "inner_schedule", schedule)
+
+    @property
+    def keeps_pinned(self) -> bool:
+        """Whether a frame with every sample pinned is its own solution."""
+        return self.strategy in JANSSEN or self.lambda_s == math.inf
+
+    def check_box(self, variant: str) -> None:
+        """Reject a consistency-spec variant the strategy does not take."""
+        if variant not in STRATEGIES[self.strategy]:
+            raise ValueError(f"strategy {self.strategy!r} takes a "
+                             f"{' or '.join(STRATEGIES[self.strategy])} spec, "
+                             f"got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -440,24 +453,17 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     y = np.asarray(observation, dtype=float)
     if spec.y.shape != y.shape:
         raise ValueError("consistency spec length does not match the observation")
-    if spec.variant not in STRATEGIES[cfg.strategy]:
-        raise ValueError(f"strategy {cfg.strategy!r} takes a "
-                         f"{' or '.join(STRATEGIES[cfg.strategy])} spec, "
-                         f"got {spec.variant!r}")
+    cfg.check_box(spec.variant)
     single = y.ndim == 1
     if single:  # a frame is a stack of one
         spec, y = ConsistencySpec.stack([spec]), y[None]
         if ground_truth is not None:
             ground_truth = np.asarray(ground_truth, dtype=float)[None]
     rows = spec.rows()
-    if cfg.strategy in ("inpaint", "glp"):
+    if cfg.strategy in JANSSEN:
         reliable = spec.pinned
         # the band layout depends on the mask and order only: one per row
         lags = [_band_lags(np.flatnonzero(~rel), cfg.order) for rel in reliable]
-    total_iters = cfg.outer_iters
-    use_linesearch = "line_search" in cfg.acceleration
-    extra_sig = "extrapolate_signal" in cfg.acceleration
-    extra_coef = "extrapolate_coefs" in cfg.acceleration
 
     x = y.copy()
     # an all-zero start has no autocorrelation to fit; the unit filter is
@@ -469,11 +475,8 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
     z_sig = None
     traces = [AcsTrace(entries=[]) for _ in rows]
 
-    def q_total(a_vec, x_vec, row_spec) -> float:
-        return objective(a_vec, x_vec, cfg.lambda_c, cfg.lambda_s, row_spec).total
-
     def signal_step(a, x_cur, z_cur, inner):
-        if cfg.strategy in ("declip", "dequant"):
+        if cfg.strategy not in JANSSEN:
             return update_signal(a, x_cur, cfg, spec, inner_iters=inner,
                                  state=z_cur)
         x_new = [janssen_signal_update(a_row, y_row, rel, lags=row_lags)
@@ -483,7 +486,7 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
                      for row, row_spec in zip(x_new, rows)]
         return np.stack(x_new), z_cur
 
-    for i in range(1, total_iters + 1):
+    for i in range(1, cfg.outer_iters + 1):
         t_start = time.perf_counter()
         inner = cfg.inner_schedule[i - 1]
         a_prev = coeffs
@@ -491,22 +494,22 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
         try:
             a_half, z_coef = update_coefficients(x_prev, coeffs, cfg,
                                                  inner_iters=inner, state=z_coef)
-            if use_linesearch:
+            if "line_search" in cfg.acceleration:
                 x_half, z_sig = signal_step(a_half, x_prev, z_sig, inner)
-                picks = [line_search(*pair, lambda a_t, x_t, r=row_spec:
-                                     q_total(a_t, x_t, r), TAU_GRID)
+                picks = [line_search(*pair, lambda a_t, x_t, r=row_spec: objective(
+                             a_t, x_t, cfg.lambda_c, cfg.lambda_s, r).total, TAU_GRID)
                          for *pair, row_spec in zip(a_half, a_prev, x_half,
                                                     x_prev, rows)]
                 coeffs, x = (np.stack(v) for v in zip(*picks))
             else:
-                if extra_coef and total_iters > 1:
-                    tau_c = 2.0 * (total_iters - i) / (total_iters - 1)
+                if "extrapolate_coefs" in cfg.acceleration and cfg.outer_iters > 1:
+                    tau_c = 2.0 * (cfg.outer_iters - i) / (cfg.outer_iters - 1)
                     coeffs = extrapolate(a_half, a_prev, tau_c, anchor_first=True)
                 else:
                     coeffs = a_half
                 x_half, z_sig = signal_step(coeffs, x_prev, z_sig, inner)
-                if extra_sig and total_iters > 1:
-                    tau_s = (total_iters - i) / (total_iters - 1)
+                if "extrapolate_signal" in cfg.acceleration and cfg.outer_iters > 1:
+                    tau_s = (cfg.outer_iters - i) / (cfg.outer_iters - 1)
                     x = extrapolate(x_half, x_prev, tau_s)
                 else:
                     x = x_half

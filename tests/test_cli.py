@@ -59,7 +59,7 @@ def test_degrade_clip_and_reconstruct_feasible(tmp_path, ar_signal, capsys):
                     "--outer", "2", "--inner", "150", "--workers", "1",
                     "--reference", str(clean),
                     "--report", str(report), "--report-format", "csv"]) == 0
-    rows = list(csv.DictReader(report.open()))
+    rows = list(csv.DictReader(report.read_text().splitlines()))
     assert rows
     # every solved frame is feasible before overlap-add
     for row in rows:
@@ -224,7 +224,7 @@ def test_evaluate_frame_consistency_is_measured_or_null(tmp_path, ar_signal):
     assert run_cli(["evaluate", str(silent), "--reference", str(clean),
                     "--degraded", str(clipped), "--frame", "512",
                     "--report", str(unmeasured), "--report-format", "csv"]) == 0
-    rows = list(csv.DictReader(unmeasured.open()))
+    rows = list(csv.DictReader(unmeasured.read_text().splitlines()))
     assert len(rows) == len(frames)
     assert all(r["consistency_sq"] == "" for r in rows)
 
@@ -293,6 +293,34 @@ def test_jobspec_validation_errors(tmp_path, ar_signal, capsys):
     assert run_cli(["evaluate", str(tmp_path / "none.wav"),
                     "--reference", str(clean)]) == 1
 
+
+# the (strategy, model options) pairs reconstruct accepts; it rejects every other
+_ACCEPTED = {("declip", ""), ("declip", "--theta"), ("glp", ""), ("glp", "--theta"),
+             ("inpaint", "--theta"), ("inpaint", "--mask"), ("dequant", "--bits")}
+
+
+@pytest.mark.parametrize("outer", ["0", "1"])
+@pytest.mark.parametrize("options", ["", "--theta", "--bits", "--mask",
+                                     "--theta --mask"])
+@pytest.mark.parametrize("strategy", ["declip", "glp", "inpaint", "dequant"])
+def test_reconstruct_accepts_exactly_the_models_a_strategy_takes(
+        tmp_path, capsys, strategy, options, outer):
+    n = 256
+    make_wav(tmp_path / "in.wav", 0.5 * np.sin(np.arange(n) / 5.0))
+    np.save(tmp_path / "mask.npy", np.arange(n) % 7 != 0)
+    values = {"--theta": "0.6", "--bits": "4",
+              "--mask": str(tmp_path / "mask.npy")}
+    out = tmp_path / "out.wav"
+    argv = ["reconstruct", str(tmp_path / "in.wav"), "-o", str(out),
+            "--strategy", strategy, "--order", "4", "--frame", "64",
+            "--outer", outer, "--inner", "2", "--workers", "1"]
+    for option in options.split():
+        argv += [option, values[option]]
+    accepted = (strategy, options) in _ACCEPTED
+    assert run_cli(argv) == (0 if accepted else 1)
+    assert out.exists() == accepted
+    if not accepted:
+        assert "error:" in capsys.readouterr().err
 
 
 def test_zero_workers_is_rejected(tmp_path, ar_signal, capsys):
@@ -390,7 +418,7 @@ def test_write_report_csv(tmp_path):
                      "outer_iter,objective,inner_iters,wall_ms"]
 
     write_report(_report_fixture(), path, "csv")
-    rows = list(csv.DictReader(path.open()))
+    rows = list(csv.DictReader(path.read_text().splitlines()))
     assert [r["frame_index"] for r in rows] == ["0", "1"]
     assert rows[0]["sdr_db"] == "10.0"
     assert rows[1]["wall_ms"] == "13.0"
@@ -399,7 +427,7 @@ def test_write_report_csv(tmp_path):
 def test_write_report_deterministic_zeroes_wall(tmp_path):
     path = tmp_path / "r.csv"
     write_report(_report_fixture(), path, "csv", deterministic=True)
-    rows = list(csv.DictReader(path.open()))
+    rows = list(csv.DictReader(path.read_text().splitlines()))
     assert all(r["wall_ms"] == "0.0" for r in rows)
 
 

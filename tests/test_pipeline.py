@@ -371,6 +371,57 @@ def test_worker_count_must_be_positive(solve):
                             64, 16, workers=0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("degraded", [False, True])
+@pytest.mark.parametrize("kind, strategy", [("clip", "dequant"), ("drop", "glp")])
+def test_a_box_the_strategy_does_not_take_fails_before_any_solve(
+        monkeypatch, kind, strategy, degraded, workers):
+    _, y, theta = clipped_channel(n=300)
+    reliable = np.ones(y.size, dtype=bool)
+    if degraded:
+        reliable[100] = False
+    else:  # no sample reaches theta
+        y = 0.5 * theta * y / np.max(np.abs(y))
+    model = (DegradationModel(kind="clip", theta=theta) if kind == "clip" else
+             DegradationModel(kind="drop", reliable=reliable))
+    cfg = SolverConfig(order=4, strategy=strategy, outer_iters=1, inner_iters=10)
+    calls = []
+    estimates = pipeline._frame_estimates
+    monkeypatch.setattr(pipeline, "_frame_estimates",
+                        lambda *args: calls.append(args) or estimates(*args))
+    with pytest.raises(ValueError, match=f"strategy '{strategy}' takes"):
+        reconstruct_channel(y, model, cfg, 64, 16, workers=workers)
+    assert calls == []
+
+
+# one all-pinned frame for every box: y lies inside (-1, 1) and away from zero,
+# so a quantization step far below its ulp pins every sample too
+_PINNED_MODELS = {
+    "declip": DegradationModel(kind="clip", theta=1.0),
+    "inpaint": DegradationModel(kind="drop", reliable=np.ones(64, dtype=bool)),
+    "dequant": DegradationModel(kind="quant", delta=1e-20),
+}
+
+
+@pytest.mark.parametrize("lambda_s", [1.0, math.inf])
+@pytest.mark.parametrize("strategy, variant", [
+    (strategy, variant) for strategy, boxes in solver_mod.STRATEGIES.items()
+    for variant in boxes])
+def test_skip_rule_agrees_with_the_solver(strategy, variant, lambda_s):
+    y = 0.5 + 0.4 * np.sin(np.arange(64) / 3.0)
+    model = _PINNED_MODELS[variant]
+    spec = model.spec_for(y)
+    assert spec.variant == variant and spec.pinned.all()
+    cfg = SolverConfig(order=4, strategy=strategy, lambda_c=1e-3,
+                       lambda_s=lambda_s, outer_iters=2, inner_iters=20)
+    # the solver returns the observation bit for bit exactly when the rule
+    # lets the pipeline skip the frame
+    _, x, _ = solver_mod.acs_run(y, spec, cfg)
+    assert (x.tobytes() == y.tobytes()) == cfg.keeps_pinned
+    _, report = reconstruct_channel(y, model, cfg, 64, 64)
+    assert [r.outer_iter > 0 for r in report.per_frame] == [not cfg.keeps_pinned]
+
+
 def _dequant_channel(n, seed=6):
     rng = np.random.default_rng(seed)
     x = simulate_ar(random_stable_ar(4, rng), n, rng)

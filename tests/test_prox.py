@@ -88,7 +88,7 @@ def _random_spec(rng, n):
 
 
 def _random_feasible(rng, spec):
-    z = rng.uniform(-2, 2, size=spec.n)
+    z = rng.uniform(-2, 2, size=spec.y.shape[-1])
     return project_consistency(z, spec)
 
 
@@ -325,7 +325,7 @@ def test_spec_stack_and_rows_round_trip():
     specs = [ConsistencySpec.declip(np.array([0.1, 0.5, -0.5]), 0.5),
              ConsistencySpec.declip(np.array([0.2, -0.2, 0.4]), 0.4)]
     stack = ConsistencySpec.stack(specs)
-    assert stack.y.shape == (2, 3) and stack.n == 3
+    assert stack.y.shape == (2, 3)
     assert [(r.y.tobytes(), r.lower.tobytes(), r.upper.tobytes())
             for r in stack.rows()] == \
         [(s.y.tobytes(), s.lower.tobytes(), s.upper.tobytes()) for s in specs]
