@@ -2,8 +2,8 @@
 
 Integer PCM is scaled to [-1, 1) by 2**(bits-1) on read; writing PCM rejects
 NaN and samples outside [-1, 1] instead of clipping silently.  Float mode
-stores the samples as-is, so float32-representable data round-trips bitwise,
-and rejects samples that are not finite as float32.
+stores the samples as-is, so float32-representable data round-trips bitwise;
+reading and writing both reject samples that are not finite as float32.
 """
 
 import struct
@@ -106,6 +106,8 @@ def read_wav(path) -> AudioBuffer:
         samples = _decode_pcm24(data).astype(float) / 8388608.0
     elif audio_format == _IEEE_FLOAT and bits == 32:
         samples = np.frombuffer(data, dtype="<f4").astype(float)
+        if not np.isfinite(samples).all():
+            raise ValueError(f"{path}: NaN or infinite float32 samples")
     else:
         raise ValueError(
             f"{path}: unsupported codec (format {audio_format}, {bits}-bit); "

@@ -22,8 +22,7 @@ from .degrade import drop_samples, hard_clip, uniform_quantize
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
                       sdr, sdr_scores)
 from .framing import frame_layout, segment
-from .pipeline import (DegradationModel, frame_record, frame_specs,
-                       reconstruct_channel)
+from .pipeline import DegradationModel, frame_record, reconstruct_channel
 from .solver import STRATEGIES, SolverConfig, progressive_schedule
 
 __all__ = ["run_cli", "main", "write_report"]
@@ -420,18 +419,17 @@ def cmd_evaluate(a) -> int:
     for c in range(est.channels):
         x = est.channel(c)
         y = degraded.channel(c) if degraded is not None else None
-        box = (models[c].spec_for(y, layout.pad_end if layout else 0)
-               if models else None)
+        box = models[c].spec_for(y) if models else None
         records = [] if layout is None else [
             frame_record(k, *row) for k, row in enumerate(zip(
                 segment(x, layout),
                 repeat(None) if y is None else segment(y, layout),
-                repeat(None) if box is None else frame_specs(box, layout),
+                repeat(None) if box is None
+                else models[c].frame_specs(y, layout),
                 segment(ref.channel(c), layout)))]
         parts.append(ReconstructionReport(
             sdr_db=None, delta_sdr_db=None,
-            consistency_sq=(None if box is None
-                            else consistency_distance(x, box.head(x.size))),
+            consistency_sq=None if box is None else consistency_distance(x, box),
             per_frame=records))
     report = _merge_reports(parts, ref.data,
                             degraded.data if degraded is not None else None,

@@ -18,8 +18,8 @@ class FrameLayout:
     """Placement of overlapping frames over a signal.
 
     Frame k covers samples [k*hop, k*hop + frame_length) for k < n_frames =
-    ceil(n_samples / hop), so every sample is covered; pad_end trailing
-    zeros make the last frame full length.
+    ceil(n_samples / hop), so every sample is covered; trailing zeros make
+    the last frame full length.
     """
 
     frame_length: int
@@ -36,10 +36,6 @@ class FrameLayout:
     def n_frames(self) -> int:
         return -(-self.n_samples // self.hop)
 
-    @property
-    def pad_end(self) -> int:
-        return (self.n_frames - 1) * self.hop + self.frame_length - self.n_samples
-
 
 def frame_layout(n_samples: int, frame_length: int, hop: int) -> FrameLayout:
     """Layout placing a frame at every hop that still contains signal."""
@@ -48,18 +44,18 @@ def frame_layout(n_samples: int, frame_length: int, hop: int) -> FrameLayout:
 
 def segment(x, layout: FrameLayout) -> list[np.ndarray]:
     """Frames as read-only rows (row k is frame k) of x, which has the
-    layout's length or its padded length.
+    layout's length; the rows keep x's dtype.
 
     Frames inside x view x (made contiguous first); only the last ones, which
     reach into the end padding, view one short zero-padded copy of the tail.
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.shape not in ((layout.n_samples,), (layout.n_samples + layout.pad_end,)):
+    x = np.ascontiguousarray(x)
+    if x.shape != (layout.n_samples,):
         raise ValueError("signal length does not match the layout")
     w, h = layout.frame_length, layout.hop
     rows = list(sliding_window_view(x, w)[::h]) if x.size >= w else []
     if len(rows) < layout.n_frames:
-        tail = np.zeros((layout.n_frames - len(rows) - 1) * h + w)
+        tail = np.zeros((layout.n_frames - len(rows) - 1) * h + w, dtype=x.dtype)
         tail[: x.size - len(rows) * h] = x[len(rows) * h:]
         rows += list(sliding_window_view(tail, w)[::h])
     return rows

@@ -1,15 +1,15 @@
 """Frame-parallel reconstruction of a whole channel.
 
-Views each frame's consistency spec in one box over the zero-padded channel,
-solves every degraded frame (in parallel when requested) and adds each
-estimate into the windowed overlap-add as it lands.  Frames whose exact
-solution is the observation (nothing degraded in them) pass through and
-never reach the pool.  Consecutive degraded frames are solved in lockstep
-stacks of at most ``FRAMES_PER_STACK``; a stack closes early at the next
-passthrough frame.  A task carries only its stack's specs and the solver
-config, the stacks do not depend on the worker count, and every row of a
-stack has the bits of its frame solved alone, so the result does not depend
-on the worker count.  The same frame-report builder scores
+Checks the channel's consistency box up front, builds each frame's box from
+the frame's own samples, solves every degraded frame (in parallel when
+requested) and adds each estimate into the windowed overlap-add as it lands.
+Frames whose exact solution is the observation (nothing degraded in them)
+pass through and never reach the pool.  Consecutive degraded frames are
+solved in lockstep stacks of at most ``FRAMES_PER_STACK``; a stack closes
+early at the next passthrough frame.  A task carries only its stack's specs
+and the solver config, the stacks do not depend on the worker count, and
+every row of a stack has the bits of its frame solved alone, so the result
+does not depend on the worker count.  The same frame-report builder scores
 reconstructions here and estimates in ``regar evaluate``.
 """
 
@@ -28,8 +28,7 @@ from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
 from .prox import ConsistencySpec
 from .solver import SolverConfig, acs_run
 
-__all__ = ["DegradationModel", "frame_record", "frame_specs",
-           "reconstruct_channel"]
+__all__ = ["DegradationModel", "frame_record", "reconstruct_channel"]
 
 # slack for observations that passed through a float32 file
 MASK_TOL_FACTOR = 1e-6
@@ -68,17 +67,26 @@ class DegradationModel:
             object.__setattr__(self, "reliable",
                                np.asarray(self.reliable, dtype=bool))
 
-    def spec_for(self, y: np.ndarray, pad_end: int = 0) -> ConsistencySpec:
-        """Consistency spec of a channel followed by ``pad_end`` zeros, which
-        a drop model counts as reliable: they are known."""
-        padded = np.concatenate((y, np.zeros(pad_end)))
+    def spec_for(self, y: np.ndarray, reliable=None) -> ConsistencySpec:
+        """Consistency spec of the samples ``y``; ``reliable`` is a drop
+        model's mask over them (by default the whole channel's)."""
         if self.kind == "clip":
-            return ConsistencySpec.declip(padded, self.theta,
+            return ConsistencySpec.declip(y, self.theta,
                                           tol=MASK_TOL_FACTOR * self.theta)
         if self.kind == "quant":
-            return ConsistencySpec.dequant(padded, self.delta)
-        return ConsistencySpec.inpaint(padded, np.concatenate(
-            (self.reliable, np.ones(pad_end, dtype=bool))))
+            return ConsistencySpec.dequant(y, self.delta)
+        return ConsistencySpec.inpaint(
+            y, self.reliable if reliable is None else reliable)
+
+    def frame_specs(self, y, layout) -> Iterator[ConsistencySpec]:
+        """Consistency spec of every frame of channel ``y``, one at a time,
+        built from its frame of ``segment(y, layout)``; a drop model counts
+        the end padding as reliable."""
+        frames = segment(y, layout)
+        if self.kind != "drop":
+            return map(self.spec_for, frames)
+        return map(self.spec_for, frames,
+                   (~gap for gap in segment(~self.reliable, layout)))
 
 
 def _solve_stack(specs: list, cfg: SolverConfig) -> list:
@@ -141,13 +149,6 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
                 yield from rows(stack, None if task is None else task.result())
 
 
-def frame_specs(box: ConsistencySpec, layout) -> Iterator[ConsistencySpec]:
-    """Consistency spec of every frame, one at a time, viewing the rows of
-    ``box``: the spec of the padded channel, ``model.spec_for(y, pad_end)``."""
-    return (ConsistencySpec(box.variant, *rows) for rows in zip(
-        *(segment(a, layout) for a in (box.y, box.lower, box.upper))))
-
-
 def frame_record(k: int, estimate, observed=None, spec=None, reference=None,
                  stats=UNTOUCHED) -> FrameRecord:
     """Report row of frame k: the estimate's SDR against the reference, its
@@ -180,7 +181,7 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
         if reference.size != y.size:
             raise ValueError("reference length does not match the observation")
     layout = frame_layout(y.size, frame_length, hop)
-    box = model.spec_for(y, layout.pad_end)
+    box = model.spec_for(y)
     if cfg is not None:
         cfg.check_box(box.variant)
     records = []
@@ -191,7 +192,7 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
             yield x
 
     x_hat = overlap_add(
-        scored(_frame_estimates(frame_specs(box, layout), cfg, workers),
+        scored(_frame_estimates(model.frame_specs(y, layout), cfg, workers),
                repeat(None) if reference is None
                else segment(reference, layout)),
         layout, sine_window(frame_length))
@@ -199,7 +200,7 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
     report = ReconstructionReport(
         sdr_db=score,
         delta_sdr_db=gain,
-        consistency_sq=consistency_distance(x_hat, box.head(y.size)),
+        consistency_sq=consistency_distance(x_hat, box),
         per_frame=records,
         timing_s=time.perf_counter() - t_begin,
     )

@@ -66,11 +66,6 @@ class ConsistencySpec:
         """Samples the observation fixes exactly."""
         return self.lower == self.upper
 
-    def head(self, n: int) -> "ConsistencySpec":
-        """The set of the first n samples, viewing this set's arrays."""
-        return ConsistencySpec(self.variant, self.y[..., :n], self.lower[..., :n],
-                               self.upper[..., :n])
-
     @classmethod
     def stack(cls, specs) -> "ConsistencySpec":
         """One set whose row k is the frame ``specs[k]`` (of the first's variant)."""
@@ -109,13 +104,13 @@ class ConsistencySpec:
     def dequant(cls, y, delta: float) -> "ConsistencySpec":
         if not delta > 0:
             raise ValueError("dequant spec needs a positive delta")
-        y = np.asarray(y, dtype=float)
+        y = _as_signal(y)
         half = delta / 2.0
         return cls("dequant", y, y - half, y + half)
 
     @classmethod
     def inpaint(cls, y, reliable) -> "ConsistencySpec":
-        y = np.asarray(y, dtype=float)
+        y = _as_signal(y)
         free = ~_as_bool_mask(reliable, y.size)
         return cls("inpaint", y, np.where(free, -np.inf, y),
                    np.where(free, np.inf, y))

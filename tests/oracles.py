@@ -6,9 +6,9 @@ materialize the same operators as plain matrices and solve them by dense
 Cholesky factorization.  The package describes a consistency set by one
 (lower, upper) interval per sample; the mask references below classify the
 samples and treat each class separately instead.  The package views its
-frames and their consistency boxes in one zero-padded buffer and streams
-them through overlap-add; the copy references below cut every frame, and
-build every frame's box, as a separate array.  The package's
+frames in the channel, builds each frame's consistency box from its view and
+streams them through overlap-add; the copy references below cut every frame
+as a separate zero-padded copy and build its box on that.  The package's
 Douglas-Rachford loop reuses its buffers; the copy reference allocates every
 intermediate afresh.
 """
@@ -202,7 +202,8 @@ def mask_glp_rectify(x, y, theta: float, tol: float = 0.0) -> np.ndarray:
 
 def copy_segment(x, layout) -> list[np.ndarray]:
     """``segment`` with every frame cut as its own copy of the padded signal."""
-    padded = np.concatenate((np.asarray(x, dtype=float), np.zeros(layout.pad_end)))
+    padded = np.zeros((layout.n_frames - 1) * layout.hop + layout.frame_length)
+    padded[: layout.n_samples] = x
     return [padded[k * layout.hop: k * layout.hop + layout.frame_length].copy()
             for k in range(layout.n_frames)]
 

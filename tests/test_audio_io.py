@@ -70,6 +70,16 @@ def test_float32_rejects_samples_that_are_not_finite_as_float32(tmp_path, value)
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_read_rejects_float32_samples_that_are_not_finite(tmp_path, value):
+    path = tmp_path / "bad.wav"
+    scipy.io.wavfile.write(path, 8000,
+                           np.array([0.1, value, 0.2], dtype=np.float32))
+    with pytest.raises(ValueError, match="bad.wav: NaN or infinite float32"):
+        read_wav(path)
+
+
 def test_float32_keeps_the_largest_finite_float32(tmp_path):
     path = tmp_path / "max.wav"
     peak = float(np.finfo(np.float32).max)

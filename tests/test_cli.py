@@ -650,3 +650,25 @@ def test_malformed_wav_header_is_an_error_line(tmp_path, capsys):
     assert run_cli(["evaluate", str(path), "--reference", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "inconsistent block alignment" in err
+
+
+def test_a_wav_holding_nan_is_rejected_before_any_output(tmp_path, ar_signal,
+                                                         capsys):
+    clean, x = ar_signal
+    path = tmp_path / "nan.wav"
+    make_wav(path, x)
+    blob = bytearray(path.read_bytes())
+    start = blob.index(b"data") + 8
+    blob[start + 4 * 1234: start + 4 * 1235] = struct.pack("<f", math.nan)
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    for argv in (["evaluate", str(path), "--reference", str(clean),
+                  "--report", str(out)],
+                 ["reconstruct", str(path), "-o", str(out), "--bits", "4",
+                  "--strategy", "dequant", "--workers", "1"],
+                 ["degrade", str(path), "-o", str(out), "--mode", "drop",
+                  "--ratio", "0.1"]):
+        assert run_cli(argv) == 1
+        assert f"{path}: NaN or infinite float32 samples" in \
+            capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == sorted([clean, path])

@@ -15,7 +15,7 @@ def test_single_frame_layout():
     x = np.arange(6, dtype=float)
     layout = frame_layout(6, 6, 6)
     frames = segment(x, layout)
-    assert layout.n_frames == 1 and layout.pad_end == 0
+    assert layout.n_frames == 1
     np.testing.assert_array_equal(frames[0], x)
 
 
@@ -26,7 +26,7 @@ def test_segment_examples():
 
     layout = frame_layout(6, 4, 2)
     frames = segment(np.arange(1.0, 7.0), layout)
-    assert layout.n_frames == 3 and layout.pad_end == 2
+    assert layout.n_frames == 3
     np.testing.assert_array_equal(frames[2], [5.0, 6.0, 0.0, 0.0])
 
 
@@ -140,11 +140,16 @@ def test_segment_views_the_signal_and_one_padded_tail(layout):
             row[0] = 0.0
     strided = np.stack((x, x), axis=1)[:, 0]  # a stereo file's channel
     assert all(row.flags.c_contiguous for row in segment(strided, layout))
-    padded = np.concatenate((x, np.zeros(layout.pad_end)))
-    from_padded = segment(padded, layout)
-    assert [row.tobytes() for row in from_padded] == \
-        [row.tobytes() for row in rows]
-    assert all(np.shares_memory(row, padded) for row in from_padded)
+    # a mask frames as bool rows, padded with False
+    mask = x % 3 == 0
+    mask_rows = segment(mask, layout)
+    assert all(row.dtype == bool for row in mask_rows)
+    assert [row.tolist() for row in mask_rows] == \
+        [(frame != 0.0).tolist() for frame in copy_segment(mask, layout)]
+    padded_length = (layout.n_frames - 1) * h + w
+    if padded_length > x.size:
+        with pytest.raises(ValueError, match="length does not match"):
+            segment(np.zeros(padded_length), layout)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

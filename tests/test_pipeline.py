@@ -13,8 +13,7 @@ from regar.armodel import random_stable_ar, simulate_ar
 from regar.degrade import hard_clip, uniform_quantize
 from regar.framing import frame_layout
 from regar.metrics import consistency_distance, sdr
-from regar.pipeline import (DegradationModel, frame_record, frame_specs,
-                            reconstruct_channel)
+from regar.pipeline import DegradationModel, frame_record, reconstruct_channel
 import regar.solver as solver_mod
 from regar.solver import DouglasRachfordDivergence, SolverConfig
 
@@ -227,7 +226,7 @@ def test_frame_specs_treat_padding_as_reliable():
     y = np.where(reliable, 1.0, 0.0)
     layout = frame_layout(10, 4, 2)
     model = DegradationModel(kind="drop", reliable=reliable)
-    specs = frame_specs(model.spec_for(y, layout.pad_end), layout)
+    specs = model.frame_specs(y, layout)
     pinned = [spec.pinned.tolist() for spec in specs]
     assert pinned == [[True, False, True, True], [True, True, True, True],
                      [True, True, True, True], [True, True, False, True],
@@ -250,27 +249,37 @@ def test_frame_specs_equal_per_frame_copies(kind, n, frame, hop_share, seed):
                  np.where(reliable, x, 0.0)),
     }[kind]
     layout = frame_layout(n, frame, max(1, round(hop_share * frame)))
-    box = model.spec_for(y, layout.pad_end)
 
     def arrays(spec):
         return spec.variant, spec.y.tobytes(), spec.lower.tobytes(), \
             spec.upper.tobytes()
 
-    assert arrays(box.head(n)) == arrays(copy_spec(model, y))
-    assert [arrays(spec) for spec in frame_specs(box, layout)] == \
+    assert arrays(model.spec_for(y)) == arrays(copy_spec(model, y))
+    specs = list(model.frame_specs(y, layout))
+    assert [arrays(spec) for spec in specs] == \
         [arrays(spec) for spec in copy_frame_specs(model, y, layout)]
+    # every frame inside the channel views it
+    assert [np.shares_memory(spec.y, y) for spec in specs] == \
+        [k * layout.hop + frame <= n for k in range(layout.n_frames)]
 
 
-def test_channel_memory_grows_with_the_frame_not_the_file():
-    # a long channel with three one-sample gaps: nearly every frame passes
+@pytest.mark.parametrize("kind", ["drop", "clip"])
+def test_channel_memory_grows_with_the_frame_not_the_file(kind):
+    # a long channel with three degraded samples: nearly every frame passes
     # through, so a per-frame copy of the channel would dominate the peak
     n = 2**19
     rng = np.random.default_rng(5)
     x = simulate_ar(random_stable_ar(8, rng), n, rng)
+    x = 0.4 * x / np.max(np.abs(x))
+    degraded = [1000, 200_000, 400_000]
+    x[degraded] = 0.6  # the only samples beyond theta
     reliable = np.ones(n, dtype=bool)
-    reliable[[1000, 200_000, 400_000]] = False
-    y = np.where(reliable, x, 0.0)
-    model = DegradationModel(kind="drop", reliable=reliable)
+    reliable[degraded] = False
+    model, y = {
+        "drop": (DegradationModel(kind="drop", reliable=reliable),
+                 np.where(reliable, x, 0.0)),
+        "clip": (DegradationModel(kind="clip", theta=0.5), hard_clip(x, 0.5).y),
+    }[kind]
     cfg = SolverConfig(order=8, strategy="inpaint", outer_iters=2,
                        inner_iters=10)
     tracemalloc.start()
@@ -279,7 +288,7 @@ def test_channel_memory_grows_with_the_frame_not_the_file():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * y.nbytes
+    assert peak < 6 * y.nbytes
 
 
 def test_frame_records_score_what_they_are_given():
@@ -391,6 +400,39 @@ def test_a_box_the_strategy_does_not_take_fails_before_any_solve(
                         lambda *args: calls.append(args) or estimates(*args))
     with pytest.raises(ValueError, match=f"strategy '{strategy}' takes"):
         reconstruct_channel(y, model, cfg, 64, 16, workers=workers)
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["beyond theta", "quant nan", "drop nan",
+                                  "short mask"])
+def test_an_invalid_channel_fails_before_any_solve(monkeypatch, case, workers):
+    # every frame before the bad sample is degraded: a check made frame by
+    # frame would solve them first
+    n = 4096
+    rng = np.random.default_rng(3)
+    x = simulate_ar(random_stable_ar(4, rng), n, rng)
+    x = 0.9 * x / np.max(np.abs(x))
+    reliable = np.arange(n) % 50 != 0
+    model, y, strategy, match = {
+        "beyond theta": (DegradationModel(kind="clip", theta=0.5),
+                         hard_clip(x, 0.5).y, "inpaint", "exceeds"),
+        "quant nan": (DegradationModel(kind="quant", delta=0.125),
+                      uniform_quantize(x, 4).y, "dequant", "non-finite"),
+        "drop nan": (DegradationModel(kind="drop", reliable=reliable),
+                     np.where(reliable, x, 0.0), "inpaint", "non-finite"),
+        "short mask": (DegradationModel(kind="drop", reliable=reliable[:-96]),
+                       np.where(reliable, x, 0.0), "inpaint", "length 4096"),
+    }[case]
+    if case != "short mask":  # the bad sample lies in the last frame
+        y[-1] = 0.6 if case == "beyond theta" else math.nan
+    cfg = SolverConfig(order=4, strategy=strategy, outer_iters=1, inner_iters=10)
+    calls = []
+    estimates = pipeline._frame_estimates
+    monkeypatch.setattr(pipeline, "_frame_estimates",
+                        lambda *args: calls.append(args) or estimates(*args))
+    with pytest.raises(ValueError, match=match):
+        reconstruct_channel(y, model, cfg, 256, 64, workers=workers)
     assert calls == []
 
 
