@@ -8,7 +8,9 @@ basis, turning every inner iteration into a pair of real FFTs (all signals
 and filters are real, so ``np.fft.rfft``/``irfft`` carry the half spectrum
 and the inverse transform is real by construction).  Extending the
 regularizer by an indicator of zero on the tail coordinates keeps the
-minimizer of the original problem.
+minimizer of the original problem; ``solver.douglas_rachford`` holds that
+indicator, writing the regularizer's prox into the head of a zero-tailed
+buffer.
 
 Every routine takes a stack of frames as well: one filter and one vector per
 row, all of one embedding size, with ``axis=-1`` transforms (row by row they
@@ -23,7 +25,6 @@ __all__ = [
     "CirculantOperator",
     "circulant_embed_filter",
     "circulant_quadratic_prox",
-    "prox_regularizer_extended",
     "extend",
     "fast_len",
 ]
@@ -135,21 +136,4 @@ def extend(v, L: int) -> np.ndarray:
         raise ValueError("vector longer than the embedding")
     out = np.zeros(v.shape[:-1] + (L,))
     out[..., :n] = v
-    return out
-
-
-def prox_regularizer_extended(u_ext, head_prox, n_head: int, out=None) -> np.ndarray:
-    """Prox of the extended regularizer: head prox on the leading coordinates, zero tail.
-
-    The extended function is the original regularizer on the first n_head
-    coordinates plus the indicator of zero on the rest; its prox is exactly
-    this composition because the two groups of coordinates are separable.
-    ``out``, when given, must be zero past the head; only its head is
-    written, and a ``head_prox`` that returns a view of that head has its
-    result taken in place, with no copy.
-    """
-    u_ext = np.asarray(u_ext, dtype=float)
-    if out is None:
-        out = np.zeros_like(u_ext)
-    out[..., :n_head] = head_prox(u_ext[..., :n_head])
     return out

@@ -22,6 +22,7 @@ from itertools import chain, groupby, islice, repeat
 
 import numpy as np
 
+from .degrade import _as_bool_mask
 from .framing import frame_layout, overlap_add, segment, sine_window
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
                       sdr_scores)
@@ -64,8 +65,8 @@ class DegradationModel:
         if self.kind == "drop":
             if self.reliable is None:
                 raise ValueError("drop model needs the reliable mask")
-            object.__setattr__(self, "reliable",
-                               np.asarray(self.reliable, dtype=bool))
+            object.__setattr__(self, "reliable", _as_bool_mask(
+                self.reliable, np.size(self.reliable)))
 
     def spec_for(self, y: np.ndarray, reliable=None) -> ConsistencySpec:
         """Consistency spec of the samples ``y``; ``reliable`` is a drop

@@ -22,11 +22,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .armodel import coef_array, levinson_durbin, objective
-from .fastops import circulant_embed_filter, circulant_quadratic_prox, extend, \
-    prox_regularizer_extended
+from .fastops import circulant_embed_filter, circulant_quadratic_prox, extend
 from .prox import (ConsistencySpec, project_consistency, prox_signal_penalty,
                    soft_threshold)
 from .metrics import sdr
@@ -178,72 +176,45 @@ class AcsTrace:
         return len(self.entries)
 
 
-def douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int):
-    """Douglas-Rachford splitting for min f + g given the two prox operators.
-
-    The prox callables receive ``(v, gamma)`` and must evaluate the prox of
-    the gamma-scaled function.  One iteration reads
-
-        u_k = prox_g(z_k);  z_{k+1} = z_k + prox_f(2 u_k - z_k) - u_k,
-
-    and the result is (u, z): the final prox_g-side iterate, so an indicator
-    g yields an exactly feasible u, and the final z, enabling warm starts.
-    z may be a stack of rows with a column of steps ``gamma``; any
-    non-finite entry stops the whole stack, and the error names the first
-    row that holds one (row 0 of a 1-D z).
-
-    The loop swaps two buffers, z and a spare holding 2u - z.  prox_f may
-    overwrite and return its argument, or return a new float array of z's
-    shape: the next z is written into what it returns.  prox_g may return
-    its argument or a buffer of its own; its output is never written to.
-    """
-    if not np.all(np.asarray(gamma) > 0):
-        raise ValueError("gamma must be positive")
-    if iters < 1:
-        raise ValueError("need at least one iteration")
-    z = np.array(z0, dtype=float)
-    spare = np.empty_like(z)
-    finite = np.empty(z.shape, dtype=bool)
-    u = None
-    for k in range(iters):
-        u = prox_g(z, gamma)
-        reflected = np.multiply(u, 2.0, out=spare)
-        reflected -= z
-        p = prox_f(reflected, gamma)
-        # (p + z) - u rounds exactly like (z + p) - u
-        p += z
-        p -= u
-        spare, z = z, p
-        if not np.isfinite(z, out=finite).all():
-            row_ok = finite.reshape(-1, finite.shape[-1]).all(axis=1)
-            raise DouglasRachfordDivergence(k + 1, int(np.argmin(row_ok)))
-    return u, z
-
-
-def _circulant_dr(filt, n_head: int, head_prox, z0, gamma: float, iters: int,
-                  offset=None):
+def douglas_rachford(filt, n_head: int, head_prox, z0, gamma, *, iters: int,
+                     offset=None):
     """Douglas-Rachford on min 1/2 ||C u + offset||^2 + r(u_head) + i{u_tail = 0}.
 
     C is the circulant embedding of the convolution with ``filt``;
     ``head_prox(v, out)`` writes the prox of gamma * r of the first
     ``n_head`` coordinates v into out.  ``z0`` is a head vector (zero-padded
-    here) or the DR state carried over from a previous call.  A stack holds
-    one row per frame in every array (gamma as a column).  The quadratic prox
-    transforms in place and the head prox writes into one zero-tailed
-    buffer, so the loop allocates nothing.  Returns the head of the final
-    iterate and the DR state.
+    here) or the DR state carried over from a previous call.  One iteration
+    reads u = prox_g(z); z += prox_f(2u - z) - u, with f the quadratic and g
+    the rest, whose prox is the head prox on the head and zero on the
+    separable tail.  A stack holds one row per frame in every array (gamma
+    as a column); a non-finite entry stops the whole stack, and the error
+    names the first row that holds one (row 0 of a 1-D z).  u is one
+    zero-tailed buffer and the quadratic prox transforms 2u - z in place, so
+    the loop allocates nothing.  Returns the head of the final u (exactly
+    feasible for an indicator r) and the final z, for warm starts.
     """
+    if iters < 1:
+        raise ValueError("need at least one iteration")
     op = circulant_embed_filter(filt, n_head)
     quad = circulant_quadratic_prox(
         op, gamma, None if offset is None else extend(offset, op.L))
-    z0 = extend(z0, op.L)
-    u = np.zeros_like(z0)
+    z = extend(z0, op.L)
+    spare = np.empty_like(z)
+    u = np.zeros_like(z)
     head = u[..., :n_head]
-    write_head = lambda v_head: head_prox(v_head, head)
-    _, z = douglas_rachford(
-        lambda v, g: quad(v, out=v),
-        lambda v, g: prox_regularizer_extended(v, write_head, n_head, out=u),
-        z0, gamma, iters)
+    finite = np.empty(z.shape, dtype=bool)
+    for k in range(iters):
+        head_prox(z[..., :n_head], head)
+        np.multiply(u, 2.0, out=spare)
+        spare -= z
+        quad(spare, out=spare)
+        # with p = prox_f(2u - z), (p + z) - u rounds exactly like (z + p) - u
+        spare += z
+        spare -= u
+        spare, z = z, spare
+        if not np.isfinite(z, out=finite).all():
+            row_ok = finite.reshape(-1, finite.shape[-1]).all(axis=1)
+            raise DouglasRachfordDivergence(k + 1, int(np.argmin(row_ok)))
     return head, z
 
 
@@ -283,10 +254,10 @@ def update_coefficients(x, a_prev, cfg: SolverConfig, *, inner_iters: int, state
     threshold = gamma * cfg.lambda_c
     # with a_1 pinned to 1 the residual splits as x + (Toeplitz of [0, x]) @ free,
     # so the quadratic carries the signal as a fixed offset
-    free, z = _circulant_dr(_prepend(0.0, x), p,
-                            lambda h, out: soft_threshold(h, threshold, out=out),
-                            a_prev[..., 1:] if state is None else state, gamma,
-                            int(inner_iters), offset=x)
+    free, z = douglas_rachford(_prepend(0.0, x), p,
+                               lambda h, out: soft_threshold(h, threshold, out=out),
+                               a_prev[..., 1:] if state is None else state, gamma,
+                               iters=int(inner_iters), offset=x)
     return _prepend(1.0, free), z
 
 
@@ -308,10 +279,10 @@ def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
         raise ValueError("consistency spec length does not match the signal")
     gamma = cfg.gamma_s / _row_energy(a)
     weight = gamma * cfg.lambda_s
-    return _circulant_dr(
+    return douglas_rachford(
         a, x_prev.shape[-1],
         lambda v, out: prox_signal_penalty(v, weight, spec, out=out),
-        x_prev if state is None else state, gamma, int(inner_iters))
+        x_prev if state is None else state, gamma, iters=int(inner_iters))
 
 
 def _band_lags(missing, p: int) -> np.ndarray:
@@ -363,6 +334,7 @@ def janssen_signal_update(a, y, reliable, *, lags=None) -> np.ndarray:
     gram_fixed = np.convolve(x_fixed, kernel)[p : p + n]
     rhs = -gram_fixed[missing]
     band = np.append(acorr, 0.0)[lags]
+    import scipy.linalg  # deferred: it dominates the import time of the package
     x_fixed[missing] = scipy.linalg.solveh_banded(
         band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
     return x_fixed

@@ -9,8 +9,9 @@ samples and treat each class separately instead.  The package views its
 frames in the channel, builds each frame's consistency box from its view and
 streams them through overlap-add; the copy references below cut every frame
 as a separate zero-padded copy and build its box on that.  The package's
-Douglas-Rachford loop reuses its buffers; the copy reference allocates every
-intermediate afresh.
+Douglas-Rachford loop is one kernel for the circulant problem that reuses its
+buffers; ``copy_douglas_rachford`` is the generic Douglas-Rachford reference
+on any prox pair, allocating every intermediate afresh.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from regar.armodel import coef_array
 from regar.degrade import _as_bool_mask
 from regar.pipeline import MASK_TOL_FACTOR
 from regar.prox import ConsistencySpec, prox_signal_penalty, soft_threshold
-from regar.solver import DouglasRachfordDivergence, douglas_rachford
+from regar.solver import DouglasRachfordDivergence
 
 
 def build_toeplitz(filt, n_cols: int) -> np.ndarray:
@@ -112,9 +113,10 @@ def dense_update_coefficients(x, a_prev, cfg) -> np.ndarray:
     threshold = gamma * cfg.lambda_c
     T = build_toeplitz(np.concatenate(([0.0], x)), p)
     quad = dense_quadratic_prox(T, gamma, np.concatenate((x, np.zeros(p))))
-    free, _ = douglas_rachford(lambda v, g: quad(v),
-                               lambda v, g: soft_threshold(v, threshold),
-                               coef_array(a_prev)[1:], gamma, cfg.inner_schedule[-1])
+    free, _ = copy_douglas_rachford(lambda v, g: quad(v),
+                                    lambda v, g: soft_threshold(v, threshold),
+                                    coef_array(a_prev)[1:], gamma,
+                                    cfg.inner_schedule[-1])
     return np.concatenate(([1.0], free))
 
 
@@ -125,9 +127,9 @@ def dense_update_signal(a, x_prev, cfg, spec) -> np.ndarray:
     gamma = cfg.gamma_s / float(a @ a)
     weight = gamma * cfg.lambda_s
     quad = dense_quadratic_prox(build_toeplitz(a, x_prev.size), gamma)
-    return douglas_rachford(lambda v, g: quad(v),
-                            lambda v, g: prox_signal_penalty(v, weight, spec),
-                            x_prev, gamma, cfg.inner_schedule[-1])[0]
+    return copy_douglas_rachford(lambda v, g: quad(v),
+                                 lambda v, g: prox_signal_penalty(v, weight, spec),
+                                 x_prev, gamma, cfg.inner_schedule[-1])[0]
 
 
 def dense_janssen_signal_update(a, y, reliable) -> np.ndarray:
@@ -247,8 +249,9 @@ def copy_frame_specs(model, y, layout) -> list[ConsistencySpec]:
 
 
 def copy_douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int):
-    """``douglas_rachford`` with a new array for every intermediate:
-    z <- z + prox_f(2 u - z) - u after u = prox_g(z)."""
+    """Douglas-Rachford for min f + g given the two prox operators, called
+    as ``(v, gamma)``, with a new array for every intermediate:
+    z <- z + prox_f(2 u - z) - u after u = prox_g(z).  Returns (u, z)."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     if iters < 1:

@@ -187,15 +187,16 @@ def test_simulate_ar_matches_recursion():
     np.testing.assert_array_equal(x, np.zeros(64))
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.fft"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.fft", "scipy.linalg"])
 def test_import_does_not_load_slow_scipy_module(module):
-    # scipy.signal dominates the import time and serves only simulate_ar;
-    # scipy.fft would add a tenth of a second for what numpy.fft already does
+    # scipy.signal dominates the import time and serves only simulate_ar, as
+    # scipy.linalg serves only Janssen's solve; scipy.fft would add a tenth
+    # of a second for what numpy.fft already does
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(regar.__file__).resolve().parent.parent)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, regar; from regar import simulate_ar, random_stable_ar; "
+    code = ("import sys, regar.cli; from regar import simulate_ar, random_stable_ar; "
             f"print({module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)

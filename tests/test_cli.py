@@ -386,6 +386,21 @@ def test_reconstruct_rejects_mask_with_theta(tmp_path, ar_signal, capsys):
     assert not out.exists()
 
 
+def test_reconstruct_rejects_a_non_boolean_mask(tmp_path, ar_signal, capsys):
+    # an index array is not a mask: it is rejected, not cast to bool
+    clean, x = ar_signal
+    mask = tmp_path / "m.npy"
+    np.save(mask, np.arange(x.size, dtype=np.int64))
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out),
+                    "--strategy", "inpaint", "--mask", str(mask),
+                    "--order", "8", "--frame", "512", "--outer", "1",
+                    "--inner", "10", "--workers", "1"]) == 1
+    assert ("mask must be a boolean array, got dtype int64"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_evaluate_rejects_hop_without_frame(tmp_path, ar_signal, capsys):
     clean, _ = ar_signal
     report = tmp_path / "r.json"

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import build_toeplitz, circulant_matrix, prox_quadratic_dense
+from oracles import (build_toeplitz, circulant_matrix, copy_douglas_rachford,
+                     prox_quadratic_dense)
 from regar.fastops import (CirculantOperator, circulant_embed_filter,
-                           circulant_quadratic_prox, extend, fast_len,
-                           prox_regularizer_extended)
+                           circulant_quadratic_prox, extend, fast_len)
 from regar.prox import soft_threshold
 from regar.solver import douglas_rachford
 
@@ -129,16 +129,6 @@ def test_prox_circulant_output_is_real():
     assert out.dtype == np.float64
 
 
-def test_prox_regularizer_extended():
-    u = np.arange(8, dtype=float)
-    out = prox_regularizer_extended(u, lambda h: h, 3)
-    np.testing.assert_array_equal(out[:3], u[:3])
-    np.testing.assert_array_equal(out[3:], np.zeros(5))
-
-    clip = prox_regularizer_extended(u, lambda h: np.clip(h, 0, 1), 4)
-    np.testing.assert_array_equal(clip, [0, 1, 1, 1, 0, 0, 0, 0])
-
-
 def test_extended_dra_shares_minimum_with_dense_toeplitz_dra():
     # lasso-like instance: 1/2 ||T u + c||^2 + t ||u||_1 solved by both routes
     rng = np.random.default_rng(4)
@@ -154,16 +144,12 @@ def test_extended_dra_shares_minimum_with_dense_toeplitz_dra():
 
         dense_quad = lambda v, g: prox_quadratic_dense(v, g, T, c)
         thresh = lambda v, g: soft_threshold(v, g * t)
-        u_dense, _ = douglas_rachford(dense_quad, thresh, v0, gamma, 4000)
+        u_dense, _ = copy_douglas_rachford(dense_quad, thresh, v0, gamma, 4000)
 
-        op = circulant_embed_filter(filt, n)
-        c_ext = extend(c, op.L)
-        fast_quad = lambda v, g: circulant_quadratic_prox(op, g, c_ext)(v)
-        ext_thresh = lambda v, g: prox_regularizer_extended(
-            v, lambda h: soft_threshold(h, g * t), n)
-        u_ext, _ = douglas_rachford(fast_quad, ext_thresh, extend(v0, op.L),
-                                    gamma, 4000)
-        rel = np.linalg.norm(u_ext[:n] - u_dense) / np.linalg.norm(u_dense)
+        u_ext, _ = douglas_rachford(
+            filt, n, lambda h, out: soft_threshold(h, gamma * t, out=out), v0,
+            gamma, iters=4000, offset=c)
+        rel = np.linalg.norm(u_ext - u_dense) / np.linalg.norm(u_dense)
         assert rel <= 1e-6
 
 
@@ -189,14 +175,3 @@ def test_stacked_circulant_prox_rows_match_the_dense_oracle(rows, p, n,
                                    circulant_matrix(row_op),
                                    None if offset is None else offset[k])
         assert np.linalg.norm(fast[k] - ref) <= 1e-8 * np.linalg.norm(ref)
-
-
-def test_prox_regularizer_extended_writes_only_the_head_of_out():
-    u = np.arange(12, dtype=float).reshape(2, 6)
-    out = np.zeros((2, 6))
-    head = out[:, :2]
-    got = prox_regularizer_extended(u, lambda h: np.negative(h, out=head), 2,
-                                    out=out)
-    assert got is out
-    np.testing.assert_array_equal(out, [[0, -1, 0, 0, 0, 0],
-                                        [-6, -7, 0, 0, 0, 0]])

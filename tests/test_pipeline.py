@@ -367,6 +367,10 @@ def test_drop_model_needs_matching_mask():
     model = DegradationModel(kind="drop", reliable=np.ones(10, dtype=bool))
     with pytest.raises(ValueError):
         model.spec_for(np.zeros(4))
+    # an index array is not a mask: it is rejected, not cast to bool
+    with pytest.raises(ValueError, match="mask must be a boolean array, "
+                                         "got dtype int64"):
+        DegradationModel(kind="drop", reliable=np.array([0, 2, 3], dtype=np.int64))
 
 
 @pytest.mark.parametrize("solve", [False, True])
