@@ -94,6 +94,8 @@ def _validate(a: argparse.Namespace) -> None:
             raise ValueError(f"--hop must lie in [1, --frame] = [1, {a.frame}]")
     if getattr(a, "length", 1) < 1:
         raise ValueError("--length must be at least 1")
+    if getattr(a, "sample_rate", 1) < 1:
+        raise ValueError("--sample-rate must be at least 1")
 
 
 def _positive_float(text: str) -> float:
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(dem, "--seed")
     dem.add_argument("--length", type=int, default=8192)
     _shared(dem, "--order")
-    dem.add_argument("--clip-level", type=float, default=0.2)
+    dem.add_argument("--clip-level", type=_positive_float, default=0.2)
     dem.add_argument("--sample-rate", type=int, default=16000)
     dem.add_argument("--strategy", choices=STRATEGIES, default="declip")
     _shared(dem, "--bits --lambda-c --lambda-s --frame --hop --outer --inner "

@@ -91,12 +91,11 @@ class DegradationModel:
 
 
 def _solve_stack(specs: list, cfg: SolverConfig) -> list:
-    """(estimate, stats) of every frame of a stack, solved in lockstep;
+    """(estimate, stats) of every frame box of a stack, solved in lockstep;
     stats are (outer_iter, objective, inner_iters, wall_ms), and a frame's
     wall_ms is the stack's wall time divided by its frame count."""
     t0 = time.perf_counter()
-    stack = ConsistencySpec.stack(specs)
-    _, x, traces = acs_run(stack.y, stack, cfg)
+    _, x, traces = acs_run(ConsistencySpec.stack(specs), cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0 / len(specs)
     return [(row, (len(trace), trace.entries[-1].objective,
                    int(sum(e.inner_iters for e in trace.entries)), wall_ms))

@@ -407,28 +407,25 @@ def line_search(a_half, a_prev, x_half, x_prev, objective_fn, tau_grid):
     return best[1], best[2]
 
 
-def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
-            ground_truth=None):
+def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     """Run the full alternating solver on one frame, or on a stack of frames.
 
-    Starts from the observed signal (missing samples zero) and its classic AR
-    fit, then alternates coefficient and signal updates for
-    ``cfg.outer_iters`` iterations, applying the configured strategy and
-    accelerations.  Returns the final coefficients, the reconstructed signal
-    and the per-iteration trace.  A 2-D observation (one frame per row, with
-    a stacked spec and ground truth) is solved in lockstep and gives one row
-    of coefficients and signal and one trace per frame, each with the bits
-    of its frame solved alone and its share of the step wall time.  A row
-    that diverges or grows stops the stack: the error carries the trace of
-    the first row that diverged (named in its message) or grew.
+    The box ``spec`` is the frame.  Starts from its observation ``spec.y``
+    (missing samples zero) and its classic AR fit, then alternates
+    coefficient and signal updates for ``cfg.outer_iters`` iterations,
+    applying the configured strategy and accelerations.  Returns the final
+    coefficients, the reconstructed signal and the per-iteration trace.  A
+    stacked spec (one frame per row, with a stacked ground truth) is solved
+    in lockstep and gives one row of coefficients and signal and one trace
+    per frame, each with the bits of its frame solved alone and its share of
+    the step wall time.  A row that diverges or grows stops the stack: the
+    error carries the trace of the first row that diverged (named in its
+    message) or grew.
     """
-    y = np.asarray(observation, dtype=float)
-    if spec.y.shape != y.shape:
-        raise ValueError("consistency spec length does not match the observation")
     cfg.check_box(spec.variant)
-    single = y.ndim == 1
+    single = spec.y.ndim == 1
     if single:  # a frame is a stack of one
-        spec, y = ConsistencySpec.stack([spec]), y[None]
+        spec = ConsistencySpec.stack([spec])
         if ground_truth is not None:
             ground_truth = np.asarray(ground_truth, dtype=float)[None]
     rows = spec.rows()
@@ -437,7 +434,7 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
         # the band layout depends on the mask and order only: one per row
         lags = [_band_lags(np.flatnonzero(~rel), cfg.order) for rel in reliable]
 
-    x = y.copy()
+    x = spec.y.copy()
     # an all-zero start has no autocorrelation to fit; the unit filter is
     # consistent with it (the exact missing-sample solution is then zero)
     unit = np.r_[1.0, np.zeros(cfg.order)]
@@ -451,12 +448,11 @@ def acs_run(observation, spec: ConsistencySpec, cfg: SolverConfig,
         if cfg.strategy not in JANSSEN:
             return update_signal(a, x_cur, cfg, spec, inner_iters=inner,
                                  state=z_cur)
-        x_new = [janssen_signal_update(a_row, y_row, rel, lags=row_lags)
-                 for a_row, y_row, rel, row_lags in zip(a, y, reliable, lags)]
+        x_new = np.stack([janssen_signal_update(a_k, y_k, rel, lags=lags_k)
+                          for a_k, y_k, rel, lags_k in zip(a, spec.y, reliable, lags)])
         if cfg.strategy == "glp":
-            x_new = [glp_rectify(row, row_spec)
-                     for row, row_spec in zip(x_new, rows)]
-        return np.stack(x_new), z_cur
+            x_new = glp_rectify(x_new, spec)
+        return x_new, z_cur
 
     for i in range(1, cfg.outer_iters + 1):
         t_start = time.perf_counter()

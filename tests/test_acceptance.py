@@ -148,7 +148,7 @@ def consistent_declip_run():
     cfg = SolverConfig(order=8, strategy="declip", lambda_c=1e-3,
                        lambda_s=math.inf, outer_iters=10, inner_iters=1000,
                        acceleration=frozenset())
-    coeffs, x_hat, trace = acs_run(obs.y, spec, cfg, ground_truth=x)
+    coeffs, x_hat, trace = acs_run(spec, cfg, ground_truth=x)
     return spec, x_hat, trace
 
 
@@ -181,7 +181,7 @@ def test_criterion_08_single_frame_declipping_quality():
     cfg = SolverConfig(order=32, strategy="declip", lambda_c=0.1,
                        lambda_s=math.inf, outer_iters=20, inner_iters=1000,
                        acceleration=frozenset())
-    _, x_hat, _ = acs_run(obs.y, spec, cfg)
+    _, x_hat, _ = acs_run(spec, cfg)
     output_sdr = sdr(x, x_hat)
     ok = 4.0 <= input_sdr <= 6.0 and output_sdr - input_sdr >= 3.0
     verdict(8, ok,

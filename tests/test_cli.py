@@ -518,6 +518,44 @@ def test_demo_writes_no_wav_before_its_checks(tmp_path, capsys, option, name):
     assert not list(tmp_path.rglob("*.wav"))
 
 
+@pytest.mark.parametrize("level", ["0", "-0.5", "nan", "inf"])
+def test_demo_rejects_a_bad_clip_level_before_writing(tmp_path, capsys, level):
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
+                    "--workers", "1", f"--clip-level={level}"]) == 2
+    assert "--clip-level" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "-3"])
+def test_demo_rejects_a_bad_sample_rate_before_writing(tmp_path, capsys, rate):
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
+                    "--workers", "1", f"--sample-rate={rate}"]) == 1
+    assert "--sample-rate must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, accel", [
+    ("extrapolate,extrapolate-coefs", {"extrapolate_signal", "extrapolate_coefs"}),
+    ("linesearch", {"line_search"}), ("none", set())])
+def test_accel_list_selects_the_solver_accelerations(text, accel):
+    args = cli.build_parser().parse_args(["reconstruct", "in.wav", "-o", "out.wav",
+                                          "--strategy", "declip", "--accel", text])
+    assert cli._build_config(args).acceleration == accel
+
+
+def test_accel_rejects_line_search_with_extrapolation(tmp_path, ar_signal, capsys):
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out),
+                    "--strategy", "declip", "--order", "8", "--frame", "512",
+                    "--outer", "1", "--inner", "10",
+                    "--accel", "linesearch,extrapolate"]) == 1
+    assert "line_search replaces the fixed extrapolations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, name", [
     (["--workers", "0"], "--workers"), (["--frame", "0"], "--frame"),
     (["--hop", "513"], "--hop")])
@@ -613,7 +651,7 @@ _SURFACE = {
         "--seed": ("seed", "int", 0, None, False),
         "--length": ("length", "int", 8192, None, False),
         "--order": ("order", "int", 32, None, False),
-        "--clip-level": ("clip_level", "float", 0.2, None, False),
+        "--clip-level": ("clip_level", "_positive_float", 0.2, None, False),
         "--sample-rate": ("sample_rate", "int", 16000, None, False),
         "--strategy": ("strategy", None, "declip", _CHOICES["strategy"], False),
         "--bits": ("bits", "int", 5, None, False),

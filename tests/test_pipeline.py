@@ -462,7 +462,7 @@ def test_skip_rule_agrees_with_the_solver(strategy, variant, lambda_s):
                        lambda_s=lambda_s, outer_iters=2, inner_iters=20)
     # the solver returns the observation bit for bit exactly when the rule
     # lets the pipeline skip the frame
-    _, x, _ = solver_mod.acs_run(y, spec, cfg)
+    _, x, _ = solver_mod.acs_run(spec, cfg)
     assert (x.tobytes() == y.tobytes()) == cfg.keeps_pinned
     _, report = reconstruct_channel(y, model, cfg, 64, 64)
     assert [r.outer_iter > 0 for r in report.per_frame] == [not cfg.keeps_pinned]

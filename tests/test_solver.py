@@ -640,7 +640,7 @@ def test_acs_inpaint_without_missing_returns_observation():
     y = np.array([0.5, -0.2, 0.1, 0.4, -0.3, 0.2, 0.05, -0.15])
     spec = ConsistencySpec.inpaint(y, np.ones(8, dtype=bool))
     cfg = SolverConfig(order=2, strategy="inpaint", outer_iters=1, inner_iters=50)
-    _, x, trace = acs_run(y, spec, cfg)
+    _, x, trace = acs_run(spec, cfg)
     np.testing.assert_array_equal(x, y)
     assert len(trace) == 1
 
@@ -650,7 +650,7 @@ def test_acs_consistent_declipping_stays_feasible():
     cfg = SolverConfig(order=4, strategy="declip", lambda_c=1e-3,
                        lambda_s=math.inf, outer_iters=4, inner_iters=300,
                        acceleration=frozenset())
-    _, x, trace = acs_run(obs.y, spec, cfg, ground_truth=x_true)
+    _, x, trace = acs_run(spec, cfg, ground_truth=x_true)
     assert consistency_distance(x, spec) == 0.0
     assert all(e.signal_term == 0.0 for e in trace.entries)
     assert all(e.sdr_db is not None for e in trace.entries)
@@ -661,7 +661,7 @@ def test_acs_objective_nonincreasing_small():
     cfg = SolverConfig(order=4, strategy="declip", lambda_c=1e-3,
                        lambda_s=math.inf, outer_iters=6, inner_iters=500,
                        acceleration=frozenset())
-    _, _, trace = acs_run(obs.y, spec, cfg)
+    _, _, trace = acs_run(spec, cfg)
     q = np.array([e.objective for e in trace.entries])
     assert np.all(np.diff(q) <= 1e-6 * q[0])
 
@@ -674,7 +674,7 @@ def test_acs_strategies_improve_clipped_signal():
         cfg = SolverConfig(order=8, strategy=strategy, lambda_c=1e-3,
                            lambda_s=math.inf, outer_iters=4, inner_iters=300,
                            acceleration=frozenset())
-        _, x, _ = acs_run(obs.y, spec, cfg, ground_truth=x_true)
+        _, x, _ = acs_run(spec, cfg, ground_truth=x_true)
         err_in = np.linalg.norm(x_true - obs.y)
         err_out = np.linalg.norm(x_true - x)
         assert err_out < err_in
@@ -684,7 +684,7 @@ def test_acs_glp_output_is_feasible():
     _, obs, spec = clipped_instance(10, n=256, p=4)
     cfg = SolverConfig(order=4, strategy="glp", outer_iters=3, inner_iters=200,
                        acceleration=frozenset())
-    _, x, _ = acs_run(obs.y, spec, cfg)
+    _, x, _ = acs_run(spec, cfg)
     np.testing.assert_array_equal(project_consistency(x, spec), x)
 
 
@@ -703,8 +703,20 @@ def test_acs_builds_the_band_index_once_per_row(monkeypatch, strategy):
         specs = [ConsistencySpec.inpaint(s.y, s.pinned) for s in specs]
     stack = ConsistencySpec.stack(specs)
     cfg = SolverConfig(order=4, strategy=strategy, outer_iters=3, inner_iters=20)
-    acs_run(stack.y, stack, cfg)
+    acs_run(stack, cfg)
     assert (len(builds), len(solves)) == (2, 6)
+
+
+def test_glp_rectifies_the_stack_once_per_outer_iteration(monkeypatch):
+    shapes = []
+    real = solver_mod.glp_rectify
+    monkeypatch.setattr(solver_mod, "glp_rectify",
+                        lambda x, spec: shapes.append(x.shape) or real(x, spec))
+    stack = ConsistencySpec.stack([clipped_instance(seed, n=64, p=4)[2]
+                                   for seed in (14, 15)])
+    acs_run(stack, SolverConfig(order=4, strategy="glp", outer_iters=3,
+                                inner_iters=20))
+    assert shapes == [(2, 64)] * 3
 
 
 def test_acs_extrapolation_and_line_search_run():
@@ -713,7 +725,7 @@ def test_acs_extrapolation_and_line_search_run():
         cfg = SolverConfig(order=4, strategy="declip", lambda_c=1e-3,
                            lambda_s=10.0, outer_iters=3, inner_iters=200,
                            acceleration=frozenset(accel))
-        _, x, trace = acs_run(obs.y, spec, cfg)
+        _, x, trace = acs_run(spec, cfg)
         assert np.all(np.isfinite(x))
         assert len(trace) == 3
 
@@ -724,19 +736,18 @@ def test_acs_progressive_schedule_recorded_in_trace():
     cfg = SolverConfig(order=2, strategy="declip", lambda_s=math.inf,
                        outer_iters=3, inner_schedule=schedule,
                        acceleration=frozenset())
-    _, _, trace = acs_run(obs.y, spec, cfg)
+    _, _, trace = acs_run(spec, cfg)
     assert tuple(e.inner_iters for e in trace.entries) == schedule
 
 
 def test_acs_spec_strategy_mismatch():
-    y = np.zeros(8)
     spec = ConsistencySpec.dequant(np.full(8, 0.25), 0.5)
     cfg = SolverConfig(order=1, strategy="glp", outer_iters=1, inner_iters=10)
     with pytest.raises(ValueError):
-        acs_run(y, spec, cfg)
+        acs_run(spec, cfg)
     cfg = SolverConfig(order=1, strategy="declip", outer_iters=1, inner_iters=10)
     with pytest.raises(ValueError):
-        acs_run(y, spec, cfg)
+        acs_run(spec, cfg)
 
 
 @pytest.mark.parametrize("strategy", ["inpaint", "glp", "declip", "dequant"])
@@ -751,10 +762,10 @@ def test_strategy_accepts_only_its_spec_variants(strategy, variant):
     cfg = SolverConfig(order=1, strategy=strategy, outer_iters=1,
                        inner_iters=5)
     if variant in accepted[strategy]:
-        assert acs_run(y, spec, cfg)[1].shape == y.shape
+        assert acs_run(spec, cfg)[1].shape == y.shape
     else:
         with pytest.raises(ValueError):
-            acs_run(y, spec, cfg)
+            acs_run(spec, cfg)
 
 
 _STACK_ACCEL = {"none": {}, "extrapolate": {"acceleration": frozenset(
@@ -786,9 +797,9 @@ def _stack_frames(strategy, rows, n, zero_row, rng):
     return clean, specs
 
 
-def _solve(observation, spec, cfg, truth):
+def _solve(spec, cfg, truth):
     try:
-        return acs_run(observation, spec, cfg, ground_truth=truth)
+        return acs_run(spec, cfg, ground_truth=truth)
     except (DouglasRachfordDivergence, CoefficientGrowthError) as err:
         return type(err)
 
@@ -814,8 +825,8 @@ def test_stack_solves_every_frame_as_alone(strategy, accel, rows, n, zero_row,
                        inner_schedule=(4, 9, 20) if progressive else None,
                        **_STACK_ACCEL[accel])
     stack = ConsistencySpec.stack(specs)
-    got = _solve(stack.y, stack, cfg, clean)
-    alone = [_solve(spec.y, spec, cfg, clean[k]) for k, spec in enumerate(specs)]
+    got = _solve(stack, cfg, clean)
+    alone = [_solve(spec, cfg, clean[k]) for k, spec in enumerate(specs)]
     if isinstance(got, type):  # an error in any row stops the stack
         assert got in [r for r in alone if isinstance(r, type)]
         return
@@ -834,7 +845,7 @@ def test_acs_growth_guard_attaches_trace(monkeypatch):
                        outer_iters=3, inner_iters=50,
                        acceleration=frozenset())
     with pytest.raises(CoefficientGrowthError) as err:
-        acs_run(obs.y, spec, cfg)
+        acs_run(spec, cfg)
     assert err.value.trace.aborted == "coefficient growth"
     assert len(err.value.trace.entries) == 1
 

@@ -2,14 +2,17 @@
 
 The root exports exactly what its documented users import (the README's
 Python examples and the benchmark workloads); a root name that neither
-imports belongs in its own module only.  Options come from arguments alone:
-no module reads the environment.
+imports belongs in its own module only.  The README's Python examples run
+as written.  Options come from arguments alone: no module reads the
+environment.
 """
 
 import ast
 import re
 import types
 from pathlib import Path
+
+import pytest
 
 import regar
 
@@ -23,10 +26,13 @@ def _root_imports(source: str) -> set[str]:
             and node.level == 0 for alias in node.names}
 
 
-def _user_imports() -> set[str]:
+def _readme_python_blocks() -> list[str]:
     readme = (ROOT / "README.md").read_text()
-    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
-    names = set().union(*(_root_imports(block) for block in blocks))
+    return re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+
+
+def _user_imports() -> set[str]:
+    names = set().union(*map(_root_imports, _readme_python_blocks()))
     return names | _root_imports((ROOT / "bench" / "workloads.py").read_text())
 
 
@@ -39,6 +45,13 @@ def test_root_exports_exactly_what_readme_and_bench_import():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert exported == used, f"exported only for tests: {sorted(exported - used)}"
+
+
+@pytest.mark.parametrize("block", [pytest.param(block, id=f"block{k}") for k, block
+                                   in enumerate(_readme_python_blocks())])
+def test_readme_python_block_runs(block):
+    # fresh globals per block, so every example runs on its own imports
+    exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
 
 
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
