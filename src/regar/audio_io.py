@@ -147,6 +147,10 @@ def write_wav(path, buffer: AudioBuffer, fmt: str = "float32") -> None:
     channels = buffer.channels
     block_align = channels * (bits // 8)
     byte_rate = buffer.sample_rate * block_align
+    # the header holds the block size in 16 bits, the rates in 32
+    if block_align > 0xFFFF or byte_rate > 0xFFFFFFFF:
+        raise ValueError(f"{channels} channel(s) of {fmt} at {buffer.sample_rate} "
+                         "Hz do not fit a WAV header")
     fmt_chunk = struct.pack("<HHIIHH", audio_format, channels,
                             buffer.sample_rate, byte_rate, block_align, bits)
     chunks = [(b"fmt ", fmt_chunk)]

@@ -29,10 +29,8 @@ __all__ = ["run_cli", "main", "write_report"]
 
 _ACCEL_TOKENS = {
     "extrapolate": "extrapolate_signal",
-    "extrapolate-signal": "extrapolate_signal",
     "extrapolate-coefs": "extrapolate_coefs",
     "linesearch": "line_search",
-    "line-search": "line_search",
 }
 
 
@@ -78,6 +76,8 @@ def _validate(a: argparse.Namespace) -> None:
     if a.command in ("reconstruct", "demo"):
         if a.outer < 0:
             raise ValueError("outer iteration count must be >= 0")
+        if a.order < 0:  # checked here too, since --outer 0 builds no config
+            raise ValueError("--order must be nonnegative")
         if a.inner_schedule is not None and a.inner is not None:
             raise ValueError("--inner and --inner-schedule conflict")
         _build_config(a)  # the solver options fail before any file is touched

@@ -34,8 +34,7 @@ __all__ = [
     "SolverConfig",
     "AcsStep",
     "AcsTrace",
-    "DouglasRachfordDivergence",
-    "CoefficientGrowthError",
+    "SolverError",
     "douglas_rachford",
     "update_coefficients",
     "update_signal",
@@ -59,34 +58,24 @@ COEF_GROWTH_LIMIT = 1e6
 TAU_GRID = np.logspace(-4.0, 2.0, 25)
 
 
-class DouglasRachfordDivergence(RuntimeError):
-    """A Douglas-Rachford iterate became non-finite (in stack row ``row``)."""
+class SolverError(RuntimeError):
+    """A frame's solve stopped: a non-finite DR iterate or runaway coefficients.
 
-    def __init__(self, iteration: int, row: int | None = None):
-        where = "" if row is None else f" in row {row}"
-        super().__init__(f"non-finite iterate at inner iteration {iteration}{where}")
-        self.iteration = iteration
+    ``reason`` says why, ``row`` is the failing row of the stack (0 for a
+    single frame) and ``trace`` that row's ``AcsTrace`` up to the failure,
+    attached by ``acs_run``.  The message is the reason and the row.
+    """
+
+    def __init__(self, reason: str, row: int = 0, trace: "AcsTrace | None" = None):
+        super().__init__(f"{reason} in row {row}")
+        self.reason = reason
         self.row = row
-        self.trace = None  # attached when raised from inside the outer loop
-
-    def __reduce__(self):
-        # rebuild from the constructor arguments, not the formatted message,
-        # so the error crosses a process boundary unchanged
-        return type(self), (self.iteration, self.row), self.__dict__
-
-
-class CoefficientGrowthError(RuntimeError):
-    """Coefficient magnitudes blew past the growth guard (raise lambda_c)."""
-
-    def __init__(self, magnitude: float, trace: "AcsTrace"):
-        super().__init__(
-            f"coefficient magnitude {magnitude:.3g} exceeds {COEF_GROWTH_LIMIT:g}; "
-            "the model is growing disproportionately, consider lambda_c > 0")
-        self.magnitude = magnitude
         self.trace = trace
 
     def __reduce__(self):
-        return type(self), (self.magnitude, self.trace)
+        # rebuild from the fields, so the error crosses a process boundary
+        # unchanged
+        return type(self), (self.reason, self.row, self.trace)
 
 
 @dataclass(frozen=True)
@@ -170,7 +159,6 @@ class AcsStep:
 @dataclass
 class AcsTrace:
     entries: list
-    aborted: str | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -187,11 +175,11 @@ def douglas_rachford(filt, n_head: int, head_prox, z0, gamma, *, iters: int,
     reads u = prox_g(z); z += prox_f(2u - z) - u, with f the quadratic and g
     the rest, whose prox is the head prox on the head and zero on the
     separable tail.  A stack holds one row per frame in every array (gamma
-    as a column); a non-finite entry stops the whole stack, and the error
-    names the first row that holds one (row 0 of a 1-D z).  u is one
-    zero-tailed buffer and the quadratic prox transforms 2u - z in place, so
-    the loop allocates nothing.  Returns the head of the final u (exactly
-    feasible for an indicator r) and the final z, for warm starts.
+    as a column); a non-finite entry stops the whole stack with a
+    ``SolverError`` naming the first row that holds one (row 0 of a 1-D z).
+    u is one zero-tailed buffer and the quadratic prox transforms 2u - z in
+    place, so the loop allocates nothing.  Returns the head of the final u
+    (exactly feasible for an indicator r) and the final z, for warm starts.
     """
     if iters < 1:
         raise ValueError("need at least one iteration")
@@ -214,7 +202,8 @@ def douglas_rachford(filt, n_head: int, head_prox, z0, gamma, *, iters: int,
         spare, z = z, spare
         if not np.isfinite(z, out=finite).all():
             row_ok = finite.reshape(-1, finite.shape[-1]).all(axis=1)
-            raise DouglasRachfordDivergence(k + 1, int(np.argmin(row_ok)))
+            raise SolverError(f"non-finite iterate at inner iteration {k + 1}",
+                              int(np.argmin(row_ok)))
     return head, z
 
 
@@ -418,9 +407,10 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     stacked spec (one frame per row, with a stacked ground truth) is solved
     in lockstep and gives one row of coefficients and signal and one trace
     per frame, each with the bits of its frame solved alone and its share of
-    the step wall time.  A row that diverges or grows stops the stack: the
-    error carries the trace of the first row that diverged (named in its
-    message) or grew.
+    the step wall time.  A row that diverges or grows stops the stack with a
+    ``SolverError`` that names the first such row and carries its trace:
+    the steps finished before the diverging one, or up to and including
+    the step that grew.
     """
     cfg.check_box(spec.variant)
     single = spec.y.ndim == 1
@@ -481,9 +471,8 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
                     x = extrapolate(x_half, x_prev, tau_s)
                 else:
                     x = x_half
-        except DouglasRachfordDivergence as err:
-            err.trace = AcsTrace(entries=traces[err.row].entries,
-                                 aborted=f"inner divergence at outer iteration {i}")
+        except SolverError as err:
+            err.trace = traces[err.row]
             raise
         wall = (time.perf_counter() - t_start) / len(rows)
         for k, (trace, row_spec) in enumerate(zip(traces, rows)):
@@ -494,11 +483,13 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
                 i, value.total, value.residual_term, value.coef_term,
                 value.signal_term, inner, wall, change,
                 None if ground_truth is None else sdr(ground_truth[k], x[k])))
-        for a_k, trace in zip(coeffs, traces):
+        for k, a_k in enumerate(coeffs):
             magnitude = float(np.max(np.abs(a_k)))
             if magnitude > COEF_GROWTH_LIMIT:
-                raise CoefficientGrowthError(magnitude, AcsTrace(
-                    entries=trace.entries, aborted="coefficient growth"))
+                raise SolverError(
+                    "the model is growing disproportionately (consider "
+                    f"lambda_c > 0): coefficient magnitude {magnitude:.3g} "
+                    f"exceeds {COEF_GROWTH_LIMIT:g}", k, traces[k])
     if single:
         return coeffs[0], x[0], traces[0]
     return coeffs, x, traces

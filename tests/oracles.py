@@ -21,7 +21,7 @@ from regar.armodel import coef_array
 from regar.degrade import _as_bool_mask
 from regar.pipeline import MASK_TOL_FACTOR
 from regar.prox import ConsistencySpec, prox_signal_penalty, soft_threshold
-from regar.solver import DouglasRachfordDivergence
+from regar.solver import SolverError
 
 
 def build_toeplitz(filt, n_cols: int) -> np.ndarray:
@@ -262,5 +262,5 @@ def copy_douglas_rachford(prox_f, prox_g, z0, gamma: float, iters: int):
         u = prox_g(z, gamma)
         z = z + prox_f(2.0 * u - z, gamma) - u
         if not np.all(np.isfinite(z)):
-            raise DouglasRachfordDivergence(k + 1)
+            raise SolverError(f"non-finite iterate at inner iteration {k + 1}")
     return u, z

@@ -60,6 +60,21 @@ def test_pcm_rejects_nan(tmp_path, fmt):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fmt, channels, block", [("float32", 1, 4), ("pcm16", 2, 4),
+                                                   ("pcm24", 1, 3)])
+def test_write_rejects_a_rate_the_header_cannot_hold(tmp_path, fmt, channels, block):
+    # the byte rate, sample rate times block size, has 32 bits in the header
+    data = np.zeros((4, channels))
+    top = 0xFFFFFFFF // block
+    path = tmp_path / "rate.wav"
+    write_wav(path, AudioBuffer(data, top), fmt=fmt)
+    assert read_wav(path).sample_rate == top
+    path.unlink()
+    with pytest.raises(ValueError, match="do not fit a WAV header"):
+        write_wav(path, AudioBuffer(data, top + 1), fmt=fmt)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39],
                          ids=["nan", "inf", "-inf", "overflow", "-overflow"])
 def test_float32_rejects_samples_that_are_not_finite_as_float32(tmp_path, value):

@@ -507,15 +507,44 @@ def test_demo_rejects_bad_options_before_writing(tmp_path, capsys, option):
 @pytest.mark.parametrize("option, name", [
     (["--workers", "0"], "--workers"), (["--frame", "0"], "--frame"),
     (["--hop", "0"], "--hop"), (["--hop", "2048"], "--hop"),
-    (["--length", "0"], "--length"), (["--order", "3000"], "--order")])
+    (["--length", "0"], "--length"), (["--order", "3000"], "--order"),
+    (["--sample-rate", "5000000000"], "do not fit a WAV header")])
 def test_demo_writes_no_wav_before_its_checks(tmp_path, capsys, option, name):
     # --order 3000 draws a stable model whose direct-form simulation
-    # overflows; the others fail the option checks
+    # overflows; a float32 mono byte rate of 4 * 5e9 overflows the WAV
+    # header's 32-bit field; the others fail the option checks
     out_dir = tmp_path / "demo"
     assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
                     "--workers", "1", *option]) == 1
     assert name in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.wav"))
+
+
+@pytest.mark.parametrize("outer", ["0", "2"])
+def test_demo_rejects_a_negative_order_before_writing(tmp_path, capsys, outer):
+    # --outer 0 builds no solver config, so the order is checked on its own
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
+                    "--workers", "1", "--outer", outer, "--order", "-1"]) == 1
+    assert "--order must be nonnegative" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_reconstruct_rejects_a_negative_order_before_reading(tmp_path, capsys):
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(tmp_path / "none.wav"), "-o", str(out),
+                    "--strategy", "declip", "--outer", "0", "--order", "-1"]) == 1
+    assert "--order must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alias", ["extrapolate-signal", "line-search"])
+def test_accel_takes_no_undocumented_alias(tmp_path, capsys, alias):
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
+                    "--workers", "1", "--accel", alias]) == 1
+    assert f"unknown acceleration {alias!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("level", ["0", "-0.5", "nan", "inf"])

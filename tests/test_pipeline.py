@@ -15,7 +15,7 @@ from regar.framing import frame_layout
 from regar.metrics import consistency_distance, sdr
 from regar.pipeline import DegradationModel, frame_record, reconstruct_channel
 import regar.solver as solver_mod
-from regar.solver import DouglasRachfordDivergence, SolverConfig
+from regar.solver import SolverConfig, SolverError
 
 
 def clipped_channel(seed=0, n=2000, theta=0.3):
@@ -515,11 +515,54 @@ def test_diverging_row_stops_its_stack_and_reaches_the_caller(monkeypatch,
         return real(*args, state=state, **kwargs)
 
     monkeypatch.setattr(solver_mod, "update_coefficients", poisoned)
-    with pytest.raises(DouglasRachfordDivergence, match="in row 1$") as err:
+    with pytest.raises(SolverError, match="in row 1$") as err:
         reconstruct_channel(y, model, cfg, 64, 32, workers=workers)
-    assert (err.value.iteration, err.value.row) == (1, 1)
-    assert err.value.trace.aborted == "inner divergence at outer iteration 2"
+    assert (err.value.reason, err.value.row) == (
+        "non-finite iterate at inner iteration 1", 1)
+    assert len(err.value.trace) == 1  # it diverged in outer iteration 2
     # the first stack's row 1 is frame 1: its one finished step, not frame 0's
     objectives = [r.objective for r in first.per_frame[:2]]
     assert objectives[0] != objectives[1]
     assert [e.objective for e in err.value.trace.entries] == objectives[1:]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("failure", ["growth", "divergence"])
+def test_a_failing_row_names_itself_and_carries_its_own_trace(monkeypatch,
+                                                              failure, workers):
+    # stacks of three frames; from the second outer iteration on, row 2 of
+    # every stack grows past the guard or gets a non-finite coefficient DR
+    # state, and the first stack's error reaches the caller from any worker
+    # count (pool workers fork after the patches)
+    _, y, model = _dequant_channel(288)
+    monkeypatch.setattr(pipeline, "FRAMES_PER_STACK", 3)
+    _, first = reconstruct_channel(y, model, SolverConfig(
+        order=4, strategy="dequant", outer_iters=1, inner_iters=10), 64, 32)
+    real = solver_mod.update_coefficients
+
+    def failing(x, a_prev, cfg, *, inner_iters, state=None):
+        if state is not None and failure == "divergence":
+            state = state.copy()
+            state[2] = np.nan
+        a, z = real(x, a_prev, cfg, inner_iters=inner_iters, state=state)
+        if state is not None and failure == "growth":
+            a = a.copy()
+            a[2, 1] = 1e7
+        return a, z
+
+    monkeypatch.setattr(solver_mod, "update_coefficients", failing)
+    cfg = SolverConfig(order=4, strategy="dequant", outer_iters=3, inner_iters=10)
+    with pytest.raises(SolverError, match="in row 2$") as err:
+        reconstruct_channel(y, model, cfg, 64, 32, workers=workers)
+    assert err.value.row == 2
+    if failure == "growth":
+        assert err.value.reason.startswith("the model is growing disproportionately")
+        assert "consider lambda_c > 0" in err.value.reason
+        assert len(err.value.trace) == 2  # the step that grew is the last entry
+    else:
+        assert err.value.reason == "non-finite iterate at inner iteration 1"
+        assert len(err.value.trace) == 1  # outer iteration 2 never finished
+    # row 2 of the first stack is frame 2: its own first step
+    objectives = [r.objective for r in first.per_frame[:3]]
+    assert len(set(objectives)) == 3
+    assert err.value.trace.entries[0].objective == objectives[2]

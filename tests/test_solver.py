@@ -19,8 +19,7 @@ from regar.metrics import consistency_distance
 from regar.pipeline import DegradationModel, reconstruct_channel
 from regar.prox import (ConsistencySpec, project_consistency,
                         prox_signal_penalty, soft_threshold)
-from regar.solver import (AcsTrace, CoefficientGrowthError,
-                          DouglasRachfordDivergence, SolverConfig, acs_run,
+from regar.solver import (AcsStep, AcsTrace, SolverConfig, SolverError, acs_run,
                           douglas_rachford, extrapolate, glp_rectify,
                           janssen_signal_update, line_search,
                           progressive_schedule, update_coefficients,
@@ -82,10 +81,12 @@ def test_dra_matches_ista_on_lasso():
 
 
 def test_dra_divergence_raises_with_iteration():
-    with pytest.raises(DouglasRachfordDivergence) as err:
+    with pytest.raises(SolverError,
+                       match="^non-finite iterate at inner iteration 1 in row 0$") as err:
         douglas_rachford([1.0], 2, lambda h, out: np.copyto(out, h),
                          np.array([np.nan, 1.0]), 1.0, iters=10)
-    assert err.value.iteration == 1
+    assert (err.value.reason, err.value.row, err.value.trace) == (
+        "non-finite iterate at inner iteration 1", 0, None)
 
 
 def test_dra_validation():
@@ -175,8 +176,8 @@ def test_dr_loop_matches_the_allocating_copy(q, n_head, g_kind, with_offset,
             u1, z1 = loop(z0, k)
             u2, z2 = loop(z1, m)
             u3, z3 = loop(z0, k + m)
-        except DouglasRachfordDivergence as err:
-            return err.iteration
+        except SolverError as err:
+            return str(err)
         # read after every call, so a write into a returned or passed-in
         # array shows as well
         return [a.tobytes() for a in (u1, z1, u2, z2, u3, z3, z0)]
@@ -186,7 +187,8 @@ def test_dr_loop_matches_the_allocating_copy(q, n_head, g_kind, with_offset,
     if g_kind != "poison":
         assert isinstance(product, list)
     else:  # in the first call, or else in the second
-        assert product == (poison_at if poison_at <= k else poison_at - k)
+        at = poison_at if poison_at <= k else poison_at - k
+        assert product == f"non-finite iterate at inner iteration {at} in row 0"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -230,11 +232,12 @@ def test_stacked_dr_loop_matches_the_allocating_copy_per_row(
 def test_dr_divergence_in_one_row_stops_the_stack():
     z0 = np.ones((3, 4))
     z0[1, 2] = np.nan
-    with pytest.raises(DouglasRachfordDivergence,
+    with pytest.raises(SolverError,
                        match="inner iteration 1 in row 1$") as err:
         douglas_rachford(np.ones((3, 1)), 4, lambda h, out: np.copyto(out, h),
                          z0, np.ones((3, 1)), iters=10)
-    assert (err.value.iteration, err.value.row) == (1, 1)
+    assert (err.value.reason, err.value.row) == (
+        "non-finite iterate at inner iteration 1", 1)
 
 
 # ------------------------------------------------------- coefficient update
@@ -800,8 +803,8 @@ def _stack_frames(strategy, rows, n, zero_row, rng):
 def _solve(spec, cfg, truth):
     try:
         return acs_run(spec, cfg, ground_truth=truth)
-    except (DouglasRachfordDivergence, CoefficientGrowthError) as err:
-        return type(err)
+    except SolverError as err:
+        return err
 
 
 def _untimed(trace):
@@ -827,8 +830,10 @@ def test_stack_solves_every_frame_as_alone(strategy, accel, rows, n, zero_row,
     stack = ConsistencySpec.stack(specs)
     got = _solve(stack, cfg, clean)
     alone = [_solve(spec, cfg, clean[k]) for k, spec in enumerate(specs)]
-    if isinstance(got, type):  # an error in any row stops the stack
-        assert got in [r for r in alone if isinstance(r, type)]
+    if isinstance(got, SolverError):  # the row that fails first stops the stack
+        lone = alone[got.row]
+        assert isinstance(lone, SolverError) and lone.reason == got.reason
+        assert _untimed(got.trace) == _untimed(lone.trace)
         return
     coeffs, x, traces = got
     assert coeffs.shape == (rows, 4) and x.shape == (rows, n) and len(traces) == rows
@@ -844,10 +849,10 @@ def test_acs_growth_guard_attaches_trace(monkeypatch):
     cfg = SolverConfig(order=2, strategy="declip", lambda_s=math.inf,
                        outer_iters=3, inner_iters=50,
                        acceleration=frozenset())
-    with pytest.raises(CoefficientGrowthError) as err:
+    with pytest.raises(SolverError, match="consider lambda_c > 0.* in row 0$") as err:
         acs_run(spec, cfg)
-    assert err.value.trace.aborted == "coefficient growth"
-    assert len(err.value.trace.entries) == 1
+    assert err.value.row == 0
+    assert len(err.value.trace) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -859,31 +864,32 @@ def test_growth_guard_diagnostic_reaches_caller_for_any_worker_count(monkeypatch
     cfg = SolverConfig(order=2, strategy="declip", lambda_s=math.inf,
                        outer_iters=3, inner_iters=50)
     model = DegradationModel(kind="clip", theta=obs.theta)
-    with pytest.raises(CoefficientGrowthError, match="coefficient magnitude") as err:
+    with pytest.raises(SolverError, match="coefficient magnitude") as err:
         reconstruct_channel(obs.y, model, cfg, 32, 8, workers=workers)
-    assert err.value.trace.aborted == "coefficient growth"
-    assert len(err.value.trace.entries) == 1
+    assert err.value.row == 0
+    assert len(err.value.trace) == 1
+
+
+def _pickle_round_trip(reason):
+    # the error keeps its reason, row and trace across a process boundary,
+    # with a trace given at construction or attached after the raise
+    step = AcsStep(1, 2.5, 2.0, 0.5, 0.0, 10, 0.01, 0.1)
+    for row, trace in ((0, None), (2, AcsTrace(entries=[step]))):
+        err = SolverError(reason, row, trace)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is SolverError
+        assert str(back) == str(err) == f"{reason} in row {row}"
+        assert (back.reason, back.row, back.trace) == (reason, row, trace)
+    err = SolverError(reason, 1)
+    err.trace = AcsTrace(entries=[step, step])
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.row, back.trace) == (1, err.trace) and len(back.trace) == 2
 
 
 def test_divergence_error_survives_pickling():
-    div = DouglasRachfordDivergence(7)
-    div.trace = AcsTrace(entries=[], aborted="inner divergence at outer iteration 2")
-    back = pickle.loads(pickle.dumps(div))
-    assert type(back) is DouglasRachfordDivergence
-    assert str(back) == str(div) == "non-finite iterate at inner iteration 7"
-    assert back.iteration == 7
-    assert back.row is None
-    assert back.trace.aborted == div.trace.aborted
-    in_row = pickle.loads(pickle.dumps(DouglasRachfordDivergence(7, row=2)))
-    assert str(in_row) == "non-finite iterate at inner iteration 7 in row 2"
-    assert in_row.row == 2
+    _pickle_round_trip("non-finite iterate at inner iteration 7")
 
 
 def test_growth_error_survives_pickling():
-    trace = AcsTrace(entries=[], aborted="coefficient growth")
-    growth = CoefficientGrowthError(3.5e7, trace)
-    back = pickle.loads(pickle.dumps(growth))
-    assert type(back) is CoefficientGrowthError
-    assert str(back) == str(growth)
-    assert back.magnitude == 3.5e7
-    assert back.trace.aborted == "coefficient growth"
+    _pickle_round_trip("the model is growing disproportionately (consider "
+                       "lambda_c > 0): coefficient magnitude 3.5e+07 exceeds 1e+06")
