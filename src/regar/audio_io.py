@@ -115,13 +115,9 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(data=samples.reshape(-1, channels), sample_rate=sample_rate)
 
 
-def write_wav(path, buffer: AudioBuffer, fmt: str = "float32") -> None:
-    """Write a RIFF/WAVE file in the requested sample format.
-
-    ``fmt`` is one of "float32", "pcm16", "pcm24".  PCM modes raise on
-    samples outside [-1, 1]; only an exact +1.0 saturates to the top code.
-    float32 raises on NaN, infinities and values beyond the float32 range.
-    """
+def _encode_wav(buffer: AudioBuffer, fmt: str = "float32") -> bytes:
+    """The bytes of ``buffer`` as a RIFF/WAVE file in the requested format,
+    after every check ``write_wav`` makes."""
     if fmt not in ("float32", "pcm16", "pcm24"):
         raise ValueError(f"unknown format {fmt!r}")
     flat = buffer.data.reshape(-1)
@@ -162,5 +158,17 @@ def write_wav(path, buffer: AudioBuffer, fmt: str = "float32") -> None:
         body += cid + struct.pack("<I", len(chunk)) + chunk
         if len(chunk) & 1:
             body += b"\x00"
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def write_wav(path, buffer: AudioBuffer, fmt: str = "float32") -> None:
+    """Write a RIFF/WAVE file in the requested sample format.
+
+    ``fmt`` is one of "float32", "pcm16", "pcm24".  PCM modes raise on
+    samples outside [-1, 1]; only an exact +1.0 saturates to the top code.
+    float32 raises on NaN, infinities and values beyond the float32 range.
+    Every check runs before the file is opened.
+    """
+    blob = _encode_wav(buffer, fmt)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(blob)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .armodel import random_stable_ar, simulate_ar
-from .audio_io import AudioBuffer, read_wav, write_wav
+from .audio_io import AudioBuffer, _encode_wav, read_wav, write_wav
 from .degrade import drop_samples, hard_clip, uniform_quantize
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
                       sdr, sdr_scores)
@@ -92,6 +92,10 @@ def _validate(a: argparse.Namespace) -> None:
             raise ValueError("--frame must be at least 1")
         if a.hop is not None and not 1 <= a.hop <= a.frame:
             raise ValueError(f"--hop must lie in [1, --frame] = [1, {a.frame}]")
+        # a frame shorter than the model has no AR fit; --outer 0 fits none
+        if getattr(a, "outer", 0) > 0 and a.order >= a.frame:
+            raise ValueError(f"--order must be below --frame, got --order "
+                             f"{a.order} and --frame {a.frame}")
     if getattr(a, "length", 1) < 1:
         raise ValueError("--length must be at least 1")
     if getattr(a, "sample_rate", 1) < 1:
@@ -460,10 +464,12 @@ def cmd_demo(a) -> int:
         raise ValueError(f"--order {a.order}: the simulated AR signal overflows; "
                          "choose a lower order")
     clean = 0.99 * clean / np.max(np.abs(clean))
+    # encoded first: a rate the WAV header cannot hold makes no --out-dir
+    clean_wav = _encode_wav(AudioBuffer(clean, a.sample_rate))
     out_dir = Path(a.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clean_path = out_dir / "clean.wav"
-    write_wav(clean_path, AudioBuffer(clean, a.sample_rate))
+    clean_path.write_bytes(clean_wav)
     clean_buf = read_wav(clean_path)
 
     if "declip" in STRATEGIES[a.strategy]:

@@ -38,8 +38,6 @@ FRAMES_PER_STACK = 4
 # frames in flight per pool worker: enough to keep every worker busy, few
 # enough that only a handful of frame specs are alive at once
 FRAMES_PER_WORKER = 8
-# (outer_iter, objective, inner_iters, wall_ms) of a frame the solver never saw
-UNTOUCHED = (0, None, 0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,15 +89,13 @@ class DegradationModel:
 
 
 def _solve_stack(specs: list, cfg: SolverConfig) -> list:
-    """(estimate, stats) of every frame box of a stack, solved in lockstep;
-    stats are (outer_iter, objective, inner_iters, wall_ms), and a frame's
-    wall_ms is the stack's wall time divided by its frame count."""
+    """(estimate, trace, wall_ms) of every frame box of a stack, solved in
+    lockstep; a frame's wall_ms is the stack's wall time divided by its
+    frame count."""
     t0 = time.perf_counter()
     _, x, traces = acs_run(ConsistencySpec.stack(specs), cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0 / len(specs)
-    return [(row, (len(trace), trace.entries[-1].objective,
-                   int(sum(e.inner_iters for e in trace.entries)), wall_ms))
-            for row, trace in zip(x, traces)]
+    return [(row, trace, wall_ms) for row, trace in zip(x, traces)]
 
 
 def _stacks(specs, untouched) -> Iterator[tuple]:
@@ -113,12 +109,12 @@ def _stacks(specs, untouched) -> Iterator[tuple]:
 
 def _frame_estimates(specs, cfg: SolverConfig | None,
                      workers: int) -> Iterator[tuple]:
-    """(spec, estimate, stats) of every frame, in frame order.
+    """(spec, estimate, trace, wall_ms) of every frame, in frame order.
 
     A frame whose observation is its exact solution (all samples pinned, and
     the strategy keeps pinned samples), or any frame when ``cfg`` is None, is
-    its own estimate; the others are solved in stacks, one pool task each
-    if a pool is asked for.
+    its own estimate, with an empty trace; the others are solved in stacks,
+    one pool task each if a pool is asked for.
     """
     def untouched(spec):
         return cfg is None or (cfg.keeps_pinned and bool(spec.pinned.all()))
@@ -126,7 +122,7 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
     def rows(stack, solved):
         """Each frame with its solver output, or with itself if ``solved``
         is None."""
-        for spec, out in zip(stack, solved or [(s.y, UNTOUCHED) for s in stack]):
+        for spec, out in zip(stack, solved or [(s.y, (), 0.0) for s in stack]):
             yield spec, *out
 
     if workers == 1 or cfg is None:
@@ -150,15 +146,19 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
 
 
 def frame_record(k: int, estimate, observed=None, spec=None, reference=None,
-                 stats=UNTOUCHED) -> FrameRecord:
+                 trace=(), wall_ms: float = 0.0) -> FrameRecord:
     """Report row of frame k: the estimate's SDR against the reference, its
     gain over the observed frame and its distance from the consistency set
-    ``spec``, each None when its inputs are; ``stats`` holds (outer_iter,
-    objective, inner_iters, wall_ms)."""
+    ``spec``, each None when its inputs are.  The solver columns come from
+    the frame's ``trace`` (its ``AcsStep`` list, empty for a frame the
+    solver never saw): the outer iterations run, the last objective (None
+    without one) and the inner iterations summed over the steps."""
     score, gain = sdr_scores(reference, estimate, observed)
     return FrameRecord(
         k, score, gain,
-        None if spec is None else consistency_distance(estimate, spec), *stats)
+        None if spec is None else consistency_distance(estimate, spec),
+        len(trace), trace[-1].objective if trace else None,
+        sum(step.inner_iters for step in trace), wall_ms)
 
 
 def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
@@ -168,7 +168,8 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
 
     ``cfg = None`` skips the solver entirely (frames pass through overlap-add
     unmodified); ``workers`` (at least 1) processes solve the others.  A model
-    whose box the strategy does not take fails before any frame is solved.
+    whose box the strategy does not take, or a ``cfg.order`` not below the
+    frame length, fails before any frame is solved.
     Returns the reconstructed channel and a ReconstructionReport; SDR fields
     are filled when a reference is given.
     """
@@ -184,11 +185,15 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
     box = model.spec_for(y)
     if cfg is not None:
         cfg.check_box(box.variant)
+        if cfg.order >= frame_length:
+            raise ValueError(f"model order {cfg.order} must be below the frame "
+                             f"length {frame_length}")
     records = []
 
     def scored(outputs, references):
-        for k, ((spec, x, stats), ref) in enumerate(zip(outputs, references)):
-            records.append(frame_record(k, x, spec.y, spec, ref, stats))
+        for k, ((spec, x, trace, wall_ms), ref) in enumerate(
+                zip(outputs, references)):
+            records.append(frame_record(k, x, spec.y, spec, ref, trace, wall_ms))
             yield x
 
     x_hat = overlap_add(

@@ -33,7 +33,6 @@ from .degrade import _as_bool_mask
 __all__ = [
     "SolverConfig",
     "AcsStep",
-    "AcsTrace",
     "SolverError",
     "douglas_rachford",
     "update_coefficients",
@@ -62,11 +61,11 @@ class SolverError(RuntimeError):
     """A frame's solve stopped: a non-finite DR iterate or runaway coefficients.
 
     ``reason`` says why, ``row`` is the failing row of the stack (0 for a
-    single frame) and ``trace`` that row's ``AcsTrace`` up to the failure,
-    attached by ``acs_run``.  The message is the reason and the row.
+    single frame) and ``trace`` that row's list of ``AcsStep`` up to the
+    failure, attached by ``acs_run``.  The message is the reason and the row.
     """
 
-    def __init__(self, reason: str, row: int = 0, trace: "AcsTrace | None" = None):
+    def __init__(self, reason: str, row: int = 0, trace: list | None = None):
         super().__init__(f"{reason} in row {row}")
         self.reason = reason
         self.row = row
@@ -154,14 +153,6 @@ class AcsStep:
     wall_time: float
     coef_change: float
     sdr_db: float | None = None
-
-
-@dataclass
-class AcsTrace:
-    entries: list
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def douglas_rachford(filt, n_head: int, head_prox, z0, gamma, *, iters: int,
@@ -403,14 +394,14 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     (missing samples zero) and its classic AR fit, then alternates
     coefficient and signal updates for ``cfg.outer_iters`` iterations,
     applying the configured strategy and accelerations.  Returns the final
-    coefficients, the reconstructed signal and the per-iteration trace.  A
-    stacked spec (one frame per row, with a stacked ground truth) is solved
-    in lockstep and gives one row of coefficients and signal and one trace
-    per frame, each with the bits of its frame solved alone and its share of
-    the step wall time.  A row that diverges or grows stops the stack with a
-    ``SolverError`` that names the first such row and carries its trace:
-    the steps finished before the diverging one, or up to and including
-    the step that grew.
+    coefficients, the reconstructed signal and the trace, a list of one
+    ``AcsStep`` per outer iteration.  A stacked spec (one frame per row, with
+    a stacked ground truth) is solved in lockstep and gives one row of
+    coefficients and signal and one trace per frame, each with the bits of
+    its frame solved alone and its share of the step wall time.  A row that
+    diverges or grows stops the stack with a ``SolverError`` that names the
+    first such row and carries its trace: the steps finished before the
+    diverging one, or up to and including the step that grew.
     """
     cfg.check_box(spec.variant)
     single = spec.y.ndim == 1
@@ -432,7 +423,7 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
                        for row in x])
     z_coef = None
     z_sig = None
-    traces = [AcsTrace(entries=[]) for _ in rows]
+    traces = [[] for _ in rows]
 
     def signal_step(a, x_cur, z_cur, inner):
         if cfg.strategy not in JANSSEN:
@@ -479,17 +470,16 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
             value = objective(coeffs[k], x[k], cfg.lambda_c, cfg.lambda_s, row_spec)
             change = float(np.linalg.norm(coeffs[k] - a_prev[k])
                            / np.linalg.norm(coeffs[k]))
-            trace.entries.append(AcsStep(
+            trace.append(AcsStep(
                 i, value.total, value.residual_term, value.coef_term,
                 value.signal_term, inner, wall, change,
                 None if ground_truth is None else sdr(ground_truth[k], x[k])))
-        for k, a_k in enumerate(coeffs):
-            magnitude = float(np.max(np.abs(a_k)))
+            magnitude = float(np.max(np.abs(coeffs[k])))
             if magnitude > COEF_GROWTH_LIMIT:
                 raise SolverError(
                     "the model is growing disproportionately (consider "
                     f"lambda_c > 0): coefficient magnitude {magnitude:.3g} "
-                    f"exceeds {COEF_GROWTH_LIMIT:g}", k, traces[k])
+                    f"exceeds {COEF_GROWTH_LIMIT:g}", k, trace)
     if single:
         return coeffs[0], x[0], traces[0]
     return coeffs, x, traces

@@ -154,7 +154,7 @@ def consistent_declip_run():
 
 def test_criterion_06_objective_monotone(consistent_declip_run):
     _, _, trace = consistent_declip_run
-    q = np.array([e.objective for e in trace.entries])
+    q = np.array([e.objective for e in trace])
     slack = 1e-6 * q[0]
     ok = bool(np.all(np.diff(q) <= slack))
     verdict(6, ok,
@@ -165,7 +165,7 @@ def test_criterion_06_objective_monotone(consistent_declip_run):
 def test_criterion_07_consistent_output_feasible(consistent_declip_run):
     spec, x_hat, trace = consistent_declip_run
     dist = consistency_distance(x_hat, spec)
-    ok = dist == 0.0 and all(e.signal_term == 0.0 for e in trace.entries)
+    ok = dist == 0.0 and all(e.signal_term == 0.0 for e in trace)
     verdict(7, ok, f"lambda_s=inf output consistency distance {dist} == 0 "
                    "at every iteration")
 

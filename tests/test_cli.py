@@ -508,16 +508,51 @@ def test_demo_rejects_bad_options_before_writing(tmp_path, capsys, option):
     (["--workers", "0"], "--workers"), (["--frame", "0"], "--frame"),
     (["--hop", "0"], "--hop"), (["--hop", "2048"], "--hop"),
     (["--length", "0"], "--length"), (["--order", "3000"], "--order"),
-    (["--sample-rate", "5000000000"], "do not fit a WAV header")])
+    (["--sample-rate", "5000000000"], "do not fit a WAV header"),
+    (["--order", "3000", "--outer", "0"], "overflows")])
 def test_demo_writes_no_wav_before_its_checks(tmp_path, capsys, option, name):
-    # --order 3000 draws a stable model whose direct-form simulation
-    # overflows; a float32 mono byte rate of 4 * 5e9 overflows the WAV
-    # header's 32-bit field; the others fail the option checks
+    # --order 3000 is not below the default --frame 1024; at --outer 0 it
+    # draws a stable model whose direct-form simulation overflows; a float32
+    # mono byte rate of 4 * 5e9 overflows the WAV header's 32-bit field; the
+    # others fail the option checks
     out_dir = tmp_path / "demo"
     assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
                     "--workers", "1", *option]) == 1
     assert name in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.wav"))
+    assert not out_dir.exists()
+
+
+def test_demo_rejects_an_order_not_below_the_frame_before_writing(tmp_path,
+                                                                  capsys):
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--order", "64",
+                    "--frame", "32", "--hop", "8", "--outer", "1", "--inner", "5",
+                    "--workers", "1"]) == 1
+    assert ("--order must be below --frame, got --order 64 and --frame 32"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("theta", ["0.3", "1.0"], ids=["clipped", "clean"])
+@pytest.mark.parametrize("order", ["32", "40"])
+def test_reconstruct_rejects_an_order_not_below_the_frame(tmp_path, ar_signal,
+                                                          capsys, theta, order):
+    # at --theta 1.0 no sample is clipped, so no frame would reach the solver
+    clean, x = ar_signal
+    observed = tmp_path / "in.wav"
+    make_wav(observed, np.clip(x, -float(theta), float(theta)))
+    out = tmp_path / "o.wav"
+    argv = ["reconstruct", str(observed), "-o", str(out), "--strategy",
+            "declip", "--theta", theta, "--order", order, "--frame", "32",
+            "--hop", "8", "--inner", "5", "--workers", "1"]
+    assert run_cli(argv + ["--outer", "1"]) == 1
+    assert (f"--order must be below --frame, got --order {order} and --frame 32"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # --outer 0 fits no model: the frames pass through
+    assert run_cli(argv + ["--outer", "0"]) == 0
+    assert read_wav(out).data.tobytes() == read_wav(observed).data.tobytes()
 
 
 @pytest.mark.parametrize("outer", ["0", "2"])

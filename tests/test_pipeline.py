@@ -15,7 +15,8 @@ from regar.framing import frame_layout
 from regar.metrics import consistency_distance, sdr
 from regar.pipeline import DegradationModel, frame_record, reconstruct_channel
 import regar.solver as solver_mod
-from regar.solver import SolverConfig, SolverError
+from regar.solver import (AcsStep, SolverConfig, SolverError, acs_run,
+                          progressive_schedule)
 
 
 def clipped_channel(seed=0, n=2000, theta=0.3):
@@ -298,7 +299,9 @@ def test_frame_records_score_what_they_are_given():
     spec = model.spec_for(y)
     estimate = np.zeros(4)
     distance = consistency_distance(estimate, spec)
-    full = frame_record(0, estimate, y, spec, x, (3, 1.5, 30, 2.0))
+    steps = [AcsStep(i, q, q, 0.0, 0.0, n, 0.001, 0.1)
+             for i, (q, n) in enumerate([(4.0, 5), (2.0, 10), (1.5, 15)], 1)]
+    full = frame_record(0, estimate, y, spec, x, steps, 2.0)
     assert full.sdr_db == sdr(x, estimate)
     assert full.delta_sdr_db == sdr(x, estimate) - sdr(x, y)
     assert full.consistency_sq == distance > 0
@@ -440,6 +443,63 @@ def test_an_invalid_channel_fails_before_any_solve(monkeypatch, case, workers):
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["degraded", "clean", "silent"])
+def test_an_order_not_below_the_frame_fails_before_any_solve(monkeypatch, case,
+                                                             workers):
+    # a clean channel has no frame to solve, and a silent frame starts from
+    # the unit filter without an AR fit: neither reaches the fit's own check
+    _, y, theta = clipped_channel(n=300)
+    model = DegradationModel(kind="clip", theta=theta)
+    strategy = "declip"
+    if case == "clean":  # no sample reaches theta
+        y = 0.5 * theta * y / np.max(np.abs(y))
+    elif case == "silent":  # every sample missing, so every frame is zero
+        y = np.zeros(300)
+        model = DegradationModel(kind="drop", reliable=np.zeros(300, dtype=bool))
+        strategy = "inpaint"
+    cfg = SolverConfig(order=64, strategy=strategy, outer_iters=1, inner_iters=10)
+    calls = []
+    estimates = pipeline._frame_estimates
+    monkeypatch.setattr(pipeline, "_frame_estimates",
+                        lambda *args: calls.append(args) or estimates(*args))
+    with pytest.raises(ValueError, match="model order 64 must be below the "
+                                         "frame length 64"):
+        reconstruct_channel(y, model, cfg, 64, 16, workers=workers)
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_rows_are_read_off_each_frames_own_trace(workers):
+    # a 100-sample gap gives a run of solved frames longer than a stack, and
+    # the frames away from it pass through; a solved row's solver columns
+    # are those of its frame's lone acs_run trace
+    rng = np.random.default_rng(5)
+    n, frame, hop = 1024, 64, 16
+    x = simulate_ar(random_stable_ar(4, rng), n, rng)
+    reliable = np.ones(n, dtype=bool)
+    reliable[400:500] = False
+    y = np.where(reliable, x, 0.0)
+    model = DegradationModel(kind="drop", reliable=reliable)
+    cfg = SolverConfig(order=4, strategy="inpaint", lambda_c=1e-3, outer_iters=3,
+                       inner_schedule=tuple(progressive_schedule(1, 2, 3)))
+    _, report = reconstruct_channel(y, model, cfg, frame, hop, workers=workers)
+    specs = list(model.frame_specs(y, frame_layout(n, frame, hop)))
+    assert len(specs) == len(report.per_frame)
+    solved = 0
+    for spec, row in zip(specs, report.per_frame):
+        got = (row.outer_iter, row.objective, row.inner_iters)
+        if spec.pinned.all():
+            assert got == (0, None, 0)
+            continue
+        _, _, trace = acs_run(spec, cfg)
+        assert got == (len(trace), trace[-1].objective,
+                       sum(step.inner_iters for step in trace)) == (
+                           3, trace[-1].objective, 10 + 32 + 100)
+        solved += 1
+    assert pipeline.FRAMES_PER_STACK < solved < len(specs)
+
+
 # one all-pinned frame for every box: y lies inside (-1, 1) and away from zero,
 # so a quantization step far below its ulp pins every sample too
 _PINNED_MODELS = {
@@ -523,7 +583,7 @@ def test_diverging_row_stops_its_stack_and_reaches_the_caller(monkeypatch,
     # the first stack's row 1 is frame 1: its one finished step, not frame 0's
     objectives = [r.objective for r in first.per_frame[:2]]
     assert objectives[0] != objectives[1]
-    assert [e.objective for e in err.value.trace.entries] == objectives[1:]
+    assert [e.objective for e in err.value.trace] == objectives[1:]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -565,4 +625,4 @@ def test_a_failing_row_names_itself_and_carries_its_own_trace(monkeypatch,
     # row 2 of the first stack is frame 2: its own first step
     objectives = [r.objective for r in first.per_frame[:3]]
     assert len(set(objectives)) == 3
-    assert err.value.trace.entries[0].objective == objectives[2]
+    assert err.value.trace[0].objective == objectives[2]

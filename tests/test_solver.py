@@ -19,7 +19,7 @@ from regar.metrics import consistency_distance
 from regar.pipeline import DegradationModel, reconstruct_channel
 from regar.prox import (ConsistencySpec, project_consistency,
                         prox_signal_penalty, soft_threshold)
-from regar.solver import (AcsStep, AcsTrace, SolverConfig, SolverError, acs_run,
+from regar.solver import (AcsStep, SolverConfig, SolverError, acs_run,
                           douglas_rachford, extrapolate, glp_rectify,
                           janssen_signal_update, line_search,
                           progressive_schedule, update_coefficients,
@@ -655,8 +655,8 @@ def test_acs_consistent_declipping_stays_feasible():
                        acceleration=frozenset())
     _, x, trace = acs_run(spec, cfg, ground_truth=x_true)
     assert consistency_distance(x, spec) == 0.0
-    assert all(e.signal_term == 0.0 for e in trace.entries)
-    assert all(e.sdr_db is not None for e in trace.entries)
+    assert all(e.signal_term == 0.0 for e in trace)
+    assert all(e.sdr_db is not None for e in trace)
 
 
 def test_acs_objective_nonincreasing_small():
@@ -665,7 +665,7 @@ def test_acs_objective_nonincreasing_small():
                        lambda_s=math.inf, outer_iters=6, inner_iters=500,
                        acceleration=frozenset())
     _, _, trace = acs_run(spec, cfg)
-    q = np.array([e.objective for e in trace.entries])
+    q = np.array([e.objective for e in trace])
     assert np.all(np.diff(q) <= 1e-6 * q[0])
 
 
@@ -740,7 +740,7 @@ def test_acs_progressive_schedule_recorded_in_trace():
                        outer_iters=3, inner_schedule=schedule,
                        acceleration=frozenset())
     _, _, trace = acs_run(spec, cfg)
-    assert tuple(e.inner_iters for e in trace.entries) == schedule
+    assert tuple(e.inner_iters for e in trace) == schedule
 
 
 def test_acs_spec_strategy_mismatch():
@@ -808,7 +808,7 @@ def _solve(spec, cfg, truth):
 
 
 def _untimed(trace):
-    return [repr(dataclasses.replace(e, wall_time=0.0)) for e in trace.entries]
+    return [repr(dataclasses.replace(e, wall_time=0.0)) for e in trace]
 
 
 @pytest.mark.parametrize("accel", list(_STACK_ACCEL))
@@ -872,18 +872,21 @@ def test_growth_guard_diagnostic_reaches_caller_for_any_worker_count(monkeypatch
 
 def _pickle_round_trip(reason):
     # the error keeps its reason, row and trace across a process boundary,
-    # with a trace given at construction or attached after the raise
-    step = AcsStep(1, 2.5, 2.0, 0.5, 0.0, 10, 0.01, 0.1)
-    for row, trace in ((0, None), (2, AcsTrace(entries=[step]))):
+    # with a trace given at construction or attached after the raise; a
+    # trace is a plain list of steps, and it comes back as one
+    step = AcsStep(1, 2.5, 2.0, 0.5, 0.0, 10, 0.01, 0.1, sdr_db=12.5)
+    for row, trace in ((0, None), (3, []), (2, [step])):
         err = SolverError(reason, row, trace)
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is SolverError
         assert str(back) == str(err) == f"{reason} in row {row}"
         assert (back.reason, back.row, back.trace) == (reason, row, trace)
+        assert type(back.trace) is type(trace)
     err = SolverError(reason, 1)
-    err.trace = AcsTrace(entries=[step, step])
+    err.trace = [step, dataclasses.replace(step, outer_iter=2, objective=2.25)]
     back = pickle.loads(pickle.dumps(err))
-    assert (back.row, back.trace) == (1, err.trace) and len(back.trace) == 2
+    assert (back.row, back.trace) == (1, err.trace) and type(back.trace) is list
+    assert [e.objective for e in back.trace] == [2.5, 2.25]
 
 
 def test_divergence_error_survives_pickling():
