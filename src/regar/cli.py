@@ -18,7 +18,7 @@ import numpy as np
 
 from .armodel import random_stable_ar, simulate_ar
 from .audio_io import AudioBuffer, _encode_wav, read_wav, write_wav
-from .degrade import drop_samples, hard_clip, uniform_quantize
+from .degrade import drop_samples, hard_clip, quantizer_step, uniform_quantize
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
                       sdr, sdr_scores)
 from .framing import frame_layout, segment
@@ -61,6 +61,8 @@ def _validate(a: argparse.Namespace) -> None:
         for mode, other in _MODE_OPTIONS.items():
             if mode != a.mode and getattr(a, other) is not None:
                 raise ValueError(f"--{other} applies to {mode} mode only")
+        if a.mode == "drop" and not 0.0 <= a.ratio <= 1.0:
+            raise ValueError("drop ratio must be in [0, 1]")
     elif a.command == "reconstruct":
         boxes = STRATEGIES[a.strategy]
         # the model option used: the one given, or --theta for a sole declip box
@@ -81,8 +83,8 @@ def _validate(a: argparse.Namespace) -> None:
         if a.inner_schedule is not None and a.inner is not None:
             raise ValueError("--inner and --inner-schedule conflict")
         _build_config(a)  # the solver options fail before any file is touched
-    if a.bits is not None and a.bits < 1:
-        raise ValueError("word length must be at least 1 bit")
+    if a.bits is not None:
+        quantizer_step(a.bits)
     # the framing and pool options, which the library would reject only
     # after demo has written its first files
     if getattr(a, "workers", 1) < 1:
@@ -302,8 +304,6 @@ def cmd_degrade(a) -> int:
     if a.mode != "drop":
         out = _clip_or_quantize(a, buf)
     else:
-        if not 0.0 <= a.ratio <= 1.0:
-            raise ValueError("drop ratio must be in [0, 1]")
         rng = np.random.default_rng(a.seed)
         n_drop = int(round(a.ratio * buf.n_samples))
         out = np.empty_like(buf.data)
@@ -327,8 +327,8 @@ def _build_models(a, buf: AudioBuffer,
     ``infer_theta`` is set, else there is no model (None).
     """
     if a.bits is not None:
-        delta = 2.0 ** (1 - a.bits)
-        return [DegradationModel(kind="quant", delta=delta)] * buf.channels
+        model = DegradationModel(kind="quant", delta=quantizer_step(a.bits))
+        return [model] * buf.channels
     if a.mask is not None:
         reliable = np.load(a.mask)
         if reliable.ndim == 1:

@@ -13,6 +13,7 @@ __all__ = [
     "ClipObservation",
     "QuantObservation",
     "hard_clip",
+    "quantizer_step",
     "uniform_quantize",
     "drop_samples",
 ]
@@ -68,17 +69,25 @@ def hard_clip(x, theta: float) -> ClipObservation:
     return ClipObservation(y=y, theta=theta)
 
 
+def quantizer_step(word_length: int) -> float:
+    """Step 2**(1-word_length) of a 1- to 53-bit quantizer (beyond 53 bits
+    the odd multiples of half a step in [-1, 1] do not fit a float64)."""
+    if word_length < 1:
+        raise ValueError("word length must be at least 1 bit")
+    if word_length > 53:
+        raise ValueError("word length must be at most 53 bits")
+    return 2.0 ** (1 - word_length)
+
+
 def uniform_quantize(x, word_length: int) -> QuantObservation:
-    """Mid-riser uniform quantization with step 2**(1-word_length).
+    """Mid-riser uniform quantization with step ``quantizer_step(word_length)``.
 
     y_n = sgn+(x_n) * delta * (floor(|x_n|/delta) + 1/2) where sgn+ maps
     nonnegative values to +1.  Values beyond full scale are quantized by the
     same rule (the top level can exceed 1).
     """
     x = _as_signal(x)
-    if word_length < 1:
-        raise ValueError("word length must be at least 1 bit")
-    delta = 2.0 ** (1 - word_length)
+    delta = quantizer_step(word_length)
     sign = np.where(x >= 0, 1.0, -1.0)
     y = sign * delta * (np.floor(np.abs(x) / delta) + 0.5)
     return QuantObservation(y=y, delta=delta)

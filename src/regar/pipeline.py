@@ -6,11 +6,11 @@ requested) and adds each estimate into the windowed overlap-add as it lands.
 Frames whose exact solution is the observation (nothing degraded in them)
 pass through and never reach the pool.  Consecutive degraded frames are
 solved in lockstep stacks of at most ``FRAMES_PER_STACK``; a stack closes
-early at the next passthrough frame.  A task carries only its stack's specs
-and the solver config, the stacks do not depend on the worker count, and
-every row of a stack has the bits of its frame solved alone, so the result
-does not depend on the worker count.  The same frame-report builder scores
-reconstructions here and estimates in ``regar evaluate``.
+early at the next passthrough frame.  A task is one ``acs_run`` call on its
+stack's box and the solver config, the stacks do not depend on the worker
+count, and every row of a stack has the bits of its frame solved alone, so
+the result does not depend on the worker count.  The same frame-report
+builder scores reconstructions here and estimates in ``regar evaluate``.
 """
 
 import time
@@ -88,16 +88,6 @@ class DegradationModel:
                    (~gap for gap in segment(~self.reliable, layout)))
 
 
-def _solve_stack(specs: list, cfg: SolverConfig) -> list:
-    """(estimate, trace, wall_ms) of every frame box of a stack, solved in
-    lockstep; a frame's wall_ms is the stack's wall time divided by its
-    frame count."""
-    t0 = time.perf_counter()
-    _, x, traces = acs_run(ConsistencySpec.stack(specs), cfg)
-    wall_ms = (time.perf_counter() - t0) * 1000.0 / len(specs)
-    return [(row, trace, wall_ms) for row, trace in zip(x, traces)]
-
-
 def _stacks(specs, untouched) -> Iterator[tuple]:
     """(frames, solve) in frame order: a frame ``untouched`` says to pass
     through alone, the others in runs of up to FRAMES_PER_STACK."""
@@ -109,25 +99,26 @@ def _stacks(specs, untouched) -> Iterator[tuple]:
 
 def _frame_estimates(specs, cfg: SolverConfig | None,
                      workers: int) -> Iterator[tuple]:
-    """(spec, estimate, trace, wall_ms) of every frame, in frame order.
+    """(spec, estimate, trace) of every frame, in frame order.
 
     A frame whose observation is its exact solution (all samples pinned, and
     the strategy keeps pinned samples), or any frame when ``cfg`` is None, is
-    its own estimate, with an empty trace; the others are solved in stacks,
-    one pool task each if a pool is asked for.
+    its own estimate, with an empty trace; the others are solved in stacks
+    by ``acs_run``, one pool task each if a pool is asked for.
     """
     def untouched(spec):
         return cfg is None or (cfg.keeps_pinned and bool(spec.pinned.all()))
 
     def rows(stack, solved):
-        """Each frame with its solver output, or with itself if ``solved``
-        is None."""
-        for spec, out in zip(stack, solved or [(s.y, (), 0.0) for s in stack]):
-            yield spec, *out
+        """Each frame with its row of the ``acs_run`` result ``solved``, or
+        with itself and an empty trace if ``solved`` is None."""
+        _, x, traces = solved or (None, [spec.y for spec in stack], repeat(()))
+        return zip(stack, x, traces)
 
     if workers == 1 or cfg is None:
         for stack, solve in _stacks(specs, untouched):
-            yield from rows(stack, _solve_stack(stack, cfg) if solve else None)
+            yield from rows(stack, acs_run(ConsistencySpec.stack(stack), cfg)
+                            if solve else None)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()  # (frames, task or None), in frame order
@@ -135,8 +126,9 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
         for run in chain(_stacks(specs, untouched), [None]):
             if run is not None:
                 stack, solve = run
-                pending.append((stack, pool.submit(_solve_stack, stack, cfg)
-                                if solve else None))
+                pending.append((stack, pool.submit(
+                    acs_run, ConsistencySpec.stack(stack), cfg)
+                    if solve else None))
                 in_flight += len(stack)
             while pending and (run is None or pending[0][1] is None
                                or in_flight >= FRAMES_PER_WORKER * workers):
@@ -146,19 +138,21 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
 
 
 def frame_record(k: int, estimate, observed=None, spec=None, reference=None,
-                 trace=(), wall_ms: float = 0.0) -> FrameRecord:
+                 trace=()) -> FrameRecord:
     """Report row of frame k: the estimate's SDR against the reference, its
     gain over the observed frame and its distance from the consistency set
     ``spec``, each None when its inputs are.  The solver columns come from
     the frame's ``trace`` (its ``AcsStep`` list, empty for a frame the
     solver never saw): the outer iterations run, the last objective (None
-    without one) and the inner iterations summed over the steps."""
+    without one), the inner iterations and the wall time in ms, both summed
+    over the steps."""
     score, gain = sdr_scores(reference, estimate, observed)
     return FrameRecord(
         k, score, gain,
         None if spec is None else consistency_distance(estimate, spec),
         len(trace), trace[-1].objective if trace else None,
-        sum(step.inner_iters for step in trace), wall_ms)
+        sum(step.inner_iters for step in trace),
+        1000.0 * sum(step.wall_time for step in trace))
 
 
 def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
@@ -191,9 +185,8 @@ def reconstruct_channel(y, model: DegradationModel, cfg: SolverConfig | None,
     records = []
 
     def scored(outputs, references):
-        for k, ((spec, x, trace, wall_ms), ref) in enumerate(
-                zip(outputs, references)):
-            records.append(frame_record(k, x, spec.y, spec, ref, trace, wall_ms))
+        for k, ((spec, x, trace), ref) in enumerate(zip(outputs, references)):
+            records.append(frame_record(k, x, spec.y, spec, ref, trace))
             yield x
 
     x_hat = overlap_add(

@@ -340,13 +340,21 @@ def glp_rectify(x, spec: ConsistencySpec) -> np.ndarray:
 
 
 def progressive_schedule(n1: float, n_last: float, outer_iters: int) -> np.ndarray:
-    """Logarithmically spaced inner-iteration counts from 10**n1 to 10**n_last."""
+    """Logarithmically spaced inner-iteration counts from 10**n1 to 10**n_last;
+    both exponents must be finite and every count must fit an int64."""
     if outer_iters < 1:
         raise ValueError("need at least one outer iteration")
-    if outer_iters == 1:
-        return np.array([int(np.rint(10.0 ** n_last))])
-    exponents = n1 + np.arange(outer_iters) / (outer_iters - 1) * (n_last - n1)
-    return np.rint(10.0 ** exponents).astype(int)
+    if math.isfinite(n1) and math.isfinite(n_last):
+        if outer_iters == 1:
+            exponents = np.array([n_last], dtype=float)
+        else:
+            exponents = n1 + np.arange(outer_iters) / (outer_iters - 1) * (n_last - n1)
+        with np.errstate(over="ignore"):  # an overflowing count fails below
+            counts = np.rint(10.0 ** exponents)
+        if np.all(counts < 2.0 ** 63):
+            return counts.astype(int)
+    raise ValueError(f"schedule exponents {n1}, {n_last}: both must be finite "
+                     "and give counts below 2**63")
 
 
 def extrapolate(u_half, u_prev, tau: float, anchor_first: bool = False) -> np.ndarray:
@@ -398,11 +406,14 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     ``AcsStep`` per outer iteration.  A stacked spec (one frame per row, with
     a stacked ground truth) is solved in lockstep and gives one row of
     coefficients and signal and one trace per frame, each with the bits of
-    its frame solved alone and its share of the step wall time.  A row that
+    its frame solved alone.  A step's ``wall_time`` is its row's share of
+    the time since the previous step, or since the call began for step 1
+    (which so includes the AR fits and Janssen's band layouts).  A row that
     diverges or grows stops the stack with a ``SolverError`` that names the
     first such row and carries its trace: the steps finished before the
     diverging one, or up to and including the step that grew.
     """
+    t_last = time.perf_counter()
     cfg.check_box(spec.variant)
     single = spec.y.ndim == 1
     if single:  # a frame is a stack of one
@@ -436,7 +447,6 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
         return x_new, z_cur
 
     for i in range(1, cfg.outer_iters + 1):
-        t_start = time.perf_counter()
         inner = cfg.inner_schedule[i - 1]
         a_prev = coeffs
         x_prev = x
@@ -465,7 +475,9 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
         except SolverError as err:
             err.trace = traces[err.row]
             raise
-        wall = (time.perf_counter() - t_start) / len(rows)
+        now = time.perf_counter()
+        wall = (now - t_last) / len(rows)
+        t_last = now
         for k, (trace, row_spec) in enumerate(zip(traces, rows)):
             value = objective(coeffs[k], x[k], cfg.lambda_c, cfg.lambda_s, row_spec)
             change = float(np.linalg.norm(coeffs[k] - a_prev[k])

@@ -256,6 +256,46 @@ def test_word_length_below_one_bit_is_rejected(tmp_path, ar_signal, capsys,
     assert "word length must be at least 1 bit" in capsys.readouterr().err
 
 
+def test_word_length_above_53_bits_fails_before_any_file(tmp_path, ar_signal,
+                                                         capsys):
+    clean, _ = ar_signal
+    out = str(tmp_path / "o.wav")
+    for argv in (["degrade", str(clean), "-o", out, "--mode", "quantize"],
+                 ["reconstruct", str(clean), "-o", out, "--strategy", "dequant",
+                  "--order", "8", "--frame", "512", "--outer", "1",
+                  "--inner", "10", "--workers", "1"],
+                 ["evaluate", str(clean), "--reference", str(clean),
+                  "--degraded", str(clean), "--report", str(tmp_path / "r.json")],
+                 ["demo", "--out-dir", str(tmp_path / "demo"), "--strategy",
+                  "dequant", "--length", "2048", "--workers", "1"]):
+        assert run_cli(argv + ["--bits", "54"]) == 1
+        assert "word length must be at most 53 bits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [clean]
+
+
+@pytest.mark.parametrize("ratio", ["2", "-0.5", "nan"])
+def test_degrade_checks_the_ratio_before_reading(tmp_path, capsys, ratio):
+    assert run_cli(["degrade", str(tmp_path / "missing.wav"),
+                    "-o", str(tmp_path / "o.wav"), "--mode", "drop",
+                    "--ratio", ratio]) == 1
+    assert "drop ratio must be in [0, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("schedule", ["1,20", "nan,2", "1,400"])
+def test_inner_schedule_exponents_are_checked(tmp_path, ar_signal, capsys,
+                                              schedule):
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out), "--strategy",
+                    "declip", "--order", "8", "--frame", "512", "--outer", "3",
+                    "--inner-schedule", schedule, "--workers", "1"]) == 1
+    n1, n_last = schedule.split(",")
+    assert (f"schedule exponents {float(n1)}, {float(n_last)}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", [["--theta", "0.3"], ["--bits", "4"],
                                     ["--mask", "m.npy"]])
 def test_evaluate_model_options_need_degraded(tmp_path, ar_signal, capsys,

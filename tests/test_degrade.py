@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from regar.degrade import drop_samples, hard_clip, uniform_quantize
+from regar.degrade import (drop_samples, hard_clip, quantizer_step,
+                           uniform_quantize)
 from regar.prox import ConsistencySpec
 
 
@@ -112,6 +113,18 @@ def test_quantize_idempotent_and_bounded():
 def test_quantize_errors():
     with pytest.raises(ValueError):
         uniform_quantize([0.1], 0)
+
+
+def test_word_length_runs_from_1_to_53_bits():
+    assert [quantizer_step(w) for w in (1, 5, 53)] == [1.0, 0.0625, 2.0 ** -52]
+    # at 53 bits every sample is still an odd multiple of half a step; one
+    # bit more and float64 cannot hold the midpoints
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, 10_000)
+    halves = uniform_quantize(x, 53).y / 2.0 ** -53
+    assert np.all(np.mod(halves, 2.0) == 1.0)
+    for w, message in ((0, "at least 1 bit"), (54, "at most 53 bits")):
+        with pytest.raises(ValueError, match=message):
+            uniform_quantize(x, w)
 
 
 def test_drop_samples():

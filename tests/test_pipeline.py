@@ -105,7 +105,7 @@ def test_worker_count_does_not_change_result():
 class InlinePool:
     """Process-pool stand-in: runs each task on submit and counts the tasks,
     the frames submitted and the frames whose result is not taken yet (a
-    task's first argument is its stack of frames)."""
+    task's first argument is its stacked box, one frame per row)."""
 
     tasks = submitted = in_flight = peak = 0
 
@@ -119,7 +119,7 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args):
-        frames = len(args[0])
+        frames = len(args[0].y)
         InlinePool.tasks += 1
         InlinePool.submitted += frames
         InlinePool.in_flight += frames
@@ -221,6 +221,43 @@ def test_worker_count_never_changes_the_bits(kind, frame, hop_div, n, seed):
         (rep2.sdr_db, rep2.delta_sdr_db, rep2.consistency_sq)
 
 
+def test_worker_count_never_changes_the_bits_at_blas_size():
+    # glp at the paper's sizes, 60% of the samples clipped: each frame's
+    # Janssen solve is a banded Cholesky of about 1200 missing samples
+    rng = np.random.default_rng(7)
+    x = simulate_ar(random_stable_ar(16, rng), 3072, rng)
+    theta = float(np.quantile(np.abs(x), 0.4))
+    model = DegradationModel(kind="clip", theta=theta)
+    cfg = SolverConfig(order=512, strategy="glp", lambda_c=1e-3,
+                       outer_iters=1, inner_iters=10)
+    (out1, rep1), (out2, rep2) = [
+        reconstruct_channel(hard_clip(x, theta).y, model, cfg, 2048, 512,
+                            workers=workers, reference=x)
+        for workers in (1, 2)]
+    assert out1.tobytes() == out2.tobytes()
+    assert ([dataclasses.replace(r, wall_ms=0.0) for r in rep1.per_frame]
+            == [dataclasses.replace(r, wall_ms=0.0) for r in rep2.per_frame])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_solved_frames_report_their_share_of_the_solve(workers):
+    # a quiet first half passes through; the clipped second half is solved
+    # in several stacks
+    x, _, theta = clipped_channel(seed=6, n=1024)
+    x[:512] *= 0.1 * theta
+    model = DegradationModel(kind="clip", theta=theta)
+    cfg = SolverConfig(order=4, strategy="declip", outer_iters=2,
+                       inner_iters=20)
+    _, report = reconstruct_channel(hard_clip(x, theta).y, model, cfg, 128, 32,
+                                    workers=workers)
+    solved = [r.wall_ms for r in report.per_frame if r.outer_iter > 0]
+    passthrough = [r.wall_ms for r in report.per_frame if r.outer_iter == 0]
+    assert len(solved) > 2 * pipeline.FRAMES_PER_STACK and passthrough
+    assert min(solved) > 0.0 and set(passthrough) == {0.0}
+    if workers == 1:
+        assert sum(solved) <= 1000.0 * report.timing_s
+
+
 def test_frame_specs_treat_padding_as_reliable():
     reliable = np.ones(10, dtype=bool)
     reliable[[1, 8]] = False
@@ -299,14 +336,14 @@ def test_frame_records_score_what_they_are_given():
     spec = model.spec_for(y)
     estimate = np.zeros(4)
     distance = consistency_distance(estimate, spec)
-    steps = [AcsStep(i, q, q, 0.0, 0.0, n, 0.001, 0.1)
-             for i, (q, n) in enumerate([(4.0, 5), (2.0, 10), (1.5, 15)], 1)]
-    full = frame_record(0, estimate, y, spec, x, steps, 2.0)
+    steps = [AcsStep(i, q, q, 0.0, 0.0, n, t, 0.1) for i, (q, n, t)
+             in enumerate([(4.0, 5, 0.25), (2.0, 10, 0.5), (1.5, 15, 1.25)], 1)]
+    full = frame_record(0, estimate, y, spec, x, steps)
     assert full.sdr_db == sdr(x, estimate)
     assert full.delta_sdr_db == sdr(x, estimate) - sdr(x, y)
     assert full.consistency_sq == distance > 0
     assert (full.outer_iter, full.objective, full.inner_iters,
-            full.wall_ms) == (3, 1.5, 30, 2.0)
+            full.wall_ms) == (3, 1.5, 30, 2000.0)
     bare = [frame_record(0, estimate, reference=np.zeros(4)),
             frame_record(1, x, reference=x)]
     assert [(r.frame_index, r.sdr_db, r.delta_sdr_db, r.consistency_sq,

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -539,6 +541,16 @@ def test_progressive_schedule_edges():
         progressive_schedule(1, 2, 0)
 
 
+@pytest.mark.parametrize("n1, n_last, outer", [(1, 20, 3), (math.nan, 2, 3),
+                                               (1, 400, 3), (1, 400, 1)])
+def test_progressive_schedule_rejects_counts_an_int64_cannot_hold(n1, n_last,
+                                                                  outer):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"exponents {n1}, {n_last}"):
+            progressive_schedule(n1, n_last, outer)
+
+
 def test_extrapolate():
     u_half = np.array([1.0, 2.0])
     u_prev = np.array([0.0, 1.0])
@@ -741,6 +753,32 @@ def test_acs_progressive_schedule_recorded_in_trace():
                        acceleration=frozenset())
     _, _, trace = acs_run(spec, cfg)
     assert tuple(e.inner_iters for e in trace) == schedule
+
+
+def test_acs_step_wall_times_split_the_call_from_its_start(monkeypatch):
+    # a clock that only the AR fits (1 s each) and the coefficient updates
+    # (0.25 s each) advance: step 1 holds the fits, and each step's time is
+    # shared by the rows of the stack
+    now = [0.0]
+
+    def advancing(fn, seconds):
+        def timed(*args, **kwargs):
+            now[0] += seconds
+            return fn(*args, **kwargs)
+        return timed
+
+    monkeypatch.setattr(solver_mod, "time",
+                        types.SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(solver_mod, "levinson_durbin",
+                        advancing(solver_mod.levinson_durbin, 1.0))
+    monkeypatch.setattr(solver_mod, "update_coefficients",
+                        advancing(solver_mod.update_coefficients, 0.25))
+    stack = ConsistencySpec.stack([clipped_instance(seed, n=64, p=2)[2]
+                                   for seed in (1, 2)])
+    _, _, traces = acs_run(stack, SolverConfig(order=2, outer_iters=3,
+                                               inner_iters=5))
+    assert [[step.wall_time for step in trace] for trace in traces] == \
+        [[1.125, 0.125, 0.125]] * 2
 
 
 def test_acs_spec_strategy_mismatch():
