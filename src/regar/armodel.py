@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import project_consistency
+from .metrics import consistency_distance
 
 __all__ = [
     "ObjectiveValue",
@@ -112,9 +112,10 @@ def levinson_durbin(x, p: int) -> np.ndarray:
 def objective(a, x, lambda_c: float, lambda_s: float, spec) -> ObjectiveValue:
     """Regularized AR objective: 1/2 ||e||^2 + lambda_c ||a||_1 + lambda_s/2 d_Gamma(x)^2.
 
-    The l1 norm includes the fixed leading coefficient.  For lambda_s = inf
-    the signal term is the indicator of the consistency set: zero when x is
-    feasible within ``1e-9 * sqrt(N)`` of the set, +inf otherwise.
+    The l1 norm includes the fixed leading coefficient.  The signal term is
+    ``lambda_s * consistency_distance(x, spec)`` (zero without a spec); for
+    lambda_s = inf it is the indicator of the consistency set: zero when x
+    is within ``1e-9 * sqrt(N)`` of the set, +inf otherwise.
     """
     a = coef_array(a)
     x = np.asarray(x, dtype=float)
@@ -123,25 +124,14 @@ def objective(a, x, lambda_c: float, lambda_s: float, spec) -> ObjectiveValue:
     e = residual(a, x)
     residual_term = 0.5 * float(e @ e)
     coef_term = lambda_c * float(np.abs(a).sum())
-    if spec is None:
-        dist = 0.0
-    else:
-        diff = x - project_consistency(x, spec)
-        dist = float(np.linalg.norm(diff))
+    half_sq = 0.0 if spec is None else consistency_distance(x, spec)
     if math.isinf(lambda_s):
-        if dist <= 1e-9 * math.sqrt(x.size):
-            signal_term = 0.0
-        else:
-            signal_term = math.inf
+        # within 1e-9 * sqrt(N) of the set: d^2 / 2 <= 0.5e-18 * N
+        signal_term = 0.0 if half_sq <= 0.5e-18 * x.size else math.inf
     else:
-        signal_term = lambda_s * 0.5 * dist * dist
-    total = residual_term + coef_term + signal_term
-    return ObjectiveValue(
-        total=total,
-        residual_term=residual_term,
-        coef_term=coef_term,
-        signal_term=signal_term,
-    )
+        signal_term = lambda_s * half_sq
+    return ObjectiveValue(residual_term + coef_term + signal_term,
+                          residual_term, coef_term, signal_term)
 
 
 def reflection_to_ar(reflection) -> np.ndarray:

@@ -356,12 +356,12 @@ def _hop(a) -> int:
 def _build_config(a) -> SolverConfig | None:
     if a.outer == 0:
         return None
-    schedule = None
+    inner = _SOLVER["inner_iters"] if a.inner is None else a.inner
     if a.inner_schedule is not None:
         parts = a.inner_schedule.split(",")
         if len(parts) != 2:
             raise ValueError("--inner-schedule takes two exponents n1,nI")
-        schedule = tuple(progressive_schedule(*map(float, parts), a.outer))
+        inner = progressive_schedule(*map(float, parts), a.outer)
     return SolverConfig(
         order=a.order,
         strategy=a.strategy,
@@ -370,8 +370,7 @@ def _build_config(a) -> SolverConfig | None:
         gamma_c=a.gamma_c,
         gamma_s=a.gamma_s,
         outer_iters=a.outer,
-        inner_iters=_SOLVER["inner_iters"] if a.inner is None else a.inner,
-        inner_schedule=schedule,
+        inner_iters=inner,
         acceleration=_parse_accel(a.accel),
     )
 

@@ -17,7 +17,9 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, groupby, islice, repeat
 
 import numpy as np
@@ -104,7 +106,8 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
     A frame whose observation is its exact solution (all samples pinned, and
     the strategy keeps pinned samples), or any frame when ``cfg`` is None, is
     its own estimate, with an empty trace; the others are solved in stacks
-    by ``acs_run``, one pool task each if a pool is asked for.
+    by ``acs_run``.  A task is called when its frames are taken: a pool
+    future's result when ``workers`` > 1, or else the solve itself.
     """
     def untouched(spec):
         return cfg is None or (cfg.keeps_pinned and bool(spec.pinned.all()))
@@ -115,26 +118,23 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
         _, x, traces = solved or (None, [spec.y for spec in stack], repeat(()))
         return zip(stack, x, traces)
 
-    if workers == 1 or cfg is None:
-        for stack, solve in _stacks(specs, untouched):
-            yield from rows(stack, acs_run(ConsistencySpec.stack(stack), cfg)
-                            if solve else None)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = (ProcessPoolExecutor(max_workers=workers)
+            if workers > 1 and cfg is not None else None)
+    submit = partial if pool is None else lambda *call: pool.submit(*call).result
+    with nullcontext() if pool is None else pool:
         pending = deque()  # (frames, task or None), in frame order
         in_flight = 0  # frames in pending
         for run in chain(_stacks(specs, untouched), [None]):
             if run is not None:
                 stack, solve = run
-                pending.append((stack, pool.submit(
-                    acs_run, ConsistencySpec.stack(stack), cfg)
-                    if solve else None))
+                pending.append((stack, submit(
+                    acs_run, ConsistencySpec.stack(stack), cfg) if solve else None))
                 in_flight += len(stack)
             while pending and (run is None or pending[0][1] is None
                                or in_flight >= FRAMES_PER_WORKER * workers):
                 stack, task = pending.popleft()
                 in_flight -= len(stack)
-                yield from rows(stack, None if task is None else task.result())
+                yield from rows(stack, task and task())
 
 
 def frame_record(k: int, estimate, observed=None, spec=None, reference=None,

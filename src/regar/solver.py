@@ -18,6 +18,7 @@ row, so each row rounds exactly as its frame solved alone.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -81,9 +82,10 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Everything the outer loop needs to know.
 
-    ``inner_schedule`` fixes the Douglas-Rachford iteration count per outer
-    iteration; when omitted it is the constant ``inner_iters``.  The
-    ``acceleration`` set may contain "extrapolate_signal",
+    ``inner_iters`` is the Douglas-Rachford iteration count of every outer
+    iteration, or a sequence of one count per outer iteration (stored as a
+    tuple); ``inner_schedule`` gives the count of each.  Counts must be
+    integers.  The ``acceleration`` set may contain "extrapolate_signal",
     "extrapolate_coefs" and "line_search"; the line search replaces the
     fixed-step extrapolations and cannot be combined with them.
     """
@@ -95,8 +97,7 @@ class SolverConfig:
     gamma_c: float = 1.0
     gamma_s: float = 1.0
     outer_iters: int = 10
-    inner_iters: int = 1000
-    inner_schedule: tuple = None  # type: ignore[assignment]
+    inner_iters: int | tuple = 1000
     acceleration: frozenset = frozenset()
 
     def __post_init__(self):
@@ -108,8 +109,19 @@ class SolverConfig:
             raise ValueError("regularization weights must be nonnegative")
         if not (0 < self.gamma_c < math.inf and 0 < self.gamma_s < math.inf):
             raise ValueError("step sizes must be positive and finite")
+        constant = np.ndim(self.inner_iters) == 0
+        counts = (self.inner_iters,) if constant else tuple(self.inner_iters)
+        if not all(isinstance(n, numbers.Integral)
+                   for n in (self.outer_iters, *counts)):
+            raise ValueError("outer and inner iteration counts must be integers")
         if self.outer_iters < 1:
             raise ValueError("need at least one outer iteration")
+        if not constant and len(counts) != self.outer_iters:
+            raise ValueError("inner schedule length must equal outer_iters")
+        if any(n < 1 for n in counts):
+            raise ValueError("inner iteration counts must be >= 1")
+        counts = tuple(map(int, counts))
+        object.__setattr__(self, "inner_iters", counts[0] if constant else counts)
         accel = frozenset(self.acceleration)
         unknown = accel - set(ACCELERATIONS)
         if unknown:
@@ -117,15 +129,12 @@ class SolverConfig:
         if "line_search" in accel and accel & {"extrapolate_signal", "extrapolate_coefs"}:
             raise ValueError("line_search replaces the fixed extrapolations")
         object.__setattr__(self, "acceleration", accel)
-        if self.inner_schedule is None:
-            schedule = (int(self.inner_iters),) * self.outer_iters
-        else:
-            schedule = tuple(int(n) for n in self.inner_schedule)
-        if len(schedule) != self.outer_iters:
-            raise ValueError("inner schedule length must equal outer_iters")
-        if any(n < 1 for n in schedule):
-            raise ValueError("inner iteration counts must be >= 1")
-        object.__setattr__(self, "inner_schedule", schedule)
+
+    @property
+    def inner_schedule(self) -> tuple:
+        """The inner iteration count of each outer iteration."""
+        counts = self.inner_iters
+        return counts if isinstance(counts, tuple) else (counts,) * self.outer_iters
 
     @property
     def keeps_pinned(self) -> bool:

@@ -13,6 +13,7 @@ from oracles import build_toeplitz
 from regar.armodel import (autocorrelation, levinson_durbin, objective,
                            random_stable_ar, reflection_to_ar, residual,
                            simulate_ar)
+from regar.metrics import consistency_distance
 from regar.prox import ConsistencySpec
 from regar.solver import (SolverConfig, janssen_signal_update,
                           update_coefficients, update_signal)
@@ -150,6 +151,26 @@ def test_objective_infinite_lambda_s():
     out = objective([1.0], y + 1.0, 0.0, math.inf, spec)
     assert math.isinf(out.total)
     assert math.isinf(out.signal_term)
+
+
+def test_objective_infinite_lambda_s_bound_is_1e_9_sqrt_n():
+    # the box of an all-reliable zero frame is the point 0, so a constant
+    # signal c lies sqrt(N) |c| from it: the bound falls at c = 1e-9
+    n = 400
+    spec = ConsistencySpec.inpaint(np.zeros(n), np.ones(n, dtype=bool))
+    inside = objective([1.0], np.full(n, 0.999e-9), 0.0, math.inf, spec)
+    outside = objective([1.0], np.full(n, 1.001e-9), 0.0, math.inf, spec)
+    assert inside.signal_term == 0.0
+    assert outside.signal_term == math.inf
+
+
+def test_objective_signal_term_is_the_consistency_distance():
+    # bit for bit: at this seed lambda_s/2 * ||d||^2 rounds differently
+    rng = np.random.default_rng(7)
+    spec = ConsistencySpec.dequant(rng.standard_normal(32), 0.5)
+    x = rng.standard_normal(32)
+    val = objective([1.0, -0.3], x, 0.1, 2.5, spec)
+    assert val.signal_term == 2.5 * consistency_distance(x, spec) > 0
 
 
 def test_objective_terms_sum():

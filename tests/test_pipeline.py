@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,31 @@ def test_pool_keeps_few_tasks_in_flight(inline_pool):
     assert pooled[0].tobytes() == serial[0].tobytes()
     assert ([dataclasses.replace(r, wall_ms=0.0) for r in pooled[1].per_frame]
             == [dataclasses.replace(r, wall_ms=0.0) for r in serial[1].per_frame])
+
+
+def test_in_process_solving_opens_no_pool(monkeypatch, inline_pool):
+    # one worker, or no config, solves in process: no pool and no thread,
+    # and the records of the two-worker (inline) pool
+    x, y, theta = clipped_channel(seed=3, n=4000)
+    model = DegradationModel(kind="clip", theta=theta)
+    cfg = SolverConfig(order=4, strategy="declip", outer_iters=1,
+                       inner_iters=10)
+    pooled = reconstruct_channel(y, model, cfg, 128, 32, workers=2,
+                                 reference=x)
+
+    def refuse(max_workers):
+        raise AssertionError("a process pool was opened")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", refuse)
+    threads = threading.active_count()
+    serial = reconstruct_channel(y, model, cfg, 128, 32, reference=x)
+    unsolved = reconstruct_channel(y, model, None, 128, 32, workers=2,
+                                   reference=x)
+    assert threading.active_count() == threads
+    assert serial[0].tobytes() == pooled[0].tobytes()
+    assert ([dataclasses.replace(r, wall_ms=0.0) for r in serial[1].per_frame]
+            == [dataclasses.replace(r, wall_ms=0.0) for r in pooled[1].per_frame])
+    assert all(r.outer_iter == 0 for r in unsolved[1].per_frame)
 
 
 def test_only_solved_frames_reach_the_pool(inline_pool):
@@ -519,7 +545,7 @@ def test_report_rows_are_read_off_each_frames_own_trace(workers):
     y = np.where(reliable, x, 0.0)
     model = DegradationModel(kind="drop", reliable=reliable)
     cfg = SolverConfig(order=4, strategy="inpaint", lambda_c=1e-3, outer_iters=3,
-                       inner_schedule=tuple(progressive_schedule(1, 2, 3)))
+                       inner_iters=tuple(progressive_schedule(1, 2, 3)))
     _, report = reconstruct_channel(y, model, cfg, frame, hop, workers=workers)
     specs = list(model.frame_specs(y, frame_layout(n, frame, hop)))
     assert len(specs) == len(report.per_frame)

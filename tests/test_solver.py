@@ -617,15 +617,34 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_config(acceleration=frozenset({"line_search", "extrapolate_signal"}))
     with pytest.raises(ValueError):
-        make_config(outer_iters=2, inner_schedule=(10,))
+        make_config(outer_iters=2, inner_iters=(10,))
     with pytest.raises(ValueError):
-        make_config(inner_schedule=(0,))
+        make_config(outer_iters=1, inner_iters=(0,))
     with pytest.raises(ValueError):
         make_config(gamma_c=0.0)
     with pytest.raises(ValueError):
         make_config(lambda_c=-1.0)
+    with pytest.raises(ValueError, match="integers"):
+        make_config(inner_iters=2.9)
+    with pytest.raises(ValueError, match="integers"):
+        make_config(outer_iters=2, inner_iters=(1.5, 3.7))
+    with pytest.raises(ValueError, match="integers"):
+        make_config(outer_iters=2.0)
     cfg = make_config(outer_iters=3, inner_iters=7)
     assert cfg.inner_schedule == (7, 7, 7)
+
+
+def test_inner_iters_is_the_only_inner_setting():
+    # a constant count follows outer_iters; a schedule is stored as ints
+    cfg = make_config(outer_iters=2, inner_iters=7)
+    assert dataclasses.replace(cfg, outer_iters=3).inner_schedule == (7, 7, 7)
+    scheduled = make_config(outer_iters=3, inner_iters=progressive_schedule(1, 2, 3))
+    assert scheduled.inner_iters == scheduled.inner_schedule == (10, 32, 100)
+    assert all(type(n) is int for n in scheduled.inner_iters)
+    with pytest.raises(ValueError, match="length"):
+        dataclasses.replace(scheduled, outer_iters=2)
+    with pytest.raises(TypeError):
+        make_config(inner_schedule=(7,))
 
 
 @pytest.mark.parametrize("weight", ["lambda_c", "lambda_s"])
@@ -749,7 +768,7 @@ def test_acs_progressive_schedule_recorded_in_trace():
     _, obs, spec = clipped_instance(12, n=64, p=2)
     schedule = tuple(progressive_schedule(1, 2, 3))
     cfg = SolverConfig(order=2, strategy="declip", lambda_s=math.inf,
-                       outer_iters=3, inner_schedule=schedule,
+                       outer_iters=3, inner_iters=schedule,
                        acceleration=frozenset())
     _, _, trace = acs_run(spec, cfg)
     assert tuple(e.inner_iters for e in trace) == schedule
@@ -862,8 +881,7 @@ def test_stack_solves_every_frame_as_alone(strategy, accel, rows, n, zero_row,
     rng = np.random.default_rng(seed)
     clean, specs = _stack_frames(strategy, rows, n, zero_row, rng)
     cfg = SolverConfig(order=3, strategy=strategy, lambda_c=1e-3, lambda_s=lambda_s,
-                       outer_iters=3, inner_iters=12,
-                       inner_schedule=(4, 9, 20) if progressive else None,
+                       outer_iters=3, inner_iters=(4, 9, 20) if progressive else 12,
                        **_STACK_ACCEL[accel])
     stack = ConsistencySpec.stack(specs)
     got = _solve(stack, cfg, clean)
