@@ -170,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--strategy", choices=STRATEGIES, required=True)
     _shared(rec, "--theta --bits --mask --lambda-c --lambda-s")
     rec.add_argument("--gamma-c", type=_positive_float, default=_SOLVER["gamma_c"])
-    rec.add_argument("--gamma-s", type=_positive_float, default=_SOLVER["gamma_s"])
+    rec.add_argument("--gamma-s", type=_positive_float, default=_SOLVER["gamma_s"],
+                     help="signal DR step multiplier; unused by declip at "
+                          "--lambda-s inf, whose signal step is exact")
     _shared(rec, "--order --frame --hop --outer --inner")
     rec.add_argument("--inner-schedule",
                      help="n1,nI exponents of a logarithmic schedule")

@@ -29,7 +29,7 @@ from .framing import frame_layout, overlap_add, segment, sine_window
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
                       sdr_scores)
 from .prox import ConsistencySpec
-from .solver import SolverConfig, acs_run
+from .solver import SolverConfig, _one_blas_thread_per_worker, acs_run
 
 __all__ = ["DegradationModel", "frame_record", "reconstruct_channel"]
 
@@ -118,7 +118,9 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
         _, x, traces = solved or (None, [spec.y for spec in stack], repeat(()))
         return zip(stack, x, traces)
 
-    pool = (ProcessPoolExecutor(max_workers=workers)
+    # each worker runs BLAS on one thread; the calling process keeps its own
+    pool = (ProcessPoolExecutor(max_workers=workers,
+                                initializer=_one_blas_thread_per_worker)
             if workers > 1 and cfg is not None else None)
     submit = partial if pool is None else lambda *call: pool.submit(*call).result
     with nullcontext() if pool is None else pool:

@@ -8,19 +8,24 @@ AR convolution (one real-FFT pair per inner iteration) against the
 separable regularizer prox on the head coordinates and zero on the tail.
 Janssen's exact missing-sample solve and its rectified GLP variant are the
 two classic baselines, selectable as strategies of the same outer loop.
+For declip at lambda_s = inf the signal subproblem is solved exactly
+instead, by a primal-dual active set on Janssen's banded normal equations.
 Optional accelerations: progressive inner-iteration schedules, extrapolation
 of either update, and a line search along the extrapolation direction.
 
 ``acs_run`` solves a stack of frames of one length in lockstep: the DR
 kernels run on (frames, L) arrays, while every per-frame reduction (energies,
-AR fit, Janssen's solve, objective, line-search choice) stays a 1-D call per
-row, so each row rounds exactly as its frame solved alone.
+AR fit, Janssen's solve, the active-set step, objective, line-search choice)
+stays a 1-D call per row, so each row rounds exactly as its frame solved
+alone.
 """
 
+import ctypes
 import math
 import numbers
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +44,7 @@ __all__ = [
     "update_coefficients",
     "update_signal",
     "janssen_signal_update",
+    "active_set_signal_update",
     "glp_rectify",
     "progressive_schedule",
     "extrapolate",
@@ -51,6 +57,11 @@ __all__ = [
 STRATEGIES = {"inpaint": ("declip", "inpaint"), "glp": ("declip",),
               "declip": ("declip",), "dequant": ("dequant",)}
 JANSSEN = ("inpaint", "glp")  # the strategies that run Janssen's solve
+# declip at lambda_s = inf takes the exact signal step, a primal-dual active
+# set of at most this many banded solves (``active_set_signal_update``);
+# dequant keeps the signal DR: its box pins no sample, so the step starts
+# cold, and at its orders the DR is the cheaper of the two
+ACTIVE_SET_PASSES = 20
 ACCELERATIONS = ("extrapolate_signal", "extrapolate_coefs", "line_search")
 
 COEF_GROWTH_LIMIT = 1e6
@@ -59,7 +70,8 @@ TAU_GRID = np.logspace(-4.0, 2.0, 25)
 
 
 class SolverError(RuntimeError):
-    """A frame's solve stopped: a non-finite DR iterate or runaway coefficients.
+    """A frame's solve stopped: a non-finite DR iterate or exact signal step,
+    or runaway coefficients.
 
     ``reason`` says why, ``row`` is the failing row of the stack (0 for a
     single frame) and ``trace`` that row's list of ``AcsStep`` up to the
@@ -84,10 +96,13 @@ class SolverConfig:
 
     ``inner_iters`` is the Douglas-Rachford iteration count of every outer
     iteration, or a sequence of one count per outer iteration (stored as a
-    tuple); ``inner_schedule`` gives the count of each.  Counts must be
-    integers.  The ``acceleration`` set may contain "extrapolate_signal",
-    "extrapolate_coefs" and "line_search"; the line search replaces the
-    fixed-step extrapolations and cannot be combined with them.
+    tuple); ``inner_schedule`` gives the count of each.  Declip at
+    lambda_s = inf solves its signal step exactly, so there the count (and
+    ``gamma_s``) concerns the coefficient DR alone.  The order and the counts
+    must be integers.  The ``acceleration`` set may contain
+    "extrapolate_signal", "extrapolate_coefs" and "line_search"; the line
+    search replaces the fixed-step extrapolations and cannot be combined
+    with them.
     """
 
     order: int
@@ -101,6 +116,12 @@ class SolverConfig:
     acceleration: frozenset = frozenset()
 
     def __post_init__(self):
+        constant = np.ndim(self.inner_iters) == 0
+        counts = (self.inner_iters,) if constant else tuple(self.inner_iters)
+        if not all(isinstance(n, numbers.Integral)
+                   for n in (self.order, self.outer_iters, *counts)):
+            raise ValueError("model order and outer and inner iteration counts "
+                             "must be integers")
         if self.order < 0:
             raise ValueError("model order must be nonnegative")
         if self.strategy not in STRATEGIES:
@@ -109,11 +130,6 @@ class SolverConfig:
             raise ValueError("regularization weights must be nonnegative")
         if not (0 < self.gamma_c < math.inf and 0 < self.gamma_s < math.inf):
             raise ValueError("step sizes must be positive and finite")
-        constant = np.ndim(self.inner_iters) == 0
-        counts = (self.inner_iters,) if constant else tuple(self.inner_iters)
-        if not all(isinstance(n, numbers.Integral)
-                   for n in (self.outer_iters, *counts)):
-            raise ValueError("outer and inner iteration counts must be integers")
         if self.outer_iters < 1:
             raise ValueError("need at least one outer iteration")
         if not constant and len(counts) != self.outer_iters:
@@ -151,7 +167,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class AcsStep:
-    """Diagnostics recorded after one outer iteration."""
+    """Diagnostics recorded after one outer iteration.
+
+    ``signal_passes`` counts the banded solves of the signal update: the
+    active-set passes (``ACTIVE_SET_PASSES`` for a step that hit the cap),
+    1 for Janssen's solve and 0 for the Douglas-Rachford signal update.
+    """
 
     outer_iter: int
     objective: float
@@ -162,6 +183,7 @@ class AcsStep:
     wall_time: float
     coef_change: float
     sdr_db: float | None = None
+    signal_passes: int = 0
 
 
 def douglas_rachford(filt, n_head: int, head_prox, z0, gamma, *, iters: int,
@@ -324,9 +346,80 @@ def janssen_signal_update(a, y, reliable, *, lags=None) -> np.ndarray:
     rhs = -gram_fixed[missing]
     band = np.append(acorr, 0.0)[lags]
     import scipy.linalg  # deferred: it dominates the import time of the package
+    if _one_blas_thread_pending:
+        _set_one_blas_thread()
     x_fixed[missing] = scipy.linalg.solveh_banded(
         band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
     return x_fixed
+
+
+def active_set_signal_update(a, x_prev, spec: ConsistencySpec):
+    """Exact minimizer of the residual energy over the box of one frame.
+
+    A primal-dual active set (Hintermueller, Ito & Kunisch, SIAM J. Optim.
+    13(3), 2002).  Each pass fixes the pinned samples and the samples held
+    at a bound, solves the rest with ``janssen_signal_update``, then releases
+    every held sample whose gradient has the wrong sign and holds every free
+    sample beyond a bound.  The held set starts as the samples of ``x_prev``
+    at or beyond a bound; a pass that leaves it unchanged ends the step with
+    the exact minimizer, feasible to the bit.  After ``ACTIVE_SET_PASSES``
+    passes the step keeps the lowest-residual box projection of an iterate
+    or of ``x_prev``, so it is feasible and never raises the residual above
+    that of ``x_prev`` projected.  Returns the signal and its banded solves.
+    """
+    a = coef_array(a)
+    x_prev = np.asarray(x_prev, dtype=float)
+    lower, upper, pinned = spec.lower, spec.upper, spec.pinned
+    low = ~pinned & (x_prev <= lower)
+    high = ~pinned & (x_prev >= upper)
+    iterates = [x_prev]
+    for passes in range(1, ACTIVE_SET_PASSES + 1):
+        fixed = pinned | low | high
+        x = janssen_signal_update(a, np.where(high, upper, lower), fixed)
+        grad = np.correlate(np.convolve(x, a), a, "valid")
+        # a sample held at its lower bound needs grad >= 0, at its upper <= 0
+        new_low = low & (grad >= 0) | ~fixed & (x < lower)
+        new_high = high & (grad <= 0) | ~fixed & (x > upper)
+        if np.array_equal(new_low, low) and np.array_equal(new_high, high):
+            return x, passes
+        low, high = new_low, new_high
+        iterates.append(x)
+    candidates = [project_consistency(v, spec) for v in iterates]
+    energies = [float(e @ e) for e in (np.convolve(v, a) for v in candidates)]
+    return candidates[int(np.argmin(energies))], ACTIVE_SET_PASSES
+
+
+# True in a pool worker until its first banded solve sets BLAS to one thread
+_one_blas_thread_pending = False
+
+
+def _one_blas_thread_per_worker() -> None:
+    """Pool initializer: the worker's first banded solve sets its BLAS to one
+    thread, so a worker that never solves one never loads ``scipy.linalg``."""
+    global _one_blas_thread_pending
+    _one_blas_thread_pending = True
+
+
+def _scipy_openblas():
+    """scipy's bundled OpenBLAS (the BLAS behind ``solveh_banded``), or None
+    where scipy bundles none."""
+    import scipy
+
+    for path in (Path(scipy.__file__).parent.parent / "scipy.libs").glob(
+            "libscipy_openblas*.so"):
+        return ctypes.CDLL(str(path))
+    return None
+
+
+def _set_one_blas_thread() -> None:
+    """Run scipy's OpenBLAS on one thread from now on in this process; a
+    missing library or symbol leaves it as it is."""
+    global _one_blas_thread_pending
+    _one_blas_thread_pending = False
+    setter = getattr(_scipy_openblas(), "scipy_openblas_set_num_threads", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def glp_rectify(x, spec: ConsistencySpec) -> np.ndarray:
@@ -417,10 +510,12 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     coefficients and signal and one trace per frame, each with the bits of
     its frame solved alone.  A step's ``wall_time`` is its row's share of
     the time since the previous step, or since the call began for step 1
-    (which so includes the AR fits and Janssen's band layouts).  A row that
-    diverges or grows stops the stack with a ``SolverError`` that names the
-    first such row and carries its trace: the steps finished before the
-    diverging one, or up to and including the step that grew.
+    (which so includes the AR fits and Janssen's band layouts).  Janssen's
+    solve and the active-set step run row by row.  A row that diverges,
+    whose exact signal step is not finite, or that grows stops the stack
+    with a ``SolverError`` that names the first such row and carries its
+    trace: the steps finished before the failing one, or up to and
+    including the step that grew.
     """
     t_last = time.perf_counter()
     cfg.check_box(spec.variant)
@@ -445,15 +540,26 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     z_sig = None
     traces = [[] for _ in rows]
 
+    exact = cfg.strategy == "declip" and cfg.lambda_s == math.inf
+
     def signal_step(a, x_cur, z_cur, inner):
-        if cfg.strategy not in JANSSEN:
-            return update_signal(a, x_cur, cfg, spec, inner_iters=inner,
-                                 state=z_cur)
-        x_new = np.stack([janssen_signal_update(a_k, y_k, rel, lags=lags_k)
-                          for a_k, y_k, rel, lags_k in zip(a, spec.y, reliable, lags)])
+        """The signal update, its DR state and each row's banded solves."""
+        if cfg.strategy in JANSSEN:
+            x_new = [janssen_signal_update(a_k, y_k, rel, lags=lags_k)
+                     for a_k, y_k, rel, lags_k in zip(a, spec.y, reliable, lags)]
+            passes = [1] * len(rows)
+        elif exact:
+            x_new, passes = zip(*map(active_set_signal_update, a, x_cur, rows))
+        else:
+            return (*update_signal(a, x_cur, cfg, spec, inner_iters=inner,
+                                   state=z_cur), [0] * len(rows))
+        for k, row in enumerate(x_new):
+            if not np.isfinite(row).all():
+                raise SolverError("non-finite signal step", k)
+        x_new = np.stack(x_new)
         if cfg.strategy == "glp":
             x_new = glp_rectify(x_new, spec)
-        return x_new, z_cur
+        return x_new, z_cur, passes
 
     for i in range(1, cfg.outer_iters + 1):
         inner = cfg.inner_schedule[i - 1]
@@ -463,7 +569,7 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
             a_half, z_coef = update_coefficients(x_prev, coeffs, cfg,
                                                  inner_iters=inner, state=z_coef)
             if "line_search" in cfg.acceleration:
-                x_half, z_sig = signal_step(a_half, x_prev, z_sig, inner)
+                x_half, z_sig, passes = signal_step(a_half, x_prev, z_sig, inner)
                 picks = [line_search(*pair, lambda a_t, x_t, r=row_spec: objective(
                              a_t, x_t, cfg.lambda_c, cfg.lambda_s, r).total, TAU_GRID)
                          for *pair, row_spec in zip(a_half, a_prev, x_half,
@@ -475,7 +581,7 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
                     coeffs = extrapolate(a_half, a_prev, tau_c, anchor_first=True)
                 else:
                     coeffs = a_half
-                x_half, z_sig = signal_step(coeffs, x_prev, z_sig, inner)
+                x_half, z_sig, passes = signal_step(coeffs, x_prev, z_sig, inner)
                 if "extrapolate_signal" in cfg.acceleration and cfg.outer_iters > 1:
                     tau_s = (cfg.outer_iters - i) / (cfg.outer_iters - 1)
                     x = extrapolate(x_half, x_prev, tau_s)
@@ -494,7 +600,8 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
             trace.append(AcsStep(
                 i, value.total, value.residual_term, value.coef_term,
                 value.signal_term, inner, wall, change,
-                None if ground_truth is None else sdr(ground_truth[k], x[k])))
+                None if ground_truth is None else sdr(ground_truth[k], x[k]),
+                passes[k]))
             magnitude = float(np.max(np.abs(coeffs[k])))
             if magnitude > COEF_GROWTH_LIMIT:
                 raise SolverError(

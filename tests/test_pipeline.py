@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -106,12 +107,14 @@ def test_worker_count_does_not_change_result():
 class InlinePool:
     """Process-pool stand-in: runs each task on submit and counts the tasks,
     the frames submitted and the frames whose result is not taken yet (a
-    task's first argument is its stacked box, one frame per row)."""
+    task's first argument is its stacked box, one frame per row), and keeps
+    the worker initializer it was given."""
 
     tasks = submitted = in_flight = peak = 0
+    initializer = None
 
-    def __init__(self, max_workers):
-        pass
+    def __init__(self, max_workers, initializer=None):
+        InlinePool.initializer = initializer
 
     def __enter__(self):
         return self
@@ -140,6 +143,7 @@ def inline_pool(monkeypatch):
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
     for counter in ("tasks", "submitted", "in_flight", "peak"):
         monkeypatch.setattr(InlinePool, counter, 0)
+    monkeypatch.setattr(InlinePool, "initializer", None)
     return InlinePool
 
 
@@ -169,7 +173,7 @@ def test_in_process_solving_opens_no_pool(monkeypatch, inline_pool):
     pooled = reconstruct_channel(y, model, cfg, 128, 32, workers=2,
                                  reference=x)
 
-    def refuse(max_workers):
+    def refuse(max_workers, initializer=None):
         raise AssertionError("a process pool was opened")
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", refuse)
@@ -263,6 +267,46 @@ def test_worker_count_never_changes_the_bits_at_blas_size():
     assert out1.tobytes() == out2.tobytes()
     assert ([dataclasses.replace(r, wall_ms=0.0) for r in rep1.per_frame]
             == [dataclasses.replace(r, wall_ms=0.0) for r in rep2.per_frame])
+
+
+def test_worker_count_never_changes_the_bits_of_declip_at_blas_size():
+    # declip at the paper's sizes, a quarter of the samples clipped: each
+    # exact signal step is a few banded solves on the free clipped samples
+    rng = np.random.default_rng(8)
+    x = simulate_ar(random_stable_ar(16, rng), 3072, rng)
+    theta = float(np.quantile(np.abs(x), 0.75))
+    model = DegradationModel(kind="clip", theta=theta)
+    cfg = SolverConfig(order=512, strategy="declip", lambda_c=1e-3,
+                       outer_iters=2, inner_iters=10)
+    (out1, rep1), (out2, rep2) = [
+        reconstruct_channel(hard_clip(x, theta).y, model, cfg, 2048, 512,
+                            workers=workers, reference=x)
+        for workers in (1, 2)]
+    assert out1.tobytes() == out2.tobytes()
+    assert ([dataclasses.replace(r, wall_ms=0.0) for r in rep1.per_frame]
+            == [dataclasses.replace(r, wall_ms=0.0) for r in rep2.per_frame])
+
+
+def _blas_threads_after_a_banded_solve():
+    solver_mod.janssen_signal_update([1.0, -0.5], np.ones(8), np.arange(8) % 2 == 0)
+    return solver_mod._scipy_openblas().scipy_openblas_get_num_threads()
+
+
+def test_pool_workers_run_blas_on_one_thread_and_the_caller_keeps_its_own(
+        inline_pool):
+    blas = solver_mod._scipy_openblas()
+    if not hasattr(blas, "scipy_openblas_get_num_threads"):
+        pytest.skip("scipy bundles no OpenBLAS with a thread-count symbol")
+    x, y, theta = clipped_channel(seed=3, n=600)
+    cfg = SolverConfig(order=4, strategy="declip", outer_iters=1, inner_iters=10)
+    reconstruct_channel(y, DegradationModel(kind="clip", theta=theta), cfg,
+                        128, 32, workers=2)
+    assert inline_pool.initializer is solver_mod._one_blas_thread_per_worker
+    before = blas.scipy_openblas_get_num_threads()
+    with ProcessPoolExecutor(
+            max_workers=1, initializer=inline_pool.initializer) as pool:
+        assert pool.submit(_blas_threads_after_a_banded_solve).result() == 1
+    assert blas.scipy_openblas_get_num_threads() == before
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -491,6 +491,99 @@ def test_janssen_banded_matches_dense_property(p, extra, tail_l1, family, seed):
         fast.tobytes()
 
 
+# -------------------------------------------------------- exact signal step
+
+def _residual_energy(a, x) -> float:
+    e = residual(a, x)
+    return float(e @ e)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.integers(1, 8), extra=st.integers(8, 80),
+       clipped=st.floats(0.05, 0.7), seed=st.integers(0, 2**32 - 1))
+def test_active_set_step_is_the_exact_box_minimizer(p, extra, clipped, seed):
+    # a random filter against a random AR frame clipped at a random level
+    rng = np.random.default_rng(seed)
+    n = p + extra
+    x = simulate_ar(random_stable_ar(p, rng), n, rng)
+    theta = float(np.quantile(np.abs(x), 1.0 - clipped))
+    spec = ConsistencySpec.declip(hard_clip(x, theta).y, theta)
+    a = random_stable_ar(p, rng)
+    out, passes = solver_mod.active_set_signal_update(a, spec.y, spec)
+    assert 1 <= passes < solver_mod.ACTIVE_SET_PASSES
+    np.testing.assert_array_equal(project_consistency(out, spec), out)
+    grad = np.correlate(np.convolve(out, a), a, "valid")
+    tol = 1e-9 * np.abs(a).sum() ** 2 * np.max(np.abs(out))
+    free = (spec.lower < out) & (out < spec.upper)
+    at_lower = ~spec.pinned & (out == spec.lower)
+    at_upper = ~spec.pinned & (out == spec.upper)
+    assert np.all(np.abs(grad[free]) <= tol)
+    assert np.all(grad[at_lower] >= -tol) and np.all(grad[at_upper] <= tol)
+    # no lower than the Douglas-Rachford oracle run to convergence
+    cfg = make_config(order=p, lambda_s=math.inf, inner_iters=3000)
+    dense = dense_update_signal(a, spec.y, cfg, spec)
+    assert _residual_energy(a, out) <= _residual_energy(a, dense) * (1 + 1e-9)
+
+
+def test_capped_active_set_step_stays_feasible_and_never_rises(monkeypatch):
+    # one pass per step: each step keeps its best box-projected candidate
+    monkeypatch.setattr(solver_mod, "ACTIVE_SET_PASSES", 1)
+    x_true, obs, spec = clipped_instance(8, n=128, p=4)
+    a = random_stable_ar(4, np.random.default_rng(3))
+    start = spec.y + 0.05 * np.random.default_rng(4).standard_normal(spec.y.size)
+    out, passes = solver_mod.active_set_signal_update(a, start, spec)
+    assert passes == 1
+    np.testing.assert_array_equal(project_consistency(out, spec), out)
+    assert _residual_energy(a, out) <= _residual_energy(
+        a, project_consistency(start, spec))
+    cfg = SolverConfig(order=4, strategy="declip", lambda_c=1e-3,
+                       lambda_s=math.inf, outer_iters=6, inner_iters=500)
+    _, x, trace = acs_run(spec, cfg)
+    assert consistency_distance(x, spec) == 0.0
+    assert [e.signal_passes for e in trace] == [1] * 6
+    assert all(e.signal_term == 0.0 for e in trace)
+    q = np.array([e.objective for e in trace])
+    assert np.all(np.diff(q) <= 1e-6 * q[0])
+
+
+@pytest.mark.parametrize("strategy, lambda_s, passes", [
+    ("declip", math.inf, None), ("declip", 10.0, 0), ("dequant", math.inf, 0),
+    ("inpaint", math.inf, 1), ("glp", math.inf, 1)])
+def test_trace_counts_the_banded_solves_of_each_signal_step(strategy, lambda_s,
+                                                            passes):
+    # declip at lambda_s = inf alone takes the active-set step
+    x_true, obs, spec = clipped_instance(9, n=96, p=3)
+    if strategy == "dequant":
+        spec = ConsistencySpec.dequant(x_true, 0.1)
+    cfg = SolverConfig(order=3, strategy=strategy, lambda_c=1e-3,
+                       lambda_s=lambda_s, outer_iters=3, inner_iters=50)
+    _, _, trace = acs_run(spec, cfg)
+    counts = [e.signal_passes for e in trace]
+    if passes is None:
+        assert all(1 <= c < solver_mod.ACTIVE_SET_PASSES for c in counts)
+    else:
+        assert counts == [passes] * 3
+
+
+def test_a_non_finite_exact_step_names_its_row(monkeypatch):
+    # the second row's step of the second outer iteration turns non-finite
+    frames = [clipped_instance(seed, n=64, p=2)[2] for seed in (10, 11)]
+    real = solver_mod.active_set_signal_update
+    calls = []
+
+    def failing(a, x_prev, spec):
+        calls.append(None)
+        x, passes = real(a, x_prev, spec)
+        return (x * np.nan if len(calls) == 4 else x), passes
+
+    monkeypatch.setattr(solver_mod, "active_set_signal_update", failing)
+    cfg = SolverConfig(order=2, strategy="declip", outer_iters=3, inner_iters=20)
+    with pytest.raises(SolverError, match="in row 1$") as err:
+        acs_run(ConsistencySpec.stack(frames), cfg)
+    assert (err.value.reason, err.value.row) == ("non-finite signal step", 1)
+    assert len(err.value.trace) == 1
+
+
 # --------------------------------------------------------------------- GLP
 
 def test_glp_rectify_flip_formula():
@@ -630,6 +723,8 @@ def test_config_validation():
         make_config(outer_iters=2, inner_iters=(1.5, 3.7))
     with pytest.raises(ValueError, match="integers"):
         make_config(outer_iters=2.0)
+    with pytest.raises(ValueError, match="integers"):
+        make_config(order=2.5)
     cfg = make_config(outer_iters=3, inner_iters=7)
     assert cfg.inner_schedule == (7, 7, 7)
 
