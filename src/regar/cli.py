@@ -1,7 +1,7 @@
 """Command-line interface: degrade, reconstruct, evaluate, demo.
 
 The CLI works on WAV files; stereo files are processed per channel.  Reports
-go out as CSV or JSON with one row per frame plus global aggregates.
+go out as CSV or JSON with one row per frame plus whole-file aggregates.
 """
 
 import argparse
@@ -78,7 +78,7 @@ def _validate(a: argparse.Namespace) -> None:
     if a.command in ("reconstruct", "demo"):
         if a.outer < 0:
             raise ValueError("outer iteration count must be >= 0")
-        if a.order < 0:  # checked here too, since --outer 0 builds no config
+        if a.order < 0:
             raise ValueError("--order must be nonnegative")
         if a.inner_schedule is not None and a.inner is not None:
             raise ValueError("--inner and --inner-schedule conflict")
@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(rec, "--theta --bits --mask --lambda-c --lambda-s")
     rec.add_argument("--gamma-c", type=_positive_float, default=_SOLVER["gamma_c"])
     rec.add_argument("--gamma-s", type=_positive_float, default=_SOLVER["gamma_s"],
-                     help="signal DR step multiplier; unused by declip at "
-                          "--lambda-s inf, whose signal step is exact")
+                     help="signal DR step multiplier; unused unless "
+                          "SolverConfig.signal_step is 'dr' (see README)")
     _shared(rec, "--order --frame --hop --outer --inner")
     rec.add_argument("--inner-schedule",
                      help="n1,nI exponents of a logarithmic schedule")
@@ -271,7 +271,7 @@ def _merge_reports(parts: list[ReconstructionReport], reference, degraded,
                    estimate) -> ReconstructionReport:
     """Combine per-channel reports into one, with globals over all channels.
 
-    The global consistency is None unless every channel measured one.
+    The merged consistency is None unless every channel measured one.
     """
     records = []
     offset = 0
@@ -356,25 +356,27 @@ def _hop(a) -> int:
 
 
 def _build_config(a) -> SolverConfig | None:
-    if a.outer == 0:
-        return None
+    """The solver config of the options, or None at --outer 0, where the
+    solver options are still checked as at --outer 1."""
+    outer = max(a.outer, 1)
     inner = _SOLVER["inner_iters"] if a.inner is None else a.inner
     if a.inner_schedule is not None:
         parts = a.inner_schedule.split(",")
         if len(parts) != 2:
             raise ValueError("--inner-schedule takes two exponents n1,nI")
-        inner = progressive_schedule(*map(float, parts), a.outer)
-    return SolverConfig(
+        inner = progressive_schedule(*map(float, parts), outer)
+    cfg = SolverConfig(
         order=a.order,
         strategy=a.strategy,
         lambda_c=a.lambda_c,
         lambda_s=a.lambda_s,
         gamma_c=a.gamma_c,
         gamma_s=a.gamma_s,
-        outer_iters=a.outer,
+        outer_iters=outer,
         inner_iters=inner,
         acceleration=_parse_accel(a.accel),
     )
+    return cfg if a.outer > 0 else None
 
 
 def _restore(a, buf: AudioBuffer, reference: AudioBuffer | None):

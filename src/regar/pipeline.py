@@ -29,7 +29,7 @@ from .framing import frame_layout, overlap_add, segment, sine_window
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
                       sdr_scores)
 from .prox import ConsistencySpec
-from .solver import SolverConfig, _one_blas_thread_per_worker, acs_run
+from .solver import SolverConfig, _set_one_blas_thread, acs_run
 
 __all__ = ["DegradationModel", "frame_record", "reconstruct_channel"]
 
@@ -118,9 +118,12 @@ def _frame_estimates(specs, cfg: SolverConfig | None,
         _, x, traces = solved or (None, [spec.y for spec in stack], repeat(()))
         return zip(stack, x, traces)
 
-    # each worker runs BLAS on one thread; the calling process keeps its own
-    pool = (ProcessPoolExecutor(max_workers=workers,
-                                initializer=_one_blas_thread_per_worker)
+    # a worker of a banded signal step runs scipy's BLAS on one thread from
+    # its start, and the calling process keeps its own; a worker of the
+    # signal DR never loads scipy.linalg
+    pool = (ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=None if cfg.signal_step == "dr" else _set_one_blas_thread)
             if workers > 1 and cfg is not None else None)
     submit = partial if pool is None else lambda *call: pool.submit(*call).result
     with nullcontext() if pool is None else pool:

@@ -8,8 +8,9 @@ AR convolution (one real-FFT pair per inner iteration) against the
 separable regularizer prox on the head coordinates and zero on the tail.
 Janssen's exact missing-sample solve and its rectified GLP variant are the
 two classic baselines, selectable as strategies of the same outer loop.
-For declip at lambda_s = inf the signal subproblem is solved exactly
-instead, by a primal-dual active set on Janssen's banded normal equations.
+``SolverConfig.signal_step`` names the signal step a configuration takes:
+the signal DR, Janssen's solve, or an exact primal-dual active set on
+Janssen's banded normal equations.
 Optional accelerations: progressive inner-iteration schedules, extrapolation
 of either update, and a line search along the extrapolation direction.
 
@@ -56,11 +57,7 @@ __all__ = [
 # missing-sample strategies need reliable samples, so no dequant box
 STRATEGIES = {"inpaint": ("declip", "inpaint"), "glp": ("declip",),
               "declip": ("declip",), "dequant": ("dequant",)}
-JANSSEN = ("inpaint", "glp")  # the strategies that run Janssen's solve
-# declip at lambda_s = inf takes the exact signal step, a primal-dual active
-# set of at most this many banded solves (``active_set_signal_update``);
-# dequant keeps the signal DR: its box pins no sample, so the step starts
-# cold, and at its orders the DR is the cheaper of the two
+# the banded solves of one active-set signal step, at most
 ACTIVE_SET_PASSES = 20
 ACCELERATIONS = ("extrapolate_signal", "extrapolate_coefs", "line_search")
 
@@ -96,9 +93,9 @@ class SolverConfig:
 
     ``inner_iters`` is the Douglas-Rachford iteration count of every outer
     iteration, or a sequence of one count per outer iteration (stored as a
-    tuple); ``inner_schedule`` gives the count of each.  Declip at
-    lambda_s = inf solves its signal step exactly, so there the count (and
-    ``gamma_s``) concerns the coefficient DR alone.  The order and the counts
+    tuple); ``inner_schedule`` gives the count of each.  Where
+    ``signal_step`` is not "dr" the signal step is exact, so the counts (and
+    ``gamma_s``) concern the coefficient DR alone.  The order and the counts
     must be integers.  The ``acceleration`` set may contain
     "extrapolate_signal", "extrapolate_coefs" and "line_search"; the line
     search replaces the fixed-step extrapolations and cannot be combined
@@ -155,7 +152,20 @@ class SolverConfig:
     @property
     def keeps_pinned(self) -> bool:
         """Whether a frame with every sample pinned is its own solution."""
-        return self.strategy in JANSSEN or self.lambda_s == math.inf
+        return self.signal_step == "janssen" or self.lambda_s == math.inf
+
+    @property
+    def signal_step(self) -> str:
+        """How each outer iteration solves the signal subproblem: "janssen"
+        for inpaint and glp (``janssen_signal_update``), "active_set" for
+        declip at lambda_s = inf (``active_set_signal_update``), else "dr"
+        (``update_signal``), the one step that reads ``gamma_s`` and the inner
+        counts.  Dequant keeps the DR: its box pins no sample, so an active
+        set starts cold, and at its orders the DR is the cheaper of the two."""
+        if self.strategy in ("inpaint", "glp"):
+            return "janssen"
+        exact = self.strategy == "declip" and self.lambda_s == math.inf
+        return "active_set" if exact else "dr"
 
     def check_box(self, variant: str) -> None:
         """Reject a consistency-spec variant the strategy does not take."""
@@ -346,8 +356,6 @@ def janssen_signal_update(a, y, reliable, *, lags=None) -> np.ndarray:
     rhs = -gram_fixed[missing]
     band = np.append(acorr, 0.0)[lags]
     import scipy.linalg  # deferred: it dominates the import time of the package
-    if _one_blas_thread_pending:
-        _set_one_blas_thread()
     x_fixed[missing] = scipy.linalg.solveh_banded(
         band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
     return x_fixed
@@ -389,17 +397,6 @@ def active_set_signal_update(a, x_prev, spec: ConsistencySpec):
     return candidates[int(np.argmin(energies))], ACTIVE_SET_PASSES
 
 
-# True in a pool worker until its first banded solve sets BLAS to one thread
-_one_blas_thread_pending = False
-
-
-def _one_blas_thread_per_worker() -> None:
-    """Pool initializer: the worker's first banded solve sets its BLAS to one
-    thread, so a worker that never solves one never loads ``scipy.linalg``."""
-    global _one_blas_thread_pending
-    _one_blas_thread_pending = True
-
-
 def _scipy_openblas():
     """scipy's bundled OpenBLAS (the BLAS behind ``solveh_banded``), or None
     where scipy bundles none."""
@@ -414,8 +411,6 @@ def _scipy_openblas():
 def _set_one_blas_thread() -> None:
     """Run scipy's OpenBLAS on one thread from now on in this process; a
     missing library or symbol leaves it as it is."""
-    global _one_blas_thread_pending
-    _one_blas_thread_pending = False
     setter = getattr(_scipy_openblas(), "scipy_openblas_set_num_threads", None)
     if setter is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], None
@@ -525,7 +520,8 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
         if ground_truth is not None:
             ground_truth = np.asarray(ground_truth, dtype=float)[None]
     rows = spec.rows()
-    if cfg.strategy in JANSSEN:
+    step = cfg.signal_step
+    if step == "janssen":
         reliable = spec.pinned
         # the band layout depends on the mask and order only: one per row
         lags = [_band_lags(np.flatnonzero(~rel), cfg.order) for rel in reliable]
@@ -540,15 +536,13 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     z_sig = None
     traces = [[] for _ in rows]
 
-    exact = cfg.strategy == "declip" and cfg.lambda_s == math.inf
-
     def signal_step(a, x_cur, z_cur, inner):
         """The signal update, its DR state and each row's banded solves."""
-        if cfg.strategy in JANSSEN:
+        if step == "janssen":
             x_new = [janssen_signal_update(a_k, y_k, rel, lags=lags_k)
                      for a_k, y_k, rel, lags_k in zip(a, spec.y, reliable, lags)]
             passes = [1] * len(rows)
-        elif exact:
+        elif step == "active_set":
             x_new, passes = zip(*map(active_set_signal_update, a, x_cur, rows))
         else:
             return (*update_signal(a, x_cur, cfg, spec, inner_iters=inner,

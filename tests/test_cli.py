@@ -544,6 +544,34 @@ def test_demo_rejects_bad_options_before_writing(tmp_path, capsys, option):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--accel", "bogus"], "unknown acceleration 'bogus'"),
+    (["--inner", "-5"], "inner iteration counts must be >= 1")])
+def test_demo_checks_the_solver_options_at_zero_outer(tmp_path, capsys, option,
+                                                      message):
+    # --outer 0 solves nothing, but a bad solver option still fails
+    out_dir = tmp_path / "demo"
+    assert run_cli(["demo", "--out-dir", str(out_dir), "--length", "2048",
+                    "--workers", "1", "--outer", "0", *option]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--accel", "bogus"], "unknown acceleration 'bogus'"),
+    (["--inner", "0"], "inner iteration counts must be >= 1"),
+    (["--inner-schedule", "2"], "--inner-schedule takes two exponents"),
+    (["--inner-schedule", "1,400"], "schedule exponents 1.0, 400.0")])
+def test_reconstruct_checks_the_solver_options_at_zero_outer(
+        tmp_path, ar_signal, capsys, option, message):
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out), "--strategy",
+                    "declip", "--outer", "0", "--workers", "1", *option]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, name", [
     (["--workers", "0"], "--workers"), (["--frame", "0"], "--frame"),
     (["--hop", "0"], "--hop"), (["--hop", "2048"], "--hop"),

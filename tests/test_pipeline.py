@@ -301,12 +301,31 @@ def test_pool_workers_run_blas_on_one_thread_and_the_caller_keeps_its_own(
     cfg = SolverConfig(order=4, strategy="declip", outer_iters=1, inner_iters=10)
     reconstruct_channel(y, DegradationModel(kind="clip", theta=theta), cfg,
                         128, 32, workers=2)
-    assert inline_pool.initializer is solver_mod._one_blas_thread_per_worker
+    assert inline_pool.initializer is solver_mod._set_one_blas_thread
     before = blas.scipy_openblas_get_num_threads()
     with ProcessPoolExecutor(
             max_workers=1, initializer=inline_pool.initializer) as pool:
         assert pool.submit(_blas_threads_after_a_banded_solve).result() == 1
     assert blas.scipy_openblas_get_num_threads() == before
+
+
+@pytest.mark.parametrize("strategy, lambda_s, initializer", [
+    ("declip", math.inf, solver_mod._set_one_blas_thread),
+    ("inpaint", math.inf, solver_mod._set_one_blas_thread),
+    ("glp", math.inf, solver_mod._set_one_blas_thread),
+    ("declip", 10.0, None), ("dequant", math.inf, None)])
+def test_only_a_banded_signal_step_caps_the_workers_blas(inline_pool, strategy,
+                                                         lambda_s, initializer):
+    x, y, theta = clipped_channel(seed=3, n=600)
+    model = DegradationModel(kind="clip", theta=theta)
+    if strategy == "dequant":
+        obs = uniform_quantize(x, 4)
+        y, model = obs.y, DegradationModel(kind="quant", delta=obs.delta)
+    cfg = SolverConfig(order=4, strategy=strategy, lambda_s=lambda_s,
+                       outer_iters=1, inner_iters=10)
+    reconstruct_channel(y, model, cfg, 128, 32, workers=2)
+    assert inline_pool.initializer is initializer
+    assert (initializer is None) == (cfg.signal_step == "dr")
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -563,6 +563,11 @@ def test_trace_counts_the_banded_solves_of_each_signal_step(strategy, lambda_s,
         assert all(1 <= c < solver_mod.ACTIVE_SET_PASSES for c in counts)
     else:
         assert counts == [passes] * 3
+    # the config names the step whose banded solves the trace counts
+    step = cfg.signal_step
+    assert step in ("dr", "janssen", "active_set")
+    assert all(c == 0 if step == "dr" else c == 1 if step == "janssen"
+               else c >= 1 for c in counts)
 
 
 def test_a_non_finite_exact_step_names_its_row(monkeypatch):
