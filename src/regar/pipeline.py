@@ -24,11 +24,10 @@ from itertools import chain, groupby, islice, repeat
 
 import numpy as np
 
-from .degrade import _as_bool_mask
 from .framing import frame_layout, overlap_add, segment, sine_window
 from .metrics import (FrameRecord, ReconstructionReport, consistency_distance,
                       sdr_scores)
-from .prox import ConsistencySpec
+from .prox import ConsistencySpec, _checked_param
 from .solver import SolverConfig, _set_one_blas_thread, acs_run
 
 __all__ = ["DegradationModel", "frame_record", "reconstruct_channel"]
@@ -40,15 +39,16 @@ FRAMES_PER_STACK = 4
 # frames in flight per pool worker: enough to keep every worker busy, few
 # enough that only a handful of frame specs are alive at once
 FRAMES_PER_WORKER = 8
+# the consistency box of each degradation kind, and the field holding its parameter
+_BOXES = {"clip": ("declip", "theta"), "quant": ("dequant", "delta"),
+          "drop": ("inpaint", "reliable")}
 
 
 @dataclass(frozen=True)
 class DegradationModel:
-    """How a channel was degraded: the information needed to rebuild frame specs.
-
-    kind "clip" needs theta, "quant" needs delta, "drop" needs the reliable
-    mask over the whole channel.
-    """
+    """How a channel was degraded: its consistency box without the
+    observation, whose parameter (theta, with MASK_TOL_FACTOR * theta of
+    slack, delta or the channel's reliable mask) ``_BOXES`` names by kind."""
 
     kind: str
     theta: float | None = None
@@ -56,28 +56,18 @@ class DegradationModel:
     reliable: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("clip", "quant", "drop"):
+        if self.kind not in _BOXES:
             raise ValueError(f"unknown degradation kind {self.kind!r}")
-        if self.kind == "clip" and not (self.theta and self.theta > 0):
-            raise ValueError("clip model needs a positive theta")
-        if self.kind == "quant" and not (self.delta and self.delta > 0):
-            raise ValueError("quant model needs a positive delta")
-        if self.kind == "drop":
-            if self.reliable is None:
-                raise ValueError("drop model needs the reliable mask")
-            object.__setattr__(self, "reliable", _as_bool_mask(
-                self.reliable, np.size(self.reliable)))
+        variant, name = _BOXES[self.kind]
+        object.__setattr__(self, name, _checked_param(variant, getattr(self, name)))
 
     def spec_for(self, y: np.ndarray, reliable=None) -> ConsistencySpec:
         """Consistency spec of the samples ``y``; ``reliable`` is a drop
         model's mask over them (by default the whole channel's)."""
-        if self.kind == "clip":
-            return ConsistencySpec.declip(y, self.theta,
-                                          tol=MASK_TOL_FACTOR * self.theta)
-        if self.kind == "quant":
-            return ConsistencySpec.dequant(y, self.delta)
-        return ConsistencySpec.inpaint(
-            y, self.reliable if reliable is None else reliable)
+        variant, name = _BOXES[self.kind]
+        param = getattr(self, name) if reliable is None else reliable
+        return ConsistencySpec(variant, y, param,
+                               MASK_TOL_FACTOR * param if variant == "declip" else 0.0)
 
     def frame_specs(self, y, layout) -> Iterator[ConsistencySpec]:
         """Consistency spec of every frame of channel ``y``, one at a time,

@@ -1,13 +1,15 @@
 """Proximal operators and consistency-set projections.
 
 Hosts the consistency-set description shared by the solver, metrics and CLI
-layers, the projection onto it, the penalty prox built from that projection,
-and the soft threshold used for the coefficient regularizer.  The quadratic
-prox of the AR residual lives in ``fastops``.
+layers (an observation and one parameter, from which the per-sample bounds
+follow), the projection onto it, the penalty prox built from that
+projection, and the soft threshold used for the coefficient regularizer.
+The quadratic prox of the AR residual lives in ``fastops``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -23,97 +25,106 @@ __all__ = [
 _VARIANTS = ("declip", "dequant", "inpaint")
 
 
+def _checked_param(variant: str, param, y=None, tol=0.0):
+    """``param`` checked as a ``variant`` box's parameter (theta or delta
+    positive, or a boolean mask), and against the frame ``y`` and a declip
+    ``tol`` when given: no |y_n| beyond theta by more than max(tol, 1 ulp)."""
+    if variant == "inpaint":
+        return _as_bool_mask(param, np.size(param) if y is None else y.size)
+    if param is None or not param > 0:
+        raise ValueError("clipping threshold must be positive" if variant == "declip"
+                         else "dequant spec needs a positive delta")
+    if variant == "declip" and y is not None:
+        if tol < 0:
+            raise ValueError("tolerance must be nonnegative")
+        if np.any(np.abs(y) > param + max(tol, np.spacing(param))):
+            raise ValueError("sample magnitude exceeds the clipping threshold")
+        if tol >= param and np.any(np.abs(y) <= tol - param):
+            raise ValueError("consistency set is empty: a sample is clipped both ways")
+    return param
+
+
 @dataclass(frozen=True)
 class ConsistencySpec:
     """The set of signals consistent with an observation: one interval per sample.
 
-    Sample n of a consistent signal lies in [lower[n], upper[n]].  A pinned
-    sample (lower = upper = y) is known exactly; an infinite bound leaves
-    that side free.  The arrays are one frame, or a stack of frames of one
-    length (one per row, see ``stack``).  The constructors build the box of
-    one frame for each variant:
+    The set is the observation ``y`` and its variant's parameter ``param``.
+    Sample n of a consistent signal lies in [lower[n], upper[n]], arrays
+    derived on first read and never pickled; a pinned sample (lower = upper
+    = y) is known exactly, and an infinite bound leaves that side free.
 
-    "declip":  reliable samples pinned, samples clipped high bounded below by
-        theta, samples clipped low bounded above by -theta.
-    "dequant": every sample within delta/2 of y (the closed box; the open set
-        has no projection, and its closure shares all feasible limit points).
-    "inpaint": reliable samples pinned, the rest free.
+    "declip":  theta and a tolerance ``tol``: |y_n| < theta - tol pinned, the
+        others bounded below by theta or above by -theta, by sign.
+    "dequant": delta: every sample within delta/2 of y (the closed box; the
+        open set has no projection, and its closure shares all feasible
+        limit points).
+    "inpaint": the boolean reliable mask: reliable samples pinned, the rest free.
+
+    A stack of frames of one length (see ``stack``) holds one frame per row
+    of ``y``, with theta, tol and delta as columns, or one mask per row.
     """
 
     variant: str
     y: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    param: float | np.ndarray
+    tol: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         y = np.asarray(self.y, dtype=float)
-        if y.ndim not in (1, 2):
+        if y.ndim == 1:  # a frame; a stack is checked through its frames
+            y = _as_signal(y)
+            object.__setattr__(self, "param", _checked_param(
+                self.variant, self.param, y, self.tol))
+        elif y.ndim != 2:
             raise ValueError("observation must be a 1-D signal or a stack of them")
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.shape != y.shape or upper.shape != y.shape:
-            raise ValueError("bounds must match the observation")
-        if np.any(lower > upper):
-            raise ValueError("consistency set is empty")
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
-    @property
-    def pinned(self) -> np.ndarray:
-        """Samples the observation fixes exactly."""
-        return self.lower == self.upper
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _box(self) -> tuple:
+        """(lower, upper, pinned)."""
+        y, p = self.y, self.param
+        if self.variant == "declip":
+            high, low = y >= p - self.tol, y <= self.tol - p
+            return (np.where(high, p, np.where(low, -np.inf, y)),
+                    np.where(low, -p, np.where(high, np.inf, y)), ~(high | low))
+        if self.variant == "dequant":
+            lower, upper = y - p / 2.0, y + p / 2.0
+            return lower, upper, lower == upper  # a delta below an ulp pins
+        return np.where(p, y, -np.inf), np.where(p, y, np.inf), p
+
+    lower = property(lambda self: self._box[0])
+    upper = property(lambda self: self._box[1])
+    pinned = property(lambda self: self._box[2])
 
     @classmethod
     def stack(cls, specs) -> "ConsistencySpec":
         """One set whose row k is the frame ``specs[k]`` (of the first's variant)."""
-        return cls(specs[0].variant, *(np.stack([getattr(spec, name) for spec in specs])
-                                       for name in ("y", "lower", "upper")))
+        return cls(specs[0].variant, *(
+            np.stack([np.atleast_1d(getattr(spec, name)) for spec in specs])
+            for name in ("y", "param", "tol")))
 
     def rows(self) -> list["ConsistencySpec"]:
         """The frame of every row of a stack, viewing its arrays."""
         return [ConsistencySpec(self.variant, *row)
-                for row in zip(self.y, self.lower, self.upper)]
+                for row in zip(self.y, self.param, self.tol)]
 
     @classmethod
     def declip(cls, y, theta: float, tol: float = 0.0) -> "ConsistencySpec":
-        """Box of a clipped observation.
-
-        A sample is reliable iff |y_n| < theta - tol; samples at or beyond the
-        (tolerance-reduced) threshold are clipped high or low by sign.
-        ``tol`` defaults to exact comparison and exists for observations that
-        went through a lossy store such as a 32-bit float file.  Samples
-        exceeding theta by more than max(tol, 1 ulp) are rejected.
-        """
-        y = _as_signal(y)
-        if not theta > 0:
-            raise ValueError("clipping threshold must be positive")
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if np.any(np.abs(y) > theta + max(tol, np.spacing(theta))):
-            raise ValueError("sample magnitude exceeds the clipping threshold")
-        level = theta - tol
-        high = y >= level
-        low = y <= -level
-        return cls("declip", y, np.where(high, theta, np.where(low, -np.inf, y)),
-                   np.where(low, -theta, np.where(high, np.inf, y)))
+        """Box of a clipped observation (``tol`` > 0 for a lossy store)."""
+        return cls("declip", y, theta, tol)
 
     @classmethod
     def dequant(cls, y, delta: float) -> "ConsistencySpec":
-        if not delta > 0:
-            raise ValueError("dequant spec needs a positive delta")
-        y = _as_signal(y)
-        half = delta / 2.0
-        return cls("dequant", y, y - half, y + half)
+        return cls("dequant", y, delta)
 
     @classmethod
     def inpaint(cls, y, reliable) -> "ConsistencySpec":
-        y = _as_signal(y)
-        free = ~_as_bool_mask(reliable, y.size)
-        return cls("inpaint", y, np.where(free, -np.inf, y),
-                   np.where(free, np.inf, y))
+        return cls("inpaint", y, reliable)
 
 
 def project_consistency(x, spec: ConsistencySpec, out=None) -> np.ndarray:

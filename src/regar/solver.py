@@ -296,8 +296,6 @@ def update_signal(a, x_prev, cfg: SolverConfig, spec: ConsistencySpec, *,
     """
     x_prev = np.asarray(x_prev, dtype=float)
     a = coef_array(a, x_prev.shape[:-1])
-    if spec.y.shape != x_prev.shape:
-        raise ValueError("consistency spec length does not match the signal")
     gamma = cfg.gamma_s / _row_energy(a)
     weight = gamma * cfg.lambda_s
     return douglas_rachford(
@@ -438,7 +436,8 @@ def glp_rectify(x, spec: ConsistencySpec) -> np.ndarray:
 
 def progressive_schedule(n1: float, n_last: float, outer_iters: int) -> np.ndarray:
     """Logarithmically spaced inner-iteration counts from 10**n1 to 10**n_last;
-    both exponents must be finite and every count must fit an int64."""
+    both exponents must be finite and give counts that fit an int64, at any
+    ``outer_iters`` (one keeps 10**n_last alone)."""
     if outer_iters < 1:
         raise ValueError("need at least one outer iteration")
     if math.isfinite(n1) and math.isfinite(n_last):
@@ -447,9 +446,9 @@ def progressive_schedule(n1: float, n_last: float, outer_iters: int) -> np.ndarr
         else:
             exponents = n1 + np.arange(outer_iters) / (outer_iters - 1) * (n_last - n1)
         with np.errstate(over="ignore"):  # an overflowing count fails below
-            counts = np.rint(10.0 ** exponents)
+            counts = np.rint(10.0 ** np.append(exponents, (n1, n_last)))
         if np.all(counts < 2.0 ** 63):
-            return counts.astype(int)
+            return counts[:outer_iters].astype(int)
     raise ValueError(f"schedule exponents {n1}, {n_last}: both must be finite "
                      "and give counts below 2**63")
 
@@ -477,10 +476,6 @@ def line_search(a_half, a_prev, x_half, x_prev, objective_fn, tau_grid):
     tau = 0 (no extrapolation) is always a candidate, so the returned pair is
     never worse than the plain update; ties resolve to the smallest tau.
     """
-    a_half = np.asarray(a_half, dtype=float)
-    a_prev = np.asarray(a_prev, dtype=float)
-    x_half = np.asarray(x_half, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
     taus = np.concatenate(([0.0], np.sort(np.asarray(tau_grid, dtype=float))))
     best = None
     for tau in taus:
@@ -507,10 +502,10 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     the time since the previous step, or since the call began for step 1
     (which so includes the AR fits and Janssen's band layouts).  Janssen's
     solve and the active-set step run row by row.  A row that diverges,
-    whose exact signal step is not finite, or that grows stops the stack
-    with a ``SolverError`` that names the first such row and carries its
-    trace: the steps finished before the failing one, or up to and
-    including the step that grew.
+    whose exact signal step fails to factor or is not finite, or that grows
+    stops the stack with a ``SolverError`` that names the first such row and
+    carries its trace: the steps finished before the failing one, or up to
+    and including the step that grew.
     """
     t_last = time.perf_counter()
     cfg.check_box(spec.variant)
@@ -522,9 +517,8 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
     rows = spec.rows()
     step = cfg.signal_step
     if step == "janssen":
-        reliable = spec.pinned
         # the band layout depends on the mask and order only: one per row
-        lags = [_band_lags(np.flatnonzero(~rel), cfg.order) for rel in reliable]
+        lags = [_band_lags(np.flatnonzero(~row.pinned), cfg.order) for row in rows]
 
     x = spec.y.copy()
     # an all-zero start has no autocorrelation to fit; the unit filter is
@@ -538,18 +532,22 @@ def acs_run(spec: ConsistencySpec, cfg: SolverConfig, ground_truth=None):
 
     def signal_step(a, x_cur, z_cur, inner):
         """The signal update, its DR state and each row's banded solves."""
-        if step == "janssen":
-            x_new = [janssen_signal_update(a_k, y_k, rel, lags=lags_k)
-                     for a_k, y_k, rel, lags_k in zip(a, spec.y, reliable, lags)]
-            passes = [1] * len(rows)
-        elif step == "active_set":
-            x_new, passes = zip(*map(active_set_signal_update, a, x_cur, rows))
-        else:
+        if step == "dr":
             return (*update_signal(a, x_cur, cfg, spec, inner_iters=inner,
                                    state=z_cur), [0] * len(rows))
-        for k, row in enumerate(x_new):
+        x_new, passes = [], []
+        for k, row_spec in enumerate(rows):
+            try:
+                row, solves = ((janssen_signal_update(a[k], row_spec.y, row_spec.pinned,
+                                                      lags=lags[k]), 1)
+                               if step == "janssen"
+                               else active_set_signal_update(a[k], x_cur[k], row_spec))
+            except np.linalg.LinAlgError as err:  # scipy's, from solveh_banded
+                raise SolverError("banded factorization failed", k) from err
             if not np.isfinite(row).all():
                 raise SolverError("non-finite signal step", k)
+            x_new.append(row)
+            passes.append(solves)
         x_new = np.stack(x_new)
         if cfg.strategy == "glp":
             x_new = glp_rectify(x_new, spec)

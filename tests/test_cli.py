@@ -296,6 +296,20 @@ def test_inner_schedule_exponents_are_checked(tmp_path, ar_signal, capsys,
     assert not out.exists()
 
 
+def test_inner_schedule_checks_both_exponents_at_one_outer_iteration(
+        tmp_path, ar_signal, capsys):
+    # --outer 1 keeps only the last count, yet the first exponent must still
+    # give a count below 2**63
+    clean, _ = ar_signal
+    out = tmp_path / "o.wav"
+    assert run_cli(["reconstruct", str(clean), "-o", str(out), "--strategy",
+                    "declip", "--order", "8", "--frame", "512", "--outer", "1",
+                    "--inner-schedule", "400,1", "--workers", "1"]) == 1
+    assert ("schedule exponents 400.0, 1.0: both must be finite and give "
+            "counts below 2**63" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", [["--theta", "0.3"], ["--bits", "4"],
                                     ["--mask", "m.npy"]])
 def test_evaluate_model_options_need_degraded(tmp_path, ar_signal, capsys,
@@ -561,7 +575,8 @@ def test_demo_checks_the_solver_options_at_zero_outer(tmp_path, capsys, option,
     (["--accel", "bogus"], "unknown acceleration 'bogus'"),
     (["--inner", "0"], "inner iteration counts must be >= 1"),
     (["--inner-schedule", "2"], "--inner-schedule takes two exponents"),
-    (["--inner-schedule", "1,400"], "schedule exponents 1.0, 400.0")])
+    (["--inner-schedule", "1,400"], "schedule exponents 1.0, 400.0"),
+    (["--inner-schedule", "400,1"], "schedule exponents 400.0, 1.0")])
 def test_reconstruct_checks_the_solver_options_at_zero_outer(
         tmp_path, ar_signal, capsys, option, message):
     clean, _ = ar_signal

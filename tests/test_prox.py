@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from oracles import (dense_quadratic_prox, mask_glp_rectify,
                      soft_threshold_anchored)
 from regar.prox import (ConsistencySpec, project_consistency,
                         prox_signal_penalty, soft_threshold)
-from regar.solver import glp_rectify
+from regar.solver import SolverConfig, glp_rectify
 
 
 def declip_spec(y, theta):
@@ -20,15 +21,16 @@ def declip_spec(y, theta):
 def test_spec_validation():
     y = np.zeros(4)
     with pytest.raises(ValueError, match="unknown variant"):
-        ConsistencySpec(variant="nope", y=y, lower=y, upper=y)
+        ConsistencySpec(variant="nope", y=y, param=1.0)
     # a 2-D spec is a stack of frames, one per row; more axes are rejected
     with pytest.raises(ValueError, match="1-D"):
         ConsistencySpec(variant="inpaint", y=np.zeros((2, 2, 2)),
-                        lower=np.zeros((2, 2, 2)), upper=np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match="bounds must match"):
-        ConsistencySpec(variant="inpaint", y=y, lower=y, upper=np.zeros(3))
+                        param=np.ones((2, 2, 2), dtype=bool))
+    # the parameter is checked against the frame it describes
+    with pytest.raises(ValueError, match="length 4"):
+        ConsistencySpec(variant="inpaint", y=y, param=np.ones(3, dtype=bool))
     with pytest.raises(ValueError, match="empty"):
-        ConsistencySpec(variant="dequant", y=y, lower=y + 1.0, upper=y)
+        ConsistencySpec(variant="declip", y=y, param=0.5, tol=0.5)
     with pytest.raises(ValueError, match="positive delta"):
         ConsistencySpec.dequant(y, 0.0)
     with pytest.raises(ValueError, match="length 4"):
@@ -121,17 +123,14 @@ def test_prox_signal_penalty_limits():
 _FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def _consistency_case(draw):
-    """(spec, mask-oracle keyword arguments, x, z) for a random observation.
+def _observed_frame(draw, variant, n):
+    """(spec, mask-oracle keyword arguments, special sample values) of one
+    random observed frame of length n.
 
     Declip observations mix interior samples, samples exactly at +-theta and
-    samples within tol of it (above it too); x and z mix arbitrary values
-    with signed zeros, the observation and the clipping levels, so ties and
-    zero signs are exercised.
+    samples within tol of it (above it too); the special values are the
+    signed zeros and, for declip, the clipping levels.
     """
-    variant = draw(st.sampled_from(("declip", "dequant", "inpaint")))
-    n = draw(st.integers(1, 24))
     if variant == "declip":
         theta = draw(st.floats(0.05, 2.0))
         tol = draw(st.sampled_from((0.0, 1e-6 * theta))
@@ -140,23 +139,28 @@ def _consistency_case(draw):
                   theta + tol / 2, -theta - tol / 2, 0.0, -0.0)
         y = draw(st.lists(st.floats(-1.0, 1.0).map(lambda u: u * theta)
                           | st.sampled_from(levels), min_size=n, max_size=n))
-        spec = ConsistencySpec.declip(y, theta, tol=tol)
-        oracle = dict(theta=theta, tol=tol)
-        special = (0.0, -0.0, theta, -theta)
-    else:
-        y = draw(st.lists(_FINITE | st.sampled_from((0.0, -0.0)),
-                          min_size=n, max_size=n))
-        if variant == "dequant":
-            delta = draw(st.floats(1e-3, 2.0))
-            spec = ConsistencySpec.dequant(y, delta)
-            oracle = dict(delta=delta)
-        else:
-            reliable = np.array(draw(st.lists(st.booleans(), min_size=n,
-                                              max_size=n)))
-            spec = ConsistencySpec.inpaint(y, reliable)
-            oracle = dict(reliable=reliable)
-        special = (0.0, -0.0)
-    points = st.lists(_FINITE | st.sampled_from(special + tuple(y)),
+        return (ConsistencySpec.declip(y, theta, tol=tol),
+                dict(theta=theta, tol=tol), (0.0, -0.0, theta, -theta))
+    y = draw(st.lists(_FINITE | st.sampled_from((0.0, -0.0)),
+                      min_size=n, max_size=n))
+    if variant == "dequant":
+        # a step below half an ulp of y pins the sample
+        delta = draw(st.floats(1e-3, 2.0) | st.just(1e-20))
+        return ConsistencySpec.dequant(y, delta), dict(delta=delta), (0.0, -0.0)
+    reliable = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return (ConsistencySpec.inpaint(y, reliable), dict(reliable=reliable),
+            (0.0, -0.0))
+
+
+@st.composite
+def _consistency_case(draw):
+    """(spec, mask-oracle keyword arguments, x, z) for a random observation;
+    x and z mix arbitrary values with the special values and the
+    observation, so ties and zero signs are exercised."""
+    variant = draw(st.sampled_from(("declip", "dequant", "inpaint")))
+    n = draw(st.integers(1, 24))
+    spec, oracle, special = _observed_frame(draw, variant, n)
+    points = st.lists(_FINITE | st.sampled_from(special + tuple(spec.y)),
                       min_size=n, max_size=n)
     return spec, oracle, np.array(draw(points)), np.array(draw(points))
 
@@ -329,3 +333,51 @@ def test_spec_stack_and_rows_round_trip():
     assert [(r.y.tobytes(), r.lower.tobytes(), r.upper.tobytes())
             for r in stack.rows()] == \
         [(s.y.tobytes(), s.lower.tobytes(), s.upper.tobytes()) for s in specs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), variant=st.sampled_from(("declip", "dequant", "inpaint")),
+       rows=st.none() | st.integers(1, 4), n=st.integers(1, 24))
+def test_derived_box_matches_its_parameters(data, variant, rows, n):
+    # a frame (rows None) or a stack of frames, each with its own theta and
+    # tol, delta or mask: the bounds derived from y and the parameter
+    # project as the mask oracle does, a stack's rows are its lone frames,
+    # and exactly the samples with equal bounds are pinned
+    frames = [_observed_frame(data.draw, variant, n) for _ in range(rows or 1)]
+    spec = frames[0][0] if rows is None else ConsistencySpec.stack(
+        [frame for frame, _, _ in frames])
+    x = np.array(data.draw(st.lists(
+        st.lists(_FINITE | st.sampled_from((0.0, -0.0)), min_size=n, max_size=n),
+        min_size=len(frames), max_size=len(frames))))
+    x = x[0] if rows is None else x
+    want = np.stack([mask_project_consistency(x_k, variant, frame.y, **oracle)
+                     for x_k, (frame, oracle, _) in zip(np.atleast_2d(x), frames)])
+    assert project_consistency(x, spec).tobytes() == want.reshape(x.shape).tobytes()
+    assert spec.pinned.tobytes() == (spec.lower == spec.upper).tobytes()
+    if rows is not None:
+        for row, (frame, _, _) in zip(spec.rows(), frames):
+            for name in ("y", "lower", "upper", "pinned"):
+                assert getattr(row, name).tobytes() == getattr(frame, name).tobytes()
+
+
+@pytest.mark.parametrize("variant, bound", [("declip", 1.05), ("dequant", 1.05),
+                                            ("inpaint", 1.2)])
+def test_a_stack_task_carries_no_bounds(variant, bound):
+    # a four-frame task of the paper's frame length sends y and one
+    # parameter per frame (a mask adds an eighth): the derived bounds stay
+    # out of the pickle, also once read, and come back bit for bit
+    rng = np.random.default_rng(5)
+    y = np.clip(rng.standard_normal((4, 2048)) * 0.3, -0.5, 0.5)
+    frame = {"declip": lambda row: ConsistencySpec.declip(row, 0.5, tol=5e-7),
+             "dequant": lambda row: ConsistencySpec.dequant(row, 1 / 16),
+             "inpaint": lambda row: ConsistencySpec.inpaint(row, row > -0.2)}[variant]
+    spec = ConsistencySpec.stack([frame(row) for row in y])
+    cfg = SolverConfig(order=512, strategy=variant)
+    size = len(pickle.dumps((spec, cfg)))
+    assert size <= bound * spec.y.nbytes
+    derived = (spec.lower, spec.upper, spec.pinned)
+    assert len(pickle.dumps((spec, cfg))) == size
+    back, _ = pickle.loads(pickle.dumps((spec, cfg)))
+    for want, got in zip(derived, (back.lower, back.upper, back.pinned)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()

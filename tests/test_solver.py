@@ -589,6 +589,47 @@ def test_a_non_finite_exact_step_names_its_row(monkeypatch):
     assert len(err.value.trace) == 1
 
 
+@pytest.mark.parametrize("strategy", ["inpaint", "declip"])
+def test_a_failed_banded_factorization_names_its_row(monkeypatch, strategy):
+    # rows 0, 2 and 3 pin every sample, so every banded solve is row 1's;
+    # the factorization fails from the first solve of the second outer step
+    import scipy.linalg
+
+    x, obs, spec = clipped_instance(12, n=64, p=2)
+    pinned = (ConsistencySpec.inpaint(x, np.ones(64, dtype=bool))
+              if strategy == "inpaint" else ConsistencySpec.declip(0.1 * x, 0.3))
+    row = (ConsistencySpec.inpaint(obs.y, spec.pinned) if strategy == "inpaint"
+           else spec)
+    stack = ConsistencySpec.stack([pinned, row, pinned, pinned])
+    real = scipy.linalg.solveh_banded
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        if len(calls) == first_step:
+            raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+        return counted(*args, **kwargs)
+
+    cfg = SolverConfig(order=2, strategy=strategy, outer_iters=3, inner_iters=20)
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", counted)
+    _, _, traces = acs_run(stack, cfg)
+    calls.clear()
+    acs_run(stack, dataclasses.replace(cfg, outer_iters=1))
+    first_step = len(calls)
+    assert first_step > 0
+    calls.clear()
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", failing)
+    with pytest.raises(SolverError, match="^banded factorization failed in row 1$") as err:
+        acs_run(stack, cfg)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+    assert (err.value.reason, err.value.row) == ("banded factorization failed", 1)
+    assert len(err.value.trace) >= 1
+    assert _untimed(err.value.trace) == _untimed(traces[1][:len(err.value.trace)])
+
+
 # --------------------------------------------------------------------- GLP
 
 def test_glp_rectify_flip_formula():
@@ -635,12 +676,15 @@ def test_progressive_schedule_edges():
     np.testing.assert_array_equal(progressive_schedule(2, 2, 5), [100] * 5)
     np.testing.assert_array_equal(progressive_schedule(1, 3, 2), [10, 1000])
     np.testing.assert_array_equal(progressive_schedule(1, 3, 1), [1000])
+    # one outer iteration keeps 10**n_last alone once 10**n1 fits an int64
+    np.testing.assert_array_equal(progressive_schedule(18, 1, 1), [10])
     with pytest.raises(ValueError):
         progressive_schedule(1, 2, 0)
 
 
 @pytest.mark.parametrize("n1, n_last, outer", [(1, 20, 3), (math.nan, 2, 3),
-                                               (1, 400, 3), (1, 400, 1)])
+                                               (1, 400, 3), (1, 400, 1),
+                                               (400, 1, 2), (400, 1, 1)])
 def test_progressive_schedule_rejects_counts_an_int64_cannot_hold(n1, n_last,
                                                                   outer):
     with warnings.catch_warnings():
