@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fastops import fast_len
 from .metrics import consistency_distance
 
 __all__ = [
@@ -68,8 +69,7 @@ def residual(a, x) -> np.ndarray:
 def autocorrelation(x, max_lag: int) -> np.ndarray:
     """Biased autocorrelation r_0..r_max_lag computed via the FFT."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    nfft = 1 << max(1, int(np.ceil(np.log2(2 * n - 1)))) if n > 1 else 2
+    nfft = fast_len(max(2 * x.size - 1, 2))  # no lag wraps around
     spec = np.fft.rfft(x, nfft)
     r = np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
     return r

@@ -379,10 +379,21 @@ def _build_config(a) -> SolverConfig | None:
     return cfg if a.outer > 0 else None
 
 
+def _read_like(path, role: str, buf: AudioBuffer, base: str) -> AudioBuffer:
+    """The WAV file ``path`` (the ``role`` of the ``base`` file ``buf``),
+    which must match ``buf`` in sample rate and shape."""
+    other = read_wav(path)
+    if other.sample_rate != buf.sample_rate:
+        raise ValueError(f"{role} {path} is sampled at {other.sample_rate} Hz, "
+                         f"the {base} at {buf.sample_rate} Hz")
+    if other.data.shape != buf.data.shape:
+        raise ValueError(f"{role} {path} has shape {other.data.shape}, "
+                         f"the {base} {buf.data.shape}")
+    return other
+
+
 def _restore(a, buf: AudioBuffer, reference: AudioBuffer | None):
     """Every channel restored as the reconstruct options say; one report."""
-    if reference is not None and reference.data.shape != buf.data.shape:
-        raise ValueError("reference shape does not match the input")
     models = _build_models(a, buf, infer_theta=True)
     cfg = _build_config(a)
     out = np.empty_like(buf.data)
@@ -398,8 +409,9 @@ def _restore(a, buf: AudioBuffer, reference: AudioBuffer | None):
 
 def cmd_reconstruct(a) -> int:
     buf = read_wav(a.input)
-    out, report = _restore(a, buf, read_wav(a.reference) if a.reference
-                           else None)
+    reference = (_read_like(a.reference, "reference", buf, "input")
+                 if a.reference else None)
+    out, report = _restore(a, buf, reference)
     write_wav(a.output, AudioBuffer(out, buf.sample_rate), fmt=a.format)
     if a.report:
         write_report(report, a.report, a.report_format,
@@ -415,12 +427,9 @@ def cmd_reconstruct(a) -> int:
 
 def cmd_evaluate(a) -> int:
     est = read_wav(a.estimate)
-    ref = read_wav(a.reference)
-    if est.data.shape != ref.data.shape:
-        raise ValueError("estimate and reference shapes differ")
-    degraded = read_wav(a.degraded) if a.degraded else None
-    if degraded is not None and degraded.data.shape != est.data.shape:
-        raise ValueError("degraded file shape differs")
+    ref = _read_like(a.reference, "reference", est, "estimate")
+    degraded = (_read_like(a.degraded, "degraded file", est, "estimate")
+                if a.degraded else None)
     # _validate lets a model option through only with --degraded
     models = _build_models(a, est)
     layout = frame_layout(est.n_samples, a.frame, _hop(a)) if a.frame else None

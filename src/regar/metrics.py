@@ -58,7 +58,8 @@ def sdr_scores(reference, estimate, degraded=None):
 def consistency_distance(estimate, spec: ConsistencySpec) -> float:
     """Half squared Euclidean distance from the consistency set."""
     estimate = np.asarray(estimate, dtype=float)
-    diff = estimate - project_consistency(estimate, spec)
+    diff = project_consistency(estimate, spec)
+    np.subtract(estimate, diff, out=diff)  # one signal-length array in all
     return 0.5 * float(diff @ diff)
 
 

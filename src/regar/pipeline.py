@@ -32,8 +32,6 @@ from .solver import SolverConfig, _set_one_blas_thread, acs_run
 
 __all__ = ["DegradationModel", "frame_record", "reconstruct_channel"]
 
-# slack for observations that passed through a float32 file
-MASK_TOL_FACTOR = 1e-6
 # degraded frames solved together by one acs_run call (one pool task)
 FRAMES_PER_STACK = 4
 # frames in flight per pool worker: enough to keep every worker busy, few
@@ -47,8 +45,8 @@ _BOXES = {"clip": ("declip", "theta"), "quant": ("dequant", "delta"),
 @dataclass(frozen=True)
 class DegradationModel:
     """How a channel was degraded: its consistency box without the
-    observation, whose parameter (theta, with MASK_TOL_FACTOR * theta of
-    slack, delta or the channel's reliable mask) ``_BOXES`` names by kind."""
+    observation, whose parameter (theta, delta or the channel's reliable
+    mask) ``_BOXES`` names by kind."""
 
     kind: str
     theta: float | None = None
@@ -65,9 +63,8 @@ class DegradationModel:
         """Consistency spec of the samples ``y``; ``reliable`` is a drop
         model's mask over them (by default the whole channel's)."""
         variant, name = _BOXES[self.kind]
-        param = getattr(self, name) if reliable is None else reliable
-        return ConsistencySpec(variant, y, param,
-                               MASK_TOL_FACTOR * param if variant == "declip" else 0.0)
+        return ConsistencySpec(variant, y,
+                               getattr(self, name) if reliable is None else reliable)
 
     def frame_specs(self, y, layout) -> Iterator[ConsistencySpec]:
         """Consistency spec of every frame of channel ``y``, one at a time,

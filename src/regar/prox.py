@@ -23,24 +23,23 @@ __all__ = [
 ]
 
 _VARIANTS = ("declip", "dequant", "inpaint")
+# a declip sample within CLIP_SLACK * theta of +-theta counts as clipped, and
+# may overshoot it by as much: the slack of an observation stored as float32
+CLIP_SLACK = 1e-6
 
 
-def _checked_param(variant: str, param, y=None, tol=0.0):
+def _checked_param(variant: str, param, y=None):
     """``param`` checked as a ``variant`` box's parameter (theta or delta
-    positive, or a boolean mask), and against the frame ``y`` and a declip
-    ``tol`` when given: no |y_n| beyond theta by more than max(tol, 1 ulp)."""
+    positive, or a boolean mask), and against the frame ``y`` when given: no
+    |y_n| beyond theta by more than max(CLIP_SLACK * theta, 1 ulp)."""
     if variant == "inpaint":
         return _as_bool_mask(param, np.size(param) if y is None else y.size)
     if param is None or not param > 0:
         raise ValueError("clipping threshold must be positive" if variant == "declip"
                          else "dequant spec needs a positive delta")
-    if variant == "declip" and y is not None:
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if np.any(np.abs(y) > param + max(tol, np.spacing(param))):
-            raise ValueError("sample magnitude exceeds the clipping threshold")
-        if tol >= param and np.any(np.abs(y) <= tol - param):
-            raise ValueError("consistency set is empty: a sample is clipped both ways")
+    if variant == "declip" and y is not None and np.any(
+            np.abs(y) > param + max(CLIP_SLACK * param, np.spacing(param))):
+        raise ValueError("sample magnitude exceeds the clipping threshold")
     return param
 
 
@@ -53,21 +52,20 @@ class ConsistencySpec:
     derived on first read and never pickled; a pinned sample (lower = upper
     = y) is known exactly, and an infinite bound leaves that side free.
 
-    "declip":  theta and a tolerance ``tol``: |y_n| < theta - tol pinned, the
-        others bounded below by theta or above by -theta, by sign.
+    "declip":  theta: |y_n| < theta - CLIP_SLACK * theta pinned, the others
+        bounded below by theta or above by -theta, by sign.
     "dequant": delta: every sample within delta/2 of y (the closed box; the
         open set has no projection, and its closure shares all feasible
         limit points).
     "inpaint": the boolean reliable mask: reliable samples pinned, the rest free.
 
     A stack of frames of one length (see ``stack``) holds one frame per row
-    of ``y``, with theta, tol and delta as columns, or one mask per row.
+    of ``y``, with theta or delta as a column, or one mask per row.
     """
 
     variant: str
     y: np.ndarray
     param: float | np.ndarray
-    tol: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -75,8 +73,7 @@ class ConsistencySpec:
         y = np.asarray(self.y, dtype=float)
         if y.ndim == 1:  # a frame; a stack is checked through its frames
             y = _as_signal(y)
-            object.__setattr__(self, "param", _checked_param(
-                self.variant, self.param, y, self.tol))
+            object.__setattr__(self, "param", _checked_param(self.variant, self.param, y))
         elif y.ndim != 2:
             raise ValueError("observation must be a 1-D signal or a stack of them")
         object.__setattr__(self, "y", y)
@@ -89,7 +86,8 @@ class ConsistencySpec:
         """(lower, upper, pinned)."""
         y, p = self.y, self.param
         if self.variant == "declip":
-            high, low = y >= p - self.tol, y <= self.tol - p
+            slack = CLIP_SLACK * p
+            high, low = y >= p - slack, y <= slack - p
             return (np.where(high, p, np.where(low, -np.inf, y)),
                     np.where(low, -p, np.where(high, np.inf, y)), ~(high | low))
         if self.variant == "dequant":
@@ -106,25 +104,12 @@ class ConsistencySpec:
         """One set whose row k is the frame ``specs[k]`` (of the first's variant)."""
         return cls(specs[0].variant, *(
             np.stack([np.atleast_1d(getattr(spec, name)) for spec in specs])
-            for name in ("y", "param", "tol")))
+            for name in ("y", "param")))
 
     def rows(self) -> list["ConsistencySpec"]:
         """The frame of every row of a stack, viewing its arrays."""
         return [ConsistencySpec(self.variant, *row)
-                for row in zip(self.y, self.param, self.tol)]
-
-    @classmethod
-    def declip(cls, y, theta: float, tol: float = 0.0) -> "ConsistencySpec":
-        """Box of a clipped observation (``tol`` > 0 for a lossy store)."""
-        return cls("declip", y, theta, tol)
-
-    @classmethod
-    def dequant(cls, y, delta: float) -> "ConsistencySpec":
-        return cls("dequant", y, delta)
-
-    @classmethod
-    def inpaint(cls, y, reliable) -> "ConsistencySpec":
-        return cls("inpaint", y, reliable)
+                for row in zip(self.y, self.param)]
 
 
 def project_consistency(x, spec: ConsistencySpec, out=None) -> np.ndarray:

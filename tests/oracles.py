@@ -19,8 +19,8 @@ import scipy.linalg
 
 from regar.armodel import coef_array
 from regar.degrade import _as_bool_mask
-from regar.pipeline import MASK_TOL_FACTOR
-from regar.prox import ConsistencySpec, prox_signal_penalty, soft_threshold
+from regar.prox import (CLIP_SLACK, ConsistencySpec, prox_signal_penalty,
+                        soft_threshold)
 from regar.solver import SolverError
 
 
@@ -155,21 +155,21 @@ def dense_janssen_signal_update(a, y, reliable) -> np.ndarray:
     return x
 
 
-def clip_masks(y, theta: float, tol: float = 0.0):
+def clip_masks(y, theta: float):
     """(reliable, high, low) masks of a clipped observation.
 
-    A sample is reliable iff |y_n| < theta - tol; the others are clipped
-    high or low by sign.
+    A sample is reliable iff |y_n| < theta - CLIP_SLACK * theta; the others
+    are clipped high or low by sign.
     """
     y = np.asarray(y, dtype=float)
-    level = theta - tol
+    level = theta - CLIP_SLACK * theta
     high = y >= level
     low = y <= -level
     return ~(high | low), high, low
 
 
-def mask_project_consistency(x, variant: str, y, *, theta=None, tol=0.0,
-                             delta=None, reliable=None) -> np.ndarray:
+def mask_project_consistency(x, variant: str, y, *, theta=None, delta=None,
+                             reliable=None) -> np.ndarray:
     """``project_consistency`` class by class: pin the reliable samples,
     bound the clipped ones from their side, clip into the quantization cell."""
     x = np.asarray(x, dtype=float)
@@ -179,7 +179,7 @@ def mask_project_consistency(x, variant: str, y, *, theta=None, tol=0.0,
         return np.clip(x, y - half, y + half)
     out = x.copy()
     if variant == "declip":
-        reliable, high, low = clip_masks(y, theta, tol)
+        reliable, high, low = clip_masks(y, theta)
     out[reliable] = y[reliable]
     if variant == "declip":
         out[high] = np.maximum(x[high], theta)
@@ -187,12 +187,12 @@ def mask_project_consistency(x, variant: str, y, *, theta=None, tol=0.0,
     return out
 
 
-def mask_glp_rectify(x, y, theta: float, tol: float = 0.0) -> np.ndarray:
+def mask_glp_rectify(x, y, theta: float) -> np.ndarray:
     """``glp_rectify`` class by class: restore the reliable samples and flip
     the violating clipped ones around the +-theta level."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    reliable, high, low = clip_masks(y, theta, tol)
+    reliable, high, low = clip_masks(y, theta)
     out = x.copy()
     out[reliable] = y[reliable]
     flip_hi = high & (x < theta)
@@ -229,12 +229,11 @@ def copy_spec(model, y, reliable=None) -> ConsistencySpec:
     """Consistency spec of an observed frame (or channel) built on its own
     arrays; ``reliable`` is the drop model's mask over the same samples."""
     if model.kind == "clip":
-        return ConsistencySpec.declip(y, model.theta,
-                                      tol=MASK_TOL_FACTOR * model.theta)
+        return ConsistencySpec("declip", y, model.theta)
     if model.kind == "quant":
-        return ConsistencySpec.dequant(y, model.delta)
-    return ConsistencySpec.inpaint(y, model.reliable if reliable is None
-                                   else reliable)
+        return ConsistencySpec("dequant", y, model.delta)
+    return ConsistencySpec("inpaint", y,
+                           model.reliable if reliable is None else reliable)
 
 
 def copy_frame_specs(model, y, layout) -> list[ConsistencySpec]:

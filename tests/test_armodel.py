@@ -13,6 +13,7 @@ from oracles import build_toeplitz
 from regar.armodel import (autocorrelation, levinson_durbin, objective,
                            random_stable_ar, reflection_to_ar, residual,
                            simulate_ar)
+from regar.fastops import fast_len
 from regar.metrics import consistency_distance
 from regar.prox import ConsistencySpec
 from regar.solver import (SolverConfig, janssen_signal_update,
@@ -66,7 +67,7 @@ _COEF_ENTRIES = {
     "update_coefficients": lambda a: update_coefficients(
         _X, a, SolverConfig(order=max(np.size(a) - 1, 0)), inner_iters=1),
     "update_signal": lambda a: update_signal(
-        a, _X, SolverConfig(order=0), ConsistencySpec.dequant(_X, 0.5),
+        a, _X, SolverConfig(order=0), ConsistencySpec("dequant", _X, 0.5),
         inner_iters=1),
     "janssen_signal_update": lambda a: janssen_signal_update(
         a, _X, np.zeros(8, dtype=bool)),
@@ -98,6 +99,23 @@ def test_levinson_matches_dense_normal_equations():
         r = autocorrelation(x, 4)
         free = np.linalg.solve(scipy.linalg.toeplitz(r[:4]), -r[1:5])
         np.testing.assert_allclose(c[1:], free, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 97, 1000])
+def test_autocorrelation_matches_the_direct_sum(n):
+    # every lag of the signal, with none wrapped around by the FFT length
+    x = np.random.default_rng(n).standard_normal(n)
+    want = np.correlate(x, x, mode="full")[n - 1:]
+    np.testing.assert_allclose(autocorrelation(x, n - 1), want,
+                               rtol=1e-12, atol=1e-12 * float(x @ x))
+
+
+def test_autocorrelation_fft_length_is_a_power_of_two_at_power_of_two_frames():
+    # the FFT length fast_len(2n - 1) equals the next power of two at the
+    # frame lengths in use, so their autocorrelations keep their bits
+    for n in [1, 4] + [2**k for k in range(4, 14)]:
+        size = fast_len(max(2 * n - 1, 2))
+        assert size == 1 << max(1, (2 * n - 2).bit_length())
 
 
 def test_levinson_minimum_phase():
@@ -143,7 +161,7 @@ def test_objective_examples():
 
 def test_objective_infinite_lambda_s():
     y = np.array([0.2, 0.5, -0.1])
-    spec = ConsistencySpec.dequant(y, 0.25)
+    spec = ConsistencySpec("dequant", y, 0.25)
     feasible = objective([1.0], y, 0.0, math.inf, spec)
     assert feasible.signal_term == 0.0
     assert math.isfinite(feasible.total)
@@ -157,7 +175,7 @@ def test_objective_infinite_lambda_s_bound_is_1e_9_sqrt_n():
     # the box of an all-reliable zero frame is the point 0, so a constant
     # signal c lies sqrt(N) |c| from it: the bound falls at c = 1e-9
     n = 400
-    spec = ConsistencySpec.inpaint(np.zeros(n), np.ones(n, dtype=bool))
+    spec = ConsistencySpec("inpaint", np.zeros(n), np.ones(n, dtype=bool))
     inside = objective([1.0], np.full(n, 0.999e-9), 0.0, math.inf, spec)
     outside = objective([1.0], np.full(n, 1.001e-9), 0.0, math.inf, spec)
     assert inside.signal_term == 0.0
@@ -167,7 +185,7 @@ def test_objective_infinite_lambda_s_bound_is_1e_9_sqrt_n():
 def test_objective_signal_term_is_the_consistency_distance():
     # bit for bit: at this seed lambda_s/2 * ||d||^2 rounds differently
     rng = np.random.default_rng(7)
-    spec = ConsistencySpec.dequant(rng.standard_normal(32), 0.5)
+    spec = ConsistencySpec("dequant", rng.standard_normal(32), 0.5)
     x = rng.standard_normal(32)
     val = objective([1.0, -0.3], x, 0.1, 2.5, spec)
     assert val.signal_term == 2.5 * consistency_distance(x, spec) > 0
@@ -176,7 +194,7 @@ def test_objective_signal_term_is_the_consistency_distance():
 def test_objective_terms_sum():
     rng = np.random.default_rng(4)
     y = rng.standard_normal(16)
-    spec = ConsistencySpec.dequant(y, 0.5)
+    spec = ConsistencySpec("dequant", y, 0.5)
     val = objective(np.concatenate(([1.0], rng.standard_normal(3))),
                     rng.standard_normal(16), 0.7, 2.5, spec)
     assert val.total == pytest.approx(

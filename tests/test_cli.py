@@ -872,3 +872,37 @@ def test_a_wav_holding_nan_is_rejected_before_any_output(tmp_path, ar_signal,
         assert f"{path}: NaN or infinite float32 samples" in \
             capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == sorted([clean, path])
+
+
+@pytest.mark.parametrize("command, option", [("reconstruct", "--reference"),
+                                             ("evaluate", "--reference"),
+                                             ("evaluate", "--degraded")])
+def test_a_file_at_another_sample_rate_is_rejected_before_any_output(
+        tmp_path, ar_signal, capsys, command, option):
+    # same length, other rate: the samples would line up but mean other times
+    clean, x = ar_signal
+    slow = tmp_path / "slow.wav"
+    make_wav(slow, x, rate=8000)
+    out = tmp_path / "out"
+    argv = {"reconstruct": ["reconstruct", str(clean), "-o", str(out), "--bits", "8",
+                            "--strategy", "dequant", "--workers", "1",
+                            "--report", str(tmp_path / "report.json")],
+            "evaluate": ["evaluate", str(clean), "--report", str(out)]}[command]
+    argv += {"--reference": ["--reference", str(slow)],
+             "--degraded": ["--reference", str(clean), "--degraded", str(slow),
+                            "--theta", "0.5"]}[option]
+    assert run_cli(argv) == 1
+    role = "reference" if option == "--reference" else "degraded file"
+    base = "input" if command == "reconstruct" else "estimate"
+    assert capsys.readouterr().err == (f"error: {role} {slow} is sampled at 8000 Hz, "
+                                       f"the {base} at 16000 Hz\n")
+    assert sorted(tmp_path.iterdir()) == sorted([clean, slow])
+
+
+def test_a_file_of_another_shape_is_rejected(tmp_path, ar_signal, capsys):
+    clean, x = ar_signal
+    short = tmp_path / "short.wav"
+    make_wav(short, x[:-1])
+    assert run_cli(["evaluate", str(clean), "--reference", str(short)]) == 1
+    assert capsys.readouterr().err == (f"error: reference {short} has shape "
+                                       "(2999, 1), the estimate (3000, 1)\n")

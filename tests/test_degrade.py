@@ -36,16 +36,16 @@ def test_hard_clip_idempotent():
 
 
 def test_derive_clip_masks_examples():
-    spec = ConsistencySpec.declip([0.2, 0.5, -0.5], 0.5)
+    spec = ConsistencySpec("declip", [0.2, 0.5, -0.5], 0.5)
     np.testing.assert_array_equal(spec.lower, [0.2, 0.5, -np.inf])
     np.testing.assert_array_equal(spec.upper, [0.2, np.inf, -0.5])
     np.testing.assert_array_equal(spec.pinned, [True, False, False])
 
-    inside = ConsistencySpec.declip([0.1, -0.2, 0.0], 0.5)
+    inside = ConsistencySpec("declip", [0.1, -0.2, 0.0], 0.5)
     assert inside.pinned.all()
     np.testing.assert_array_equal(inside.lower, inside.y)
 
-    at_level = ConsistencySpec.declip([0.5, 0.5, 0.5], 0.5)
+    at_level = ConsistencySpec("declip", [0.5, 0.5, 0.5], 0.5)
     assert not at_level.pinned.any()
     np.testing.assert_array_equal(at_level.lower, [0.5, 0.5, 0.5])
     assert np.all(at_level.upper == np.inf)
@@ -53,23 +53,25 @@ def test_derive_clip_masks_examples():
 
 def test_derive_clip_masks_rejects_overshoot():
     with pytest.raises(ValueError, match="exceeds the clipping threshold"):
-        ConsistencySpec.declip([0.6], 0.5)
-    # within the explicit tolerance it classifies instead of raising
-    spec = ConsistencySpec.declip([0.5 + 1e-8], 0.5, tol=1e-6)
+        ConsistencySpec("declip", [0.6], 0.5)
+    # the slack is CLIP_SLACK * theta = 5e-7 here, on both sides of the level
+    with pytest.raises(ValueError, match="exceeds the clipping threshold"):
+        ConsistencySpec("declip", [-0.5 - 6e-7], 0.5)
+    # within the slack it classifies instead of raising
+    spec = ConsistencySpec("declip", [0.5 + 4e-7], 0.5)
     assert (spec.lower[0], spec.upper[0]) == (0.5, np.inf)
-    # a sample within tol of the level is clipped, so its box is not pinned
-    spec = ConsistencySpec.declip([0.5 - 1e-8, -0.5 + 1e-8], 0.5, tol=1e-6)
-    np.testing.assert_array_equal(spec.lower, [0.5, -np.inf])
-    np.testing.assert_array_equal(spec.upper, [np.inf, -0.5])
+    # a sample within the slack of the level is clipped, so its box is not
+    # pinned, and one just beyond the slack is reliable
+    spec = ConsistencySpec("declip", [0.5 - 4e-7, -0.5 + 4e-7, 0.5 - 6e-7], 0.5)
+    np.testing.assert_array_equal(spec.lower, [0.5, -np.inf, 0.5 - 6e-7])
+    np.testing.assert_array_equal(spec.upper, [np.inf, -0.5, 0.5 - 6e-7])
 
 
-def test_declip_rejects_bad_threshold_and_tolerance():
+def test_declip_rejects_bad_threshold():
     with pytest.raises(ValueError, match="threshold must be positive"):
-        ConsistencySpec.declip([0.1], 0.0)
-    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-        ConsistencySpec.declip([0.1], 0.5, tol=-1e-3)
+        ConsistencySpec("declip", [0.1], 0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        ConsistencySpec.declip([np.nan], 0.5)
+        ConsistencySpec("declip", [np.nan], 0.5)
 
 
 def test_masks_from_clip_match_original_signal():
@@ -77,7 +79,7 @@ def test_masks_from_clip_match_original_signal():
     x = rng.uniform(-2, 2, size=256)
     theta = 0.8
     obs = hard_clip(x, theta)
-    spec = ConsistencySpec.declip(obs.y, obs.theta)
+    spec = ConsistencySpec("declip", obs.y, obs.theta)
     np.testing.assert_array_equal(spec.pinned, np.abs(x) < theta)
 
 

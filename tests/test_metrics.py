@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_sdr_scores_gain_undefined_when_both_are_exact():
 
 
 def test_consistency_distance():
-    spec = ConsistencySpec.dequant(np.zeros(1), 2.0)  # box [-1, 1]
+    spec = ConsistencySpec("dequant", np.zeros(1), 2.0)  # box [-1, 1]
     assert consistency_distance(np.array([0.3]), spec) == 0.0
     assert consistency_distance(np.array([2.0]), spec) == pytest.approx(0.5)
 
@@ -50,17 +51,39 @@ def test_consistency_distance():
 def test_consistency_distance_zero_iff_projection_fixes():
     rng = np.random.default_rng(1)
     y = hard_clip(rng.uniform(-2, 2, size=32), 0.5).y
-    spec = ConsistencySpec.declip(y, 0.5)
+    spec = ConsistencySpec("declip", y, 0.5)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=32)
         fixed = np.array_equal(project_consistency(x, spec), x)
         assert (consistency_distance(x, spec) == 0.0) == fixed
 
 
+@pytest.mark.parametrize("variant", ["declip", "dequant", "inpaint"])
+def test_consistency_distance_holds_one_signal_length_array(variant):
+    # the projection and the difference share one buffer: with the box's
+    # bounds already derived, the call's traced peak stays near one x.nbytes
+    rng = np.random.default_rng(7)
+    y = np.clip(rng.standard_normal(10**6) * 0.3, -0.5, 0.5)
+    param = {"declip": 0.5, "dequant": 1 / 16, "inpaint": y > -0.2}[variant]
+    spec = ConsistencySpec(variant, y, param)
+    _ = spec.lower, spec.upper  # derived before the measurement
+    x = rng.standard_normal(y.size)
+    want = 0.5 * float((x - project_consistency(x, spec))
+                       @ (x - project_consistency(x, spec)))
+    tracemalloc.start()
+    try:
+        got = consistency_distance(x, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 1.5 * x.nbytes
+
+
 def test_glp_output_has_zero_distance():
     rng = np.random.default_rng(2)
     y = hard_clip(rng.uniform(-2, 2, size=48), 0.4).y
-    spec = ConsistencySpec.declip(y, 0.4)
+    spec = ConsistencySpec("declip", y, 0.4)
     rectified = glp_rectify(rng.uniform(-2, 2, size=48), spec)
     assert consistency_distance(rectified, spec) == 0.0
 

@@ -752,3 +752,54 @@ def test_a_failing_row_names_itself_and_carries_its_own_trace(monkeypatch,
     objectives = [r.objective for r in first.per_frame[:3]]
     assert len(set(objectives)) == 3
     assert err.value.trace[0].objective == objectives[2]
+
+
+_SIGN_ACCEL = {"none": frozenset(),
+               "extrapolate": frozenset({"extrapolate_signal", "extrapolate_coefs"}),
+               "line_search": frozenset({"line_search"})}
+
+
+def _sign_examples(test):
+    """The 15 configurations, each at seed 0: every strategy with every
+    acceleration, and declip at finite lambda_s too."""
+    for strategy in ("declip", "dequant", "inpaint", "glp"):
+        for accel in _SIGN_ACCEL:
+            for finite in (False, True) if strategy == "declip" else (False,):
+                test = example(strategy=strategy, accel=accel,
+                               finite_lambda_s=finite, seed=0)(test)
+    return test
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(strategy=st.sampled_from(["declip", "dequant", "inpaint", "glp"]),
+       accel=st.sampled_from(sorted(_SIGN_ACCEL)),
+       finite_lambda_s=st.booleans(), seed=st.integers(0, 3))
+@_sign_examples
+def test_a_negated_observation_restores_to_the_negated_signal(
+        strategy, accel, finite_lambda_s, seed):
+    # every box, step and acceleration is odd in the signal: negating the
+    # observation negates the reconstruction bit for bit, so neither the
+    # declip slack nor any rounding favours +theta over -theta.  The one
+    # exception is the sign of a zero: a dequant bound y +- delta/2 that is
+    # zero is +0.0 on either side, so a sample projected onto it stays +0.0
+    rng = np.random.default_rng(seed)
+    x = simulate_ar(random_stable_ar(12, rng), 2048, rng)
+    x = x / np.max(np.abs(x))
+    if strategy == "dequant":
+        obs = uniform_quantize(x, 4)
+        model, y = DegradationModel(kind="quant", delta=obs.delta), obs.y
+    elif strategy == "inpaint":
+        reliable = rng.random(x.size) > 0.1
+        model = DegradationModel(kind="drop", reliable=reliable)
+        y = np.where(reliable, x, 0.0)
+    else:
+        model, y = DegradationModel(kind="clip", theta=0.5), hard_clip(x, 0.5).y
+    cfg = SolverConfig(order=16, strategy=strategy, lambda_c=1e-3,
+                       lambda_s=10.0 if finite_lambda_s and strategy == "declip"
+                       else math.inf, outer_iters=4, inner_iters=30,
+                       acceleration=_SIGN_ACCEL[accel])
+    out, report = reconstruct_channel(y, model, cfg, 512, 128)
+    flipped, flipped_report = reconstruct_channel(-y, model, cfg, 512, 128)
+    differ = flipped.view(np.uint64) != (-out).view(np.uint64)
+    assert not np.any(out[differ]), "only zeros may differ, in sign"
+    assert flipped_report.consistency_sq == report.consistency_sq

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from oracles import (dense_quadratic_prox, mask_glp_rectify,
                      mask_project_consistency, prox_quadratic_dense,
                      soft_threshold_anchored)
-from regar.prox import (ConsistencySpec, project_consistency,
+from regar.prox import (CLIP_SLACK, ConsistencySpec, project_consistency,
                         prox_signal_penalty, soft_threshold)
 from regar.solver import SolverConfig, glp_rectify
 
 
 def declip_spec(y, theta):
-    return ConsistencySpec.declip(np.asarray(y, dtype=float), theta)
+    return ConsistencySpec("declip", np.asarray(y, dtype=float), theta)
 
 
 def test_spec_validation():
@@ -29,28 +30,23 @@ def test_spec_validation():
     # the parameter is checked against the frame it describes
     with pytest.raises(ValueError, match="length 4"):
         ConsistencySpec(variant="inpaint", y=y, param=np.ones(3, dtype=bool))
-    with pytest.raises(ValueError, match="empty"):
-        ConsistencySpec(variant="declip", y=y, param=0.5, tol=0.5)
     with pytest.raises(ValueError, match="positive delta"):
-        ConsistencySpec.dequant(y, 0.0)
+        ConsistencySpec("dequant", y, 0.0)
     with pytest.raises(ValueError, match="length 4"):
-        ConsistencySpec.inpaint(y, np.ones(3, dtype=bool))
+        ConsistencySpec("inpaint", y, np.ones(3, dtype=bool))
     with pytest.raises(ValueError, match="boolean"):
-        ConsistencySpec.inpaint(y, np.array([0, 2]))
+        ConsistencySpec("inpaint", y, np.array([0, 2]))
 
 
 def test_spec_bounds_of_each_variant():
-    spec = ConsistencySpec.dequant([0.375, -0.125], 0.25)
+    spec = ConsistencySpec("dequant", [0.375, -0.125], 0.25)
     np.testing.assert_array_equal(spec.lower, [0.25, -0.25])
     np.testing.assert_array_equal(spec.upper, [0.5, 0.0])
     assert not spec.pinned.any()
-    spec = ConsistencySpec.inpaint([1.0, 0.0, 3.0], np.array([True, False, True]))
+    spec = ConsistencySpec("inpaint", [1.0, 0.0, 3.0], np.array([True, False, True]))
     np.testing.assert_array_equal(spec.lower, [1.0, -np.inf, 3.0])
     np.testing.assert_array_equal(spec.upper, [1.0, np.inf, 3.0])
     np.testing.assert_array_equal(spec.pinned, [True, False, True])
-    # a sample classified both high and low (tol >= theta) has an empty box
-    with pytest.raises(ValueError, match="empty"):
-        ConsistencySpec.declip([0.0], 0.5, tol=0.5)
 
 
 def test_project_fixes_feasible_points():
@@ -66,14 +62,14 @@ def test_project_declip():
 
 
 def test_project_dequant():
-    spec = ConsistencySpec.dequant([0.375], 0.25)
+    spec = ConsistencySpec("dequant", [0.375], 0.25)
     assert project_consistency(np.array([0.9]), spec)[0] == 0.5
     assert project_consistency(np.array([0.0]), spec)[0] == 0.25
     assert project_consistency(np.array([0.4]), spec)[0] == 0.4
 
 
 def test_project_inpaint():
-    spec = ConsistencySpec.inpaint([1.0, 0.0, 3.0], np.array([True, False, True]))
+    spec = ConsistencySpec("inpaint", [1.0, 0.0, 3.0], np.array([True, False, True]))
     out = project_consistency(np.array([9.0, 5.0, 9.0]), spec)
     np.testing.assert_array_equal(out, [1.0, 5.0, 3.0])
 
@@ -85,8 +81,8 @@ def _random_spec(rng, n):
         theta = float(rng.uniform(0.2, 0.8))
         return declip_spec(np.clip(y, -theta, theta), theta)
     if kind == 1:
-        return ConsistencySpec.dequant(y, float(rng.uniform(0.05, 0.5)))
-    return ConsistencySpec.inpaint(y, rng.uniform(size=n) < 0.6)
+        return ConsistencySpec("dequant", y, float(rng.uniform(0.05, 0.5)))
+    return ConsistencySpec("inpaint", y, rng.uniform(size=n) < 0.6)
 
 
 def _random_feasible(rng, spec):
@@ -108,7 +104,7 @@ def test_projection_idempotent_and_distance_minimizing():
 
 
 def test_prox_signal_penalty_limits():
-    spec = ConsistencySpec.dequant([0.0, 0.0], 2.0)  # box [-1, 1]
+    spec = ConsistencySpec("dequant", [0.0, 0.0], 2.0)  # box [-1, 1]
     x = np.array([2.0, -3.0])
     np.testing.assert_array_equal(prox_signal_penalty(x, 0.0, spec), x)
     np.testing.assert_array_equal(prox_signal_penalty(x, math.inf, spec),
@@ -128,27 +124,28 @@ def _observed_frame(draw, variant, n):
     random observed frame of length n.
 
     Declip observations mix interior samples, samples exactly at +-theta and
-    samples within tol of it (above it too); the special values are the
-    signed zeros and, for declip, the clipping levels.
+    samples within the slack of it (above it too), and the slack's edges;
+    the special values are the signed zeros and, for declip, the clipping
+    levels.
     """
     if variant == "declip":
         theta = draw(st.floats(0.05, 2.0))
-        tol = draw(st.sampled_from((0.0, 1e-6 * theta))
-                   | st.floats(0.0, 0.9 * theta))
-        levels = (theta, -theta, theta - tol / 2, tol / 2 - theta,
-                  theta + tol / 2, -theta - tol / 2, 0.0, -0.0)
+        slack = CLIP_SLACK * theta
+        levels = (theta, -theta, theta - slack / 2, slack / 2 - theta,
+                  theta + slack / 2, -theta - slack / 2, theta - slack,
+                  slack - theta, theta - 2 * slack, 2 * slack - theta, 0.0, -0.0)
         y = draw(st.lists(st.floats(-1.0, 1.0).map(lambda u: u * theta)
                           | st.sampled_from(levels), min_size=n, max_size=n))
-        return (ConsistencySpec.declip(y, theta, tol=tol),
-                dict(theta=theta, tol=tol), (0.0, -0.0, theta, -theta))
+        return (ConsistencySpec("declip", y, theta), dict(theta=theta),
+                (0.0, -0.0, theta, -theta))
     y = draw(st.lists(_FINITE | st.sampled_from((0.0, -0.0)),
                       min_size=n, max_size=n))
     if variant == "dequant":
         # a step below half an ulp of y pins the sample
         delta = draw(st.floats(1e-3, 2.0) | st.just(1e-20))
-        return ConsistencySpec.dequant(y, delta), dict(delta=delta), (0.0, -0.0)
+        return ConsistencySpec("dequant", y, delta), dict(delta=delta), (0.0, -0.0)
     reliable = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return (ConsistencySpec.inpaint(y, reliable), dict(reliable=reliable),
+    return (ConsistencySpec("inpaint", y, reliable), dict(reliable=reliable),
             (0.0, -0.0))
 
 
@@ -208,7 +205,7 @@ def test_prox_signal_penalty_matches_scalar_search():
     for _ in range(20):
         y = float(rng.uniform(-1, 1))
         delta = float(rng.uniform(0.1, 1.0))
-        spec = ConsistencySpec.dequant([y], delta)
+        spec = ConsistencySpec("dequant", [y], delta)
         lam = float(rng.uniform(0.0, 20.0))
         x = float(rng.uniform(-4, 4))
 
@@ -311,7 +308,7 @@ def test_stacked_proxes_write_each_row_as_alone(rows, n, lam, seed):
     v = rng.standard_normal((rows, n))
     v[rng.random((rows, n)) < 0.2] = -0.0
     y = np.round(rng.standard_normal((rows, n)) * 4.0) / 4.0
-    stack = ConsistencySpec.stack([ConsistencySpec.dequant(row, 0.25) for row in y])
+    stack = ConsistencySpec.stack([ConsistencySpec("dequant", row, 0.25) for row in y])
     step = rng.uniform(0.1, 2.0, size=(rows, 1))
     soft = np.empty_like(v)
     assert soft_threshold(v, step * lam if math.isfinite(lam) else step,
@@ -326,8 +323,8 @@ def test_stacked_proxes_write_each_row_as_alone(rows, n, lam, seed):
 
 
 def test_spec_stack_and_rows_round_trip():
-    specs = [ConsistencySpec.declip(np.array([0.1, 0.5, -0.5]), 0.5),
-             ConsistencySpec.declip(np.array([0.2, -0.2, 0.4]), 0.4)]
+    specs = [ConsistencySpec("declip", np.array([0.1, 0.5, -0.5]), 0.5),
+             ConsistencySpec("declip", np.array([0.2, -0.2, 0.4]), 0.4)]
     stack = ConsistencySpec.stack(specs)
     assert stack.y.shape == (2, 3)
     assert [(r.y.tobytes(), r.lower.tobytes(), r.upper.tobytes())
@@ -339,8 +336,8 @@ def test_spec_stack_and_rows_round_trip():
 @given(data=st.data(), variant=st.sampled_from(("declip", "dequant", "inpaint")),
        rows=st.none() | st.integers(1, 4), n=st.integers(1, 24))
 def test_derived_box_matches_its_parameters(data, variant, rows, n):
-    # a frame (rows None) or a stack of frames, each with its own theta and
-    # tol, delta or mask: the bounds derived from y and the parameter
+    # a frame (rows None) or a stack of frames, each with its own theta,
+    # delta or mask: the bounds derived from y and the parameter
     # project as the mask oracle does, a stack's rows are its lone frames,
     # and exactly the samples with equal bounds are pinned
     frames = [_observed_frame(data.draw, variant, n) for _ in range(rows or 1)]
@@ -368,10 +365,10 @@ def test_a_stack_task_carries_no_bounds(variant, bound):
     # out of the pickle, also once read, and come back bit for bit
     rng = np.random.default_rng(5)
     y = np.clip(rng.standard_normal((4, 2048)) * 0.3, -0.5, 0.5)
-    frame = {"declip": lambda row: ConsistencySpec.declip(row, 0.5, tol=5e-7),
-             "dequant": lambda row: ConsistencySpec.dequant(row, 1 / 16),
-             "inpaint": lambda row: ConsistencySpec.inpaint(row, row > -0.2)}[variant]
-    spec = ConsistencySpec.stack([frame(row) for row in y])
+    param = {"declip": lambda row: 0.5, "dequant": lambda row: 1 / 16,
+             "inpaint": lambda row: row > -0.2}[variant]
+    spec = ConsistencySpec.stack([ConsistencySpec(variant, row, param(row))
+                                  for row in y])
     cfg = SolverConfig(order=512, strategy=variant)
     size = len(pickle.dumps((spec, cfg)))
     assert size <= bound * spec.y.nbytes
@@ -381,3 +378,15 @@ def test_a_stack_task_carries_no_bounds(variant, bound):
     for want, got in zip(derived, (back.lower, back.upper, back.pinned)):
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_spec_is_its_variant_observation_and_parameter():
+    # the constructor is the one way to build a box, and the declip slack is
+    # the box's own rule, not a field
+    assert [f.name for f in dataclasses.fields(ConsistencySpec)] == [
+        "variant", "y", "param"]
+    assert not any(hasattr(ConsistencySpec, name)
+                   for name in ("declip", "dequant", "inpaint", "tol"))
+    level = 0.5 * (1 - CLIP_SLACK)
+    spec = ConsistencySpec("declip", [level, -level], 0.5)
+    assert not spec.pinned.any()

@@ -207,7 +207,7 @@ def test_stacked_dr_loop_matches_the_allocating_copy_per_row(
     gamma = rng.uniform(0.05, 5.0, size=(rows, 1))
     offset = rng.standard_normal((rows, op.L)) if with_offset else None
     y = rng.standard_normal((rows, n_head))
-    spec = ConsistencySpec.stack([ConsistencySpec.dequant(r, 0.5) for r in y])
+    spec = ConsistencySpec.stack([ConsistencySpec("dequant", r, 0.5) for r in y])
     z0 = rng.standard_normal((rows, op.L))
 
     def head_prox(h, g, row_spec, out):
@@ -294,7 +294,7 @@ def test_update_coefficients_order_zero_and_validation():
 
 def test_update_signal_point_constraint():
     y = np.array([0.4, -0.2, 0.9])
-    spec = ConsistencySpec.inpaint(y, np.ones(3, dtype=bool))
+    spec = ConsistencySpec("inpaint", y, np.ones(3, dtype=bool))
     cfg = make_config(order=0, strategy="inpaint", lambda_s=math.inf,
                       inner_iters=50)
     x = one_shot(update_signal)([1.0], np.zeros(3), cfg, spec)
@@ -305,7 +305,7 @@ def test_update_signal_point_constraint():
                          ids=["accel0", "accel1"])
 def test_update_signal_minimum_norm_feasible(update):
     y = np.array([0.1, 0.5, -0.5, 0.2])
-    spec = ConsistencySpec.declip(y, 0.5)
+    spec = ConsistencySpec("declip", y, 0.5)
     cfg = make_config(order=0, lambda_s=math.inf, inner_iters=500)
     x = update([1.0], y.copy(), cfg, spec)
     np.testing.assert_allclose(x, [0.1, 0.5, -0.5, 0.2], atol=1e-12)
@@ -316,7 +316,7 @@ def test_update_signal_matches_dense_oracle_dra():
     a = reflection_to_ar([0.5, -0.3])
     n = 24
     y = np.clip(rng.uniform(-1, 1, size=n), -0.4, 0.4)
-    spec = ConsistencySpec.declip(y, 0.4)
+    spec = ConsistencySpec("declip", y, 0.4)
     cfg = make_config(order=2, lambda_s=10.0, inner_iters=6000,
                       acceleration=frozenset())
     got = one_shot(update_signal)(a, y.copy(), cfg, spec)
@@ -333,7 +333,7 @@ def test_update_signal_matches_dense_oracle_dra():
 
 
 def test_update_signal_validation():
-    spec = ConsistencySpec.dequant(np.zeros(4), 0.5)
+    spec = ConsistencySpec("dequant", np.zeros(4), 0.5)
     with pytest.raises(ValueError):
         one_shot(update_signal)([2.0], np.zeros(4), make_config(order=0), spec)
     with pytest.raises(ValueError):
@@ -355,12 +355,12 @@ def test_warm_start_continues_exactly_property(p, extra, k, m, lambda_c, lambda_
     a = random_stable_ar(p, rng)
     x = rng.uniform(-1.0, 1.0, size=n)
     if variant == "declip":
-        spec = ConsistencySpec.declip(np.clip(x, -0.5, 0.5), 0.5)
+        spec = ConsistencySpec("declip", np.clip(x, -0.5, 0.5), 0.5)
     elif variant == "dequant":
-        spec = ConsistencySpec.dequant(np.round(4.0 * x) / 4.0, 0.25)
+        spec = ConsistencySpec("dequant", np.round(4.0 * x) / 4.0, 0.25)
     else:
         reliable = rng.random(n) < 0.7
-        spec = ConsistencySpec.inpaint(np.where(reliable, x, 0.0), reliable)
+        spec = ConsistencySpec("inpaint", np.where(reliable, x, 0.0), reliable)
     cfg = make_config(order=p, lambda_c=lambda_c, lambda_s=lambda_s)
     a0 = np.r_[1.0, np.zeros(p)]
 
@@ -385,7 +385,7 @@ def test_stacked_updates_match_the_dense_oracles_per_row():
     a_true = random_stable_ar(p, rng)
     x = np.stack([simulate_ar(a_true, n, rng) * scale for scale in (1.0, 0.01, 30.0)])
     y = np.stack([hard_clip(row, 0.4 * np.max(np.abs(row))).y for row in x])
-    specs = [ConsistencySpec.declip(row, np.max(np.abs(row))) for row in y]
+    specs = [ConsistencySpec("declip", row, np.max(np.abs(row))) for row in y]
     stack = ConsistencySpec.stack(specs)
     a_rows = np.stack([a_true] * rows)
     worst = 0.0
@@ -507,7 +507,7 @@ def test_active_set_step_is_the_exact_box_minimizer(p, extra, clipped, seed):
     n = p + extra
     x = simulate_ar(random_stable_ar(p, rng), n, rng)
     theta = float(np.quantile(np.abs(x), 1.0 - clipped))
-    spec = ConsistencySpec.declip(hard_clip(x, theta).y, theta)
+    spec = ConsistencySpec("declip", hard_clip(x, theta).y, theta)
     a = random_stable_ar(p, rng)
     out, passes = solver_mod.active_set_signal_update(a, spec.y, spec)
     assert 1 <= passes < solver_mod.ACTIVE_SET_PASSES
@@ -554,7 +554,7 @@ def test_trace_counts_the_banded_solves_of_each_signal_step(strategy, lambda_s,
     # declip at lambda_s = inf alone takes the active-set step
     x_true, obs, spec = clipped_instance(9, n=96, p=3)
     if strategy == "dequant":
-        spec = ConsistencySpec.dequant(x_true, 0.1)
+        spec = ConsistencySpec("dequant", x_true, 0.1)
     cfg = SolverConfig(order=3, strategy=strategy, lambda_c=1e-3,
                        lambda_s=lambda_s, outer_iters=3, inner_iters=50)
     _, _, trace = acs_run(spec, cfg)
@@ -596,9 +596,9 @@ def test_a_failed_banded_factorization_names_its_row(monkeypatch, strategy):
     import scipy.linalg
 
     x, obs, spec = clipped_instance(12, n=64, p=2)
-    pinned = (ConsistencySpec.inpaint(x, np.ones(64, dtype=bool))
-              if strategy == "inpaint" else ConsistencySpec.declip(0.1 * x, 0.3))
-    row = (ConsistencySpec.inpaint(obs.y, spec.pinned) if strategy == "inpaint"
+    pinned = (ConsistencySpec("inpaint", x, np.ones(64, dtype=bool))
+              if strategy == "inpaint" else ConsistencySpec("declip", 0.1 * x, 0.3))
+    row = (ConsistencySpec("inpaint", obs.y, spec.pinned) if strategy == "inpaint"
            else spec)
     stack = ConsistencySpec.stack([pinned, row, pinned, pinned])
     real = scipy.linalg.solveh_banded
@@ -634,14 +634,14 @@ def test_a_failed_banded_factorization_names_its_row(monkeypatch, strategy):
 
 def test_glp_rectify_flip_formula():
     y = np.array([0.2, 0.5, -0.5])
-    spec = ConsistencySpec.declip(y, 0.5)
+    spec = ConsistencySpec("declip", y, 0.5)
     out = glp_rectify(np.array([0.9, 0.4, -0.8]), spec)
     np.testing.assert_allclose(out, [0.2, 0.6, -0.8])
 
 
 def test_glp_rectify_feasible_input_only_restores_reliable():
     y = np.array([0.2, 0.5, -0.5])
-    spec = ConsistencySpec.declip(y, 0.5)
+    spec = ConsistencySpec("declip", y, 0.5)
     x = np.array([0.3, 0.7, -0.6])  # feasible except the reliable entry
     out = glp_rectify(x, spec)
     np.testing.assert_array_equal(out, [0.2, 0.7, -0.6])
@@ -653,14 +653,14 @@ def test_glp_rectify_always_feasible():
         n = int(rng.integers(4, 64))
         theta = float(rng.uniform(0.2, 0.9))
         y = hard_clip(rng.uniform(-2, 2, size=n), theta).y
-        spec = ConsistencySpec.declip(y, theta)
+        spec = ConsistencySpec("declip", y, theta)
         out = glp_rectify(rng.uniform(-3, 3, size=n), spec)
         np.testing.assert_array_equal(project_consistency(out, spec), out)
 
 
 def test_glp_rectify_needs_declip_spec():
     with pytest.raises(ValueError):
-        glp_rectify(np.zeros(4), ConsistencySpec.dequant(np.zeros(4), 0.5))
+        glp_rectify(np.zeros(4), ConsistencySpec("dequant", np.zeros(4), 0.5))
 
 
 # ------------------------------------------------------------ accelerations
@@ -810,13 +810,13 @@ def clipped_instance(seed, n=128, p=4, theta=0.3):
     x = simulate_ar(random_stable_ar(p, rng), n, rng)
     x = x / np.max(np.abs(x))
     obs = hard_clip(x, theta)
-    spec = ConsistencySpec.declip(obs.y, obs.theta)
+    spec = ConsistencySpec("declip", obs.y, obs.theta)
     return x, obs, spec
 
 
 def test_acs_inpaint_without_missing_returns_observation():
     y = np.array([0.5, -0.2, 0.1, 0.4, -0.3, 0.2, 0.05, -0.15])
-    spec = ConsistencySpec.inpaint(y, np.ones(8, dtype=bool))
+    spec = ConsistencySpec("inpaint", y, np.ones(8, dtype=bool))
     cfg = SolverConfig(order=2, strategy="inpaint", outer_iters=1, inner_iters=50)
     _, x, trace = acs_run(spec, cfg)
     np.testing.assert_array_equal(x, y)
@@ -878,7 +878,7 @@ def test_acs_builds_the_band_index_once_per_row(monkeypatch, strategy):
                         lambda *args, **kw: solves.append(1) or real_solve(*args, **kw))
     specs = [clipped_instance(seed, n=64, p=4)[2] for seed in (14, 15)]
     if strategy == "inpaint":
-        specs = [ConsistencySpec.inpaint(s.y, s.pinned) for s in specs]
+        specs = [ConsistencySpec("inpaint", s.y, s.pinned) for s in specs]
     stack = ConsistencySpec.stack(specs)
     cfg = SolverConfig(order=4, strategy=strategy, outer_iters=3, inner_iters=20)
     acs_run(stack, cfg)
@@ -945,7 +945,7 @@ def test_acs_step_wall_times_split_the_call_from_its_start(monkeypatch):
 
 
 def test_acs_spec_strategy_mismatch():
-    spec = ConsistencySpec.dequant(np.full(8, 0.25), 0.5)
+    spec = ConsistencySpec("dequant", np.full(8, 0.25), 0.5)
     cfg = SolverConfig(order=1, strategy="glp", outer_iters=1, inner_iters=10)
     with pytest.raises(ValueError):
         acs_run(spec, cfg)
@@ -960,9 +960,8 @@ def test_strategy_accepts_only_its_spec_variants(strategy, variant):
     accepted = {"inpaint": {"declip", "inpaint"}, "glp": {"declip"},
                 "declip": {"declip"}, "dequant": {"dequant"}}
     y = np.array([0.25, -0.75, 0.25, 0.75, -0.25, 0.25, -0.25, 0.75])
-    spec = {"declip": lambda: ConsistencySpec.declip(y, 0.75),
-            "dequant": lambda: ConsistencySpec.dequant(y, 0.5),
-            "inpaint": lambda: ConsistencySpec.inpaint(y, y > 0)}[variant]()
+    spec = ConsistencySpec(variant, y, {"declip": 0.75, "dequant": 0.5,
+                                        "inpaint": y > 0}[variant])
     cfg = SolverConfig(order=1, strategy=strategy, outer_iters=1,
                        inner_iters=5)
     if variant in accepted[strategy]:
@@ -991,13 +990,15 @@ def _stack_frames(strategy, rows, n, zero_row, rng):
         peak = float(np.max(np.abs(row))) or 1.0
         if strategy == "dequant":
             delta = peak / 4.0
-            specs.append(ConsistencySpec.dequant(np.round(row / delta) * delta, delta))
+            specs.append(ConsistencySpec("dequant", np.round(row / delta) * delta,
+                                         delta))
         elif strategy == "inpaint":
             reliable = rng.random(n) > 0.25
-            specs.append(ConsistencySpec.inpaint(np.where(reliable, row, 0.0), reliable))
+            specs.append(ConsistencySpec("inpaint", np.where(reliable, row, 0.0),
+                                         reliable))
         else:
-            specs.append(ConsistencySpec.declip(hard_clip(row, 0.5 * peak).y,
-                                                0.5 * peak))
+            specs.append(ConsistencySpec("declip", hard_clip(row, 0.5 * peak).y,
+                                         0.5 * peak))
     return clean, specs
 
 
